@@ -34,11 +34,13 @@ from .io import (
 )
 from .measurement import information_gain, measure, projective_energy_povm
 from .relations import (
+    THERMODYNAMIC_RELATIONS,
     NotLocallyThermalError,
     check_ergotropy_bound,
     check_global_ergotropy_bound,
     euler_residual,
     standard_reports,
+    temperature_free_reports,
     tradeoff_residual,
 )
 from .thermo import Hamiltonian, thermo_report
@@ -82,6 +84,10 @@ class RunConfig:
     verify_count: int = 500
     output_path: str | None = None
 
+    def __post_init__(self):
+        if self.verify_count < 1:
+            raise ValueError(f"count must be at least 1, got {self.verify_count}")
+
     def model_params(self) -> ModelParams:
         return ModelParams(
             omega=self.omega,
@@ -100,7 +106,11 @@ class RunConfig:
         return np.clip(grid, 0.0, 1.0)
 
     def horizon(self) -> float:
-        return self.t_max if self.t_max is not None else 50.0 / self.gamma
+        if self.t_max is not None:
+            return self.t_max
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive when t_max is derived from it")
+        return 50.0 / self.gamma
 
 
 def load_config(path: str | None = None, **overrides) -> RunConfig:
@@ -190,13 +200,22 @@ def cmd_simulate(config: RunConfig, rho0_path: str) -> int:
 
     out = Path(config.output_path or "trajectory.csv")
     write_trajectory_csv(out, trajectory)
-    reports_path = out.with_name(out.stem + "_reports.json")
-    reports = standard_reports(final, local_qubit_hamiltonian(config.omega))
-    write_reports(reports_path, reports)
-
     print(f"wrote {len(trajectory.states)} steps to {out}")
     print(f"effective c = {c:.9g}")
     print(f"trace distance to the analytic steady state: {distance:.3e}")
+
+    h_local = local_qubit_hamiltonian(config.omega)
+    try:
+        reports = standard_reports(final, h_local)
+    except NotLocallyThermalError as err:
+        # generic states keep non-X coherences past the horizon
+        reports = temperature_free_reports(final, h_local)
+        print(
+            f"skipped {', '.join(THERMODYNAMIC_RELATIONS)}: "
+            f"final state is not locally thermal ({err})"
+        )
+    reports_path = out.with_name(out.stem + "_reports.json")
+    write_reports(reports_path, reports)
     print(f"relation reports: {reports_path}")
     return 0
 
@@ -269,23 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        k: getattr(args, k)
-        for k in (
-            "beta_e",
-            "omega",
-            "f",
-            "gamma",
-            "c_start",
-            "c_stop",
-            "c_step",
-            "seed",
-            "dt",
-            "t_max",
-            "verify_count",
-            "output_path",
-        )
-    }
+    # every RunConfig field has a global flag of the same dest
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     try:
         config = load_config(args.config, **overrides)
         if args.command == "sweep":

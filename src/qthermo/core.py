@@ -146,6 +146,19 @@ def von_neumann_entropy(rho) -> float:
     return entropy_of_eigenvalues(np.linalg.eigvalsh(as_matrix(rho)))
 
 
+def marginal_entropy(rho: DensityMatrix, side: str) -> float:
+    """S(rho_side) in nats, from the raw partial trace (the marginal is not
+    re-validated as a DensityMatrix)."""
+    if rho.dims is None:
+        raise ValueError("state carries no bipartite dims; cannot take a marginal")
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, rho.dims, side)))
+
+
+def mutual_information(rho: DensityMatrix) -> float:
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in nats."""
+    return marginal_entropy(rho, "A") + marginal_entropy(rho, "B") - von_neumann_entropy(rho)
+
+
 def purify(rho: DensityMatrix) -> np.ndarray:
     """Pure state on (system (x) ancilla) whose system marginal is ``rho``.
 

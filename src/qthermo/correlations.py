@@ -18,6 +18,8 @@ from .core import (
     _partial_trace,
     as_matrix,
     entropy_of_eigenvalues,
+    marginal_entropy,
+    mutual_information,
     ENTROPY_CUTOFF,
 )
 from .measurement import (
@@ -25,7 +27,6 @@ from .measurement import (
     information_gain,
     measure,
     projective_energy_povm,
-    von_neumann_entropy,
 )
 
 LOCAL_FORM_TOL = 1e-9
@@ -61,14 +62,6 @@ def _require_dims(rho: DensityMatrix):
     return rho.dims
 
 
-def mutual_information(rho: DensityMatrix) -> float:
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in nats."""
-    dims = _require_dims(rho)
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, dims, "A")))
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, dims, "B")))
-    return s_a + s_b - von_neumann_entropy(rho)
-
-
 def chi_from_local_measurement(rho: DensityMatrix, povm_on_b: Povm) -> float:
     """Holevo quantity about A extracted by measuring B:
     S(rho_A) - sum_n p_n S(rho_A^n).
@@ -81,13 +74,12 @@ def chi_from_local_measurement(rho: DensityMatrix, povm_on_b: Povm) -> float:
         if np.abs(m - np.kron(np.eye(d_a), local)).max() > LOCAL_FORM_TOL:
             raise ValueError(f"operator {k} is not of the form I_A (x) K")
     record = measure(rho, povm_on_b)
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, rho.dims, "A")))
     avg = sum(
-        p * entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(s.matrix, s.dims, "A")))
+        p * marginal_entropy(s, "A")
         for p, s in zip(record.probabilities, record.post_states)
         if s is not None
     )
-    return s_a - avg
+    return marginal_entropy(rho, "A") - avg
 
 
 def _branch_entropies(stack: np.ndarray) -> np.ndarray:
@@ -183,9 +175,7 @@ def discord_A(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
 def eof_via_koashi_winter(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
     """Entanglement of formation E(B:C) for the purifying environment C,
     obtained as S(rho_B) - chi_A_max."""
-    dims = _require_dims(rho)
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, dims, "B")))
-    return _clamp_small_negative(s_b - chi_A_max(rho, grid))
+    return _clamp_small_negative(marginal_entropy(rho, "B") - chi_A_max(rho, grid))
 
 
 def _binary_entropy(x: float) -> float:
@@ -227,7 +217,7 @@ def breakdown(rho: DensityMatrix, h_b, grid: SearchGrid = SearchGrid()) -> Corre
     chi_b = chi_from_local_measurement(rho, povm)
     mi = mutual_information(rho)
     chi_a = chi_A_max(rho, grid)
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(_partial_trace(rho.matrix, dims, "B")))
+    s_b = marginal_entropy(rho, "B")
     discord = _clamp_small_negative(mi - chi_a)
     eof = _clamp_small_negative(s_b - chi_a)
     quantum_gain = eof - discord

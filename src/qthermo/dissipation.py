@@ -101,20 +101,10 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     return lind
 
 
-def make_generator(params: ModelParams):
-    """Return rhs(rho_matrix) for the master equation."""
-    lind = _superoperator(params)
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        return (lind @ r.reshape(16)).reshape(4, 4)
-
-    return rhs
-
-
 def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     """Generator of the collective-dissipation master equation applied to rho.
     Trace-free and hermiticity-preserving."""
-    return make_generator(params)(as_matrix(rho))
+    return (_superoperator(params) @ as_matrix(rho).reshape(16)).reshape(4, 4)
 
 
 @dataclass

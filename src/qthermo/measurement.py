@@ -12,10 +12,10 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
-    _partial_trace,
     as_matrix,
     dagger,
-    entropy_of_eigenvalues,
+    marginal_entropy,
+    mutual_information,
     spectral_decomposition,
     von_neumann_entropy,
 )
@@ -29,13 +29,12 @@ DEGENERACY_TOL = 1e-10
 class Povm:
     """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I.
 
-    ``factors`` records the (M_A, M_B) pairs when the POVM was built as a
-    tensor product of local measurements, None otherwise.  ``degenerate_basis``
-    flags energy-projective POVMs built from an arbitrary eigenbasis of a
-    degenerate spectrum.
+    ``is_local`` marks a POVM built as a tensor product of local
+    measurements.  ``degenerate_basis`` flags energy-projective POVMs built
+    from an arbitrary eigenbasis of a degenerate spectrum.
     """
 
-    def __init__(self, operators, factors=None, degenerate_basis: bool = False):
+    def __init__(self, operators, is_local: bool = False, degenerate_basis: bool = False):
         ops = [as_matrix(m) for m in operators]
         if not ops:
             raise ValueError("a POVM needs at least one operator")
@@ -51,7 +50,7 @@ class Povm:
             if lowest < -OPERATOR_PSD_TOL:
                 raise ValueError(f"operator {k}: M^dag M has eigenvalue {lowest:.3e}")
         self.operators = ops
-        self.factors = factors
+        self.is_local = is_local
         self.degenerate_basis = degenerate_basis
 
     @property
@@ -60,10 +59,6 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.operators)
-
-    @property
-    def is_local(self) -> bool:
-        return self.factors is not None
 
     def is_projective(self, tol: float = 1e-9) -> bool:
         """True when every operator is a Hermitian idempotent."""
@@ -138,12 +133,8 @@ def holevo_of_measurement(record: MeasurementRecord) -> float:
 
 def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
     """All tensor products M_a (x) M_b, outcome pairs flattened row-major."""
-    ops, factors = [], []
-    for m_a in povm_a.operators:
-        for m_b in povm_b.operators:
-            ops.append(np.kron(m_a, m_b))
-            factors.append((m_a, m_b))
-    return Povm(ops, factors=factors)
+    ops = [np.kron(m_a, m_b) for m_a in povm_a.operators for m_b in povm_b.operators]
+    return Povm(ops, is_local=True)
 
 
 def projective_energy_povm(h, side: str, dims) -> Povm:
@@ -163,43 +154,22 @@ def projective_energy_povm(h, side: str, dims) -> Povm:
     gaps = np.diff(sd.eigenvalues)
     degenerate = bool(gaps.size and (np.abs(gaps) < DEGENERACY_TOL).any())
     eye_other = np.eye(d_b if side == "A" else d_a, dtype=complex)
-    ops, factors = [], []
+    ops = []
     for k in range(d_side):
         v = sd.eigenvectors[:, k]
         proj = np.outer(v, v.conj())
-        if side == "A":
-            ops.append(np.kron(proj, eye_other))
-            factors.append((proj, eye_other))
-        else:
-            ops.append(np.kron(eye_other, proj))
-            factors.append((eye_other, proj))
-    return Povm(ops, factors=factors, degenerate_basis=degenerate)
-
-
-def _marginal_entropy(state: DensityMatrix, side: str) -> float:
-    reduced = _partial_trace(state.matrix, state.dims, side)
-    return entropy_of_eigenvalues(np.linalg.eigvalsh(reduced))
+        ops.append(np.kron(proj, eye_other) if side == "A" else np.kron(eye_other, proj))
+    return Povm(ops, is_local=True, degenerate_basis=degenerate)
 
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:
     """S(rho_side) - sum_n p_n S(rho_n^side), marginals via the partial trace."""
-    pre = record.pre_state
-    if pre.dims is None:
-        raise ValueError("pre-measurement state has no bipartite dims")
     avg = sum(
-        p * _marginal_entropy(s, side)
+        p * marginal_entropy(s, side)
         for p, s in zip(record.probabilities, record.post_states)
         if s is not None
     )
-    return _marginal_entropy(pre, side) - avg
-
-
-def _mutual_information(state: DensityMatrix) -> float:
-    return (
-        _marginal_entropy(state, "A")
-        + _marginal_entropy(state, "B")
-        - von_neumann_entropy(state)
-    )
+    return marginal_entropy(record.pre_state, side) - avg
 
 
 def correlations_lost(record: MeasurementRecord) -> float:
@@ -208,12 +178,9 @@ def correlations_lost(record: MeasurementRecord) -> float:
     Nonnegative for local measurements whose post-measurement states have
     orthogonal supports.
     """
-    pre = record.pre_state
-    if pre.dims is None:
-        raise ValueError("pre-measurement state has no bipartite dims")
     avg = sum(
-        p * _mutual_information(s)
+        p * mutual_information(s)
         for p, s in zip(record.probabilities, record.post_states)
         if s is not None
     )
-    return _mutual_information(pre) - avg
+    return mutual_information(record.pre_state) - avg

@@ -21,11 +21,6 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     return q * phases.conj()
 
 
-def random_pure_state(dim: int, rng) -> np.ndarray:
-    v = _ginibre(rng, dim, 1).reshape(-1)
-    return v / np.linalg.norm(v)
-
-
 def random_density_matrix(dim: int, rng, rank: int | None = None, dims=None) -> DensityMatrix:
     """G G^dag / tr(G G^dag) with a Ginibre G of the requested rank."""
     g = _ginibre(rng, dim, rank or dim)

@@ -2,10 +2,12 @@
 information gain to correlations and to thermodynamic quantities.
 
 Every report records left side, right side, slack = rhs - lhs, and a
-satisfied flag (slack >= -tolerance).  The thermodynamic checks require the
-state to be locally thermal at a common inverse temperature on both
-partitions; bound right-hand sides are assembled through beta * F = -ln Z so
-that they stay finite at beta = 0.
+satisfied flag (slack >= -tolerance).  Each relation's arithmetic is written
+once, in a private helper fed with precomputed quantities: the public check
+functions gather those for one relation, standard_reports once for all.  The
+thermodynamic checks require the state to be locally thermal at a common
+inverse temperature on both partitions; bound right-hand sides are assembled
+through beta * F = -ln Z so that they stay finite at beta = 0.
 """
 
 from __future__ import annotations
@@ -14,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    _partial_trace,
-    entropy_of_eigenvalues,
-    partial_trace,
-)
+from .core import DensityMatrix, marginal_entropy, mutual_information, partial_trace
 from .correlations import (
     CorrelationBreakdown,
     SearchGrid,
     breakdown,
     chi_from_local_measurement,
-    mutual_information,
 )
 from .measurement import (
     Povm,
@@ -38,10 +34,14 @@ from .measurement import (
 )
 from .thermo import (
     Hamiltonian,
+    ThermoReport,
     local_inverse_temperature,
     log_partition,
     thermo_report,
 )
+
+# Relations in standard_reports that need a common local temperature.
+THERMODYNAMIC_RELATIONS = ("ergotropy_bound", "global_ergotropy_bound", "tradeoff", "euler")
 
 SPECTRAL_TOL = 1e-9
 THERMO_TOL = 2e-3
@@ -137,6 +137,12 @@ def check_dimension_bound(rho: DensityMatrix, povm: Povm) -> RelationReport:
     return _report("dimension_bound", lhs, rhs, SPECTRAL_TOL, digest)
 
 
+def _subadditivity(rho, povm: Povm, record, gain: float) -> RelationReport:
+    rhs = local_information_gain(record, "A") + local_information_gain(record, "B")
+    digest = _digest(rho, f"local povm with {len(povm)} outcomes")
+    return _report("subadditivity", gain, rhs, SPECTRAL_TOL, digest)
+
+
 def check_subadditivity(rho: DensityMatrix, povm: Povm) -> RelationReport:
     """Information gain against the sum of the two local information gains.
 
@@ -145,10 +151,7 @@ def check_subadditivity(rho: DensityMatrix, povm: Povm) -> RelationReport:
     if not povm.is_local:
         raise ValueError("subadditivity check requires a local POVM")
     record = measure(rho, povm)
-    lhs = information_gain(record)
-    rhs = local_information_gain(record, "A") + local_information_gain(record, "B")
-    digest = _digest(rho, f"local povm with {len(povm)} outcomes")
-    return _report("subadditivity", lhs, rhs, SPECTRAL_TOL, digest)
+    return _subadditivity(rho, povm, record, information_gain(record))
 
 
 def _energy_record(rho: DensityMatrix, h_b: Hamiltonian):
@@ -156,33 +159,45 @@ def _energy_record(rho: DensityMatrix, h_b: Hamiltonian):
     return povm, measure(rho, povm)
 
 
-def check_ergotropy_bound(
-    rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None
-) -> RelationReport:
-    """Information gain under the local energy measurement on B against
-    chi_B + beta (<H_B> - ergotropy - F_B)."""
+def _ergotropy_bound(gain, chi_b, rep: ThermoReport, log_z, digest, global_work: bool):
+    """Information gain against chi_B + beta (<H_B> - W) + ln Z_B, where W is
+    the ergotropy or, for the tighter bound, the global ergotropy."""
+    name = "global_ergotropy_bound" if global_work else "ergotropy_bound"
+    work = rep.global_ergotropy if global_work else rep.ergotropy
+    rhs = chi_b + rep.beta * (rep.avg_energy - work) + log_z
+    return _report(name, gain, rhs, THERMO_TOL, digest)
+
+
+def _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work: bool) -> RelationReport:
     _require_locally_thermal(rho, h_b, beta, h_a)
     povm, record = _energy_record(rho, h_b)
     lhs = information_gain(record)
     chi_b = chi_from_local_measurement(rho, povm)
     rep = thermo_report(rho, h_b, beta, h_a)
-    rhs = chi_b + beta * (rep.avg_energy - rep.ergotropy) + log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
-    return _report("ergotropy_bound", lhs, rhs, THERMO_TOL, digest)
+    return _ergotropy_bound(lhs, chi_b, rep, log_partition(h_b, beta), digest, global_work)
+
+
+def check_ergotropy_bound(
+    rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None
+) -> RelationReport:
+    """Information gain under the local energy measurement on B against
+    chi_B + beta (<H_B> - ergotropy - F_B)."""
+    return _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work=False)
 
 
 def check_global_ergotropy_bound(
     rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None
 ) -> RelationReport:
     """Tighter bound with the ergotropy replaced by the global ergotropy."""
-    _require_locally_thermal(rho, h_b, beta, h_a)
-    povm, record = _energy_record(rho, h_b)
-    lhs = information_gain(record)
-    chi_b = chi_from_local_measurement(rho, povm)
-    rep = thermo_report(rho, h_b, beta, h_a)
-    rhs = chi_b + beta * (rep.avg_energy - rep.global_ergotropy) + log_partition(h_b, beta)
-    digest = _digest(rho, f"beta={beta:.9g}")
-    return _report("global_ergotropy_bound", lhs, rhs, THERMO_TOL, digest)
+    return _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work=True)
+
+
+def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain_term = float(np.divide(quantum_gain, rep.beta))
+    lhs = rep.global_ergotropy + rep.free_energy + gain_term
+    return _report("euler", lhs, rep.avg_energy, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND)
 
 
 def euler_residual(
@@ -203,12 +218,22 @@ def euler_residual(
     if corr is None:
         corr = breakdown(rho, h_b, grid)
     rep = thermo_report(rho, h_b, beta, h_a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain_term = float(np.divide(corr.quantum_gain, beta))
-    lhs = rep.global_ergotropy + rep.free_energy + gain_term
-    rhs = rep.avg_energy
-    digest = _digest(rho, f"beta={beta:.9g}")
-    return _report("euler", lhs, rhs, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND)
+    return _energy_balance(corr.quantum_gain, rep, _digest(rho, f"beta={beta:.9g}"))
+
+
+def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) -> RelationReport:
+    beta = rep.beta
+    rhs = beta * (rep.avg_energy - rep.global_ergotropy) + log_z
+    report = _report(
+        "tradeoff", quantum_gain, rhs, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND
+    )
+    if np.isfinite(energy_balance.slack):
+        mismatch = abs(report.slack - beta * energy_balance.slack)
+        if mismatch > 1e-9:
+            raise ValueError(
+                f"trade-off and energy-balance residuals disagree by {mismatch:.3e}"
+            )
+    return report
 
 
 def tradeoff_residual(
@@ -228,18 +253,50 @@ def tradeoff_residual(
     if corr is None:
         corr = breakdown(rho, h_b, grid)
     rep = thermo_report(rho, h_b, beta, h_a)
-    lhs = corr.quantum_gain
-    rhs = beta * (rep.avg_energy - rep.global_ergotropy) + log_partition(h_b, beta)
-    digest = _digest(rho, f"beta={beta:.9g}")
-    report = _report("tradeoff", lhs, rhs, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND)
     energy_balance = euler_residual(rho, h_b, beta, grid, corr=corr, h_a=h_a)
-    if np.isfinite(energy_balance.slack):
-        mismatch = abs(report.slack - beta * energy_balance.slack)
-        if mismatch > 1e-9:
-            raise ValueError(
-                f"trade-off and energy-balance residuals disagree by {mismatch:.3e}"
-            )
-    return report
+    digest = _digest(rho, f"beta={beta:.9g}")
+    return _tradeoff(corr.quantum_gain, rep, log_partition(h_b, beta), digest, energy_balance)
+
+
+def _temperature_free(rho, povm, record, gain, corr, digest) -> list[RelationReport]:
+    s_b = marginal_entropy(rho, "B")
+    return [
+        _subadditivity(rho, povm, record, gain),
+        _report(
+            "holevo_closure",
+            gain + entropy_cost(record),
+            holevo_of_measurement(record),
+            SPECTRAL_TOL,
+            digest,
+            near_band=SPECTRAL_TOL,
+        ),
+        _report(
+            "local_gain_identity",
+            gain,
+            corr.chi_B + s_b - corr.mutual_information,
+            SPECTRAL_TOL,
+            digest,
+            near_band=SPECTRAL_TOL,
+        ),
+        _report(
+            "gain_split",
+            gain,
+            corr.chi_B + corr.quantum_gain,
+            THERMO_TOL,
+            digest,
+            near_band=THERMO_TOL,
+        ),
+    ]
+
+
+def temperature_free_reports(
+    rho: DensityMatrix, h_b: Hamiltonian, grid: SearchGrid = SearchGrid()
+) -> list[RelationReport]:
+    """The relations of standard_reports that hold for any bipartite state:
+    subadditivity, holevo_closure, local_gain_identity and gain_split."""
+    povm, record = _energy_record(rho, h_b)
+    corr = breakdown(rho, h_b, grid)
+    return _temperature_free(rho, povm, record, information_gain(record), corr, _digest(rho))
 
 
 def standard_reports(
@@ -252,52 +309,26 @@ def standard_reports(
     """All relations for one locally thermal state under the canonical local
     energy measurement on B.
 
-    The dimension bound is exercised separately (its slack is structurally
-    nonzero even for uncorrelated thermal states).
+    The temperature is fitted (or the given one checked) once; the energy
+    measurement, correlation breakdown and thermodynamic report are each built
+    once and shared by every relation.  The dimension bound is exercised
+    separately (its slack is structurally nonzero even for uncorrelated
+    thermal states).
     """
     if beta is None:
         beta = common_local_beta(rho, h_b, h_a)
+    else:
+        _require_locally_thermal(rho, h_b, beta, h_a)
     povm, record = _energy_record(rho, h_b)
     corr = breakdown(rho, h_b, grid)
     gain = information_gain(record)
+    rep = thermo_report(rho, h_b, beta, h_a)
+    log_z = log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
-    s_b = entropy_of_eigenvalues(
-        np.linalg.eigvalsh(_partial_trace(rho.matrix, rho.dims, "B"))
-    )
-    reports = []
-    reports.append(check_subadditivity(rho, povm))
-    reports.append(
-        _report(
-            "holevo_closure",
-            gain + entropy_cost(record),
-            holevo_of_measurement(record),
-            SPECTRAL_TOL,
-            digest,
-            near_band=SPECTRAL_TOL,
-        )
-    )
-    reports.append(
-        _report(
-            "local_gain_identity",
-            gain,
-            corr.chi_B + s_b - corr.mutual_information,
-            SPECTRAL_TOL,
-            digest,
-            near_band=SPECTRAL_TOL,
-        )
-    )
-    reports.append(
-        _report(
-            "gain_split",
-            gain,
-            corr.chi_B + corr.quantum_gain,
-            THERMO_TOL,
-            digest,
-            near_band=THERMO_TOL,
-        )
-    )
-    reports.append(check_ergotropy_bound(rho, h_b, beta, h_a))
-    reports.append(check_global_ergotropy_bound(rho, h_b, beta, h_a))
-    reports.append(tradeoff_residual(rho, h_b, beta, grid, corr=corr, h_a=h_a))
-    reports.append(euler_residual(rho, h_b, beta, grid, corr=corr, h_a=h_a))
-    return reports
+    balance = _energy_balance(corr.quantum_gain, rep, digest)
+    return _temperature_free(rho, povm, record, gain, corr, digest) + [
+        _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=False),
+        _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=True),
+        _tradeoff(corr.quantum_gain, rep, log_z, digest, balance),
+        balance,
+    ]

@@ -134,7 +134,17 @@ def test_criterion_5_energy_balance_and_tradeoff(sweep):
 
 
 def test_criterion_6_randomized_property_suites():
-    results = run_suites()  # default seed, >= 500 states per suite
+    results = run_suites()  # default seed and n = 500
+    # true per-suite counts at n = 500 (scales in verify.SUITES); 500 otherwise
+    counts = {
+        "entropy_concavity": 1000,
+        "chi_grid_monotone": 50,
+        "steady_state_fixed_point": 100,
+        "steady_state_ergotropy": 100,
+        "trajectory_invariants": 10,
+        "steady_state_convergence": 3,
+    }
+    short = [r.name for r in results if r.count < counts.get(r.name, 500)]
     required = {
         "dimension_bound",
         "gain_decomposition",
@@ -155,10 +165,11 @@ def test_criterion_6_randomized_property_suites():
             f"    suite {r.name:32s} {'ok' if r.passed else 'FAIL'} "
             f"n={r.count} worst={r.worst:.3e} tol={r.tolerance:g}"
         )
-    ok = not failed and not missing
+    ok = not failed and not missing and not short
     _criterion(
         6,
         f"{len(results)} randomized suites, zero failures"
-        + (f" (failed: {failed})" if failed else ""),
+        + (f" (failed: {failed})" if failed else "")
+        + (f" (below their stated count: {short})" if short else ""),
         ok,
     )

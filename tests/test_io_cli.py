@@ -161,6 +161,25 @@ class TestSimulateCommand:
         assert "trace distance" in out
         assert (tmp_path / "traj_reports.json").exists()
 
+    def test_generic_state_writes_temperature_free_reports(self, tmp_path, capsys, rng):
+        from qthermo.random_states import random_two_qubit_state
+
+        state_path = tmp_path / "generic.json"
+        write_state(state_path, random_two_qubit_state(rng))
+        config = RunConfig(output_path=str(tmp_path / "traj.csv"), t_max=1.0)
+        assert cmd_simulate(config, str(state_path)) == 0
+        out = capsys.readouterr().out
+        assert "trace distance" in out
+        assert "skipped ergotropy_bound, global_ergotropy_bound, tradeoff, euler" in out
+        payload = json.loads((tmp_path / "traj_reports.json").read_text())
+        assert [e["name"] for e in payload] == [
+            "subadditivity",
+            "holevo_closure",
+            "local_gain_identity",
+            "gain_split",
+        ]
+        assert all(e["satisfied"] for e in payload)
+
     def test_ground_pair_converges(self, tmp_path, capsys):
         state_path = tmp_path / "gg.json"
         write_state(state_path, pure_state(KET_GG, dims=(2, 2)))
@@ -227,6 +246,28 @@ class TestMainExitCodes:
         code = main(["--out", str(tmp_path / "r.json"), "report", str(state_path), str(h_path)])
         assert code == 2
         assert json.loads(capsys.readouterr().out.strip())["error"] == "not_locally_thermal"
+
+    @pytest.mark.parametrize(
+        "flags", [["--count", "0", "verify"], ["--count", "-5", "verify"], ["--gamma", "0", "simulate"]]
+    )
+    def test_bad_run_settings_rejected(self, tmp_path, capsys, flags):
+        state_path = tmp_path / "singlet.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        argv = ["--out", str(tmp_path / "out")] + flags
+        if flags[-1] == "simulate":
+            argv.append(str(state_path))
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid_input"
+
+    def test_zero_gamma_valid_with_explicit_horizon(self, tmp_path):
+        state_path = tmp_path / "singlet.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        out = str(tmp_path / "traj.csv")
+        assert main(["--gamma", "0", "--t-max", "0.05", "--out", out, "simulate", str(state_path)]) == 0
+        sweep_out = str(tmp_path / "sweep.csv")
+        assert main(["--gamma", "0", "--c-step", "0.5", "--out", sweep_out, "sweep"]) == 0
 
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         from qthermo.verify import SuiteResult

@@ -17,11 +17,13 @@ from qthermo import (
     kron,
     local_beta,
     local_povm,
+    projective_energy_povm,
     pure_state,
     standard_reports,
     thermal_state,
     tradeoff_residual,
 )
+from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qthermo.relations import RelationReport, _report
 
 from conftest import LN2, product_thermal
@@ -238,3 +240,37 @@ class TestStandardReports:
         rho = analytic_steady_state(0.85, ModelParams())
         for rep in standard_reports(rho, qubit_h):
             assert rep.satisfied
+
+    @staticmethod
+    def _wrapper_reports(rho, h):
+        beta = common_local_beta(rho, h)
+        povm = projective_energy_povm(h, "B", rho.dims)
+        return [
+            check_subadditivity(rho, povm),
+            check_ergotropy_bound(rho, h, beta),
+            check_global_ergotropy_bound(rho, h, beta),
+            tradeoff_residual(rho, h, beta),
+            euler_residual(rho, h, beta),
+        ]
+
+    def test_matches_public_wrappers_exactly(self, qubit_h):
+        params = ModelParams()
+        states = [analytic_steady_state(c, params) for c in (0.0, 0.05, 0.3, 0.5, 0.75, 1.0)]
+        # locally thermal but not X-shaped: Pauli products leave both marginals alone
+        coherent = product_thermal(0.8, qubit_h).matrix + 0.03 * (
+            kron(SIGMA_X, SIGMA_Z) + kron(SIGMA_Y, SIGMA_X)
+        )
+        states.append(DensityMatrix(coherent, dims=(2, 2)))
+        for rho in states:
+            by_name = {rep.name: rep.to_dict() for rep in standard_reports(rho, qubit_h)}
+            for rep in self._wrapper_reports(rho, qubit_h):
+                # exact equality, including the +/-inf energy balance at c = 0
+                assert by_name[rep.name] == rep.to_dict()
+        c0 = {rep.name: rep for rep in standard_reports(states[0], qubit_h)}
+        assert c0["euler"].lhs == -np.inf and c0["euler"].slack == np.inf
+
+    def test_supplied_beta_is_checked(self, qubit_h):
+        rho = product_thermal(1.0, qubit_h)
+        assert standard_reports(rho, qubit_h, beta=1.0)[-1].satisfied
+        with pytest.raises(NotLocallyThermalError):
+            standard_reports(rho, qubit_h, beta=2.0)
