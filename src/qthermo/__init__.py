@@ -54,7 +54,6 @@ from .thermo import (
 from .dissipation import (
     ModelParams,
     Trajectory,
-    XState,
     analytic_ergotropy_low_temperature,
     analytic_steady_state,
     build_hamiltonian,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,18 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from .core import DensityMatrix, trace_distance
-from .correlations import SearchGrid, breakdown
+from .correlations import breakdown
 from .dissipation import (
     ModelParams,
     analytic_steady_state,
     effective_c,
     evolve,
     local_beta,
+    local_qubit_hamiltonian,
 )
 from .io import (
     read_hamiltonian,
     read_state,
     write_csv,
+    write_json,
     write_reports,
     write_trajectory_csv,
 )
@@ -85,6 +88,10 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # values arrive from JSON files and flags; with postponed annotations
+        # f.type is the annotation string, e.g. "float | None"
+        for f in dataclasses.fields(self):
+            _check_config_value(f.name, f.type, getattr(self, f.name))
         if self.verify_count < 1:
             raise ValueError(f"count must be at least 1, got {self.verify_count}")
 
@@ -113,12 +120,39 @@ class RunConfig:
         return 50.0 / self.gamma
 
 
+def _check_config_value(name: str, annotation: str, value) -> None:
+    """Reject a value whose type does not match its RunConfig annotation:
+    ``int`` takes an int, ``float`` an int or a finite float (never a bool),
+    ``str`` a string, and ``... | None`` also None."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return
+    if kind == "str":
+        ok, wanted = isinstance(value, str), "a string"
+    elif kind == "int":
+        ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        wanted = "a finite number"
+    if not ok:
+        if optional == "None":
+            wanted += " or null"
+        raise ValueError(f"config value {name} must be {wanted}, got {value!r}")
+
+
 def load_config(path: str | None = None, **overrides) -> RunConfig:
     """Config from an optional JSON file plus keyword overrides (None skipped)."""
     values = {}
     if path is not None:
         with open(path) as fh:
-            values.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
+        values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
@@ -127,23 +161,18 @@ def load_config(path: str | None = None, **overrides) -> RunConfig:
     return RunConfig(**values)
 
 
-def local_qubit_hamiltonian(omega: float) -> Hamiltonian:
-    """omega |e><e| in the (e, g) basis."""
-    return Hamiltonian(np.diag([omega, 0.0]).astype(complex))
-
-
-def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian, grid: SearchGrid) -> dict:
+def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian) -> dict:
     """All sweep columns for one steady state, plus private keys ``_beta`` and
     ``_tradeoff_residual`` that are not written to the CSV."""
     rho = analytic_steady_state(c, params)
     beta = local_beta(c, params)
-    corr = breakdown(rho, h_local, grid)
+    corr = breakdown(rho, h_local)
     record = measure(rho, projective_energy_povm(h_local, "B", rho.dims))
     rep = thermo_report(rho, h_local, beta)
     bound1 = check_ergotropy_bound(rho, h_local, beta)
     bound2 = check_global_ergotropy_bound(rho, h_local, beta)
-    euler = euler_residual(rho, h_local, beta, grid, corr=corr)
-    tradeoff = tradeoff_residual(rho, h_local, beta, grid, corr=corr)
+    euler = euler_residual(rho, h_local, beta, corr=corr)
+    tradeoff = tradeoff_residual(rho, h_local, beta, corr=corr)
     return {
         "c": c,
         "I_g": information_gain(record),
@@ -167,10 +196,10 @@ def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian, grid: SearchG
     }
 
 
-def sweep_rows(config: RunConfig, grid: SearchGrid = SearchGrid()) -> list[dict]:
+def sweep_rows(config: RunConfig) -> list[dict]:
     params = config.model_params()
     h_local = local_qubit_hamiltonian(config.omega)
-    return [sweep_row(float(c), params, h_local, grid) for c in config.c_grid()]
+    return [sweep_row(float(c), params, h_local) for c in config.c_grid()]
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -229,9 +258,7 @@ def cmd_verify(config: RunConfig) -> int:
             f"worst={r.worst:.3e} tol={r.tolerance:g} ({r.kind})"
         )
     out = config.output_path or "verify_report.json"
-    with open(out, "w") as fh:
-        json.dump([r.to_dict() for r in results], fh, indent=1)
-        fh.write("\n")
+    write_json(out, [r.to_dict() for r in results])
     failed = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} suites passed; report: {out}")
     if failed:

@@ -40,13 +40,16 @@ class DensityMatrix:
     """Positive semi-definite, unit-trace operator with an optional bipartite split.
 
     ``dims = (d_A, d_B)`` labels the tensor factors; marginals and local
-    measurements require it.  Construction validates hermiticity (1e-10),
-    unit trace (1e-10) and positivity (smallest eigenvalue >= -1e-9 by
-    default; integrators may pass a looser ``positivity_tol``).
+    measurements require it.  Construction rejects non-finite entries, then
+    validates hermiticity (1e-10), unit trace (1e-10) and positivity
+    (smallest eigenvalue >= -1e-9 by default; integrators may pass a looser
+    ``positivity_tol``).
     """
 
     def __init__(self, matrix, dims=None, positivity_tol: float = POSITIVITY_TOL):
         m = np.asarray(matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         herm = float(np.abs(m - np.conj(m.T)).max())

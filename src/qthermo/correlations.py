@@ -25,6 +25,7 @@ from .core import (
 from .measurement import (
     Povm,
     information_gain,
+    local_information_gain,
     measure,
     projective_energy_povm,
 )
@@ -73,13 +74,7 @@ def chi_from_local_measurement(rho: DensityMatrix, povm_on_b: Povm) -> float:
         local = _partial_trace(m, (d_a, d_b), "B") / d_a
         if np.abs(m - np.kron(np.eye(d_a), local)).max() > LOCAL_FORM_TOL:
             raise ValueError(f"operator {k} is not of the form I_A (x) K")
-    record = measure(rho, povm_on_b)
-    avg = sum(
-        p * marginal_entropy(s, "A")
-        for p, s in zip(record.probabilities, record.post_states)
-        if s is not None
-    )
-    return marginal_entropy(rho, "A") - avg
+    return local_information_gain(measure(rho, povm_on_b), "A")
 
 
 def _branch_entropies(stack: np.ndarray) -> np.ndarray:
@@ -163,8 +158,8 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
     return best_val
 
 
-def _clamp_small_negative(x: float, tol: float = CLAMP_TOL) -> float:
-    return 0.0 if -tol <= x < 0.0 else x
+def _clamp_small_negative(x: float) -> float:
+    return 0.0 if -CLAMP_TOL <= x < 0.0 else x
 
 
 def discord_A(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:

@@ -63,6 +63,11 @@ class ModelParams:
         return 1.0 / np.expm1(self.beta_e * self.omega)
 
 
+def local_qubit_hamiltonian(omega: float) -> Hamiltonian:
+    """omega |e><e| in the (e, g) basis: the local Hamiltonian of either qubit."""
+    return Hamiltonian(np.diag([omega, 0.0]).astype(complex))
+
+
 def build_hamiltonian(params: ModelParams) -> Hamiltonian:
     """Free qubit terms plus the excitation-exchange coupling,
     omega (s1+ s1- + s2+ s2-) + f (s1+ s2- + s2+ s1-)."""
@@ -226,49 +231,3 @@ def max_non_x_magnitude(matrix) -> float:
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
     return float(np.abs(m[~_X_MASK]).max())
-
-
-@dataclass(frozen=True)
-class XState:
-    """Entries of a two-qubit X-shape matrix in the {ee, eg, ge, gg} basis."""
-
-    rho11: float
-    rho22: float
-    rho33: float
-    rho44: float
-    rho14: complex
-    rho23: complex
-
-    def __post_init__(self):
-        diag_sum = self.rho11 + self.rho22 + self.rho33 + self.rho44
-        if abs(diag_sum - 1.0) > 1e-9:
-            raise ValueError(f"diagonal sums to {diag_sum:.12g}, not 1")
-        if abs(self.rho14) > np.sqrt(max(self.rho11 * self.rho44, 0.0)) + 1e-9:
-            raise ValueError("|rho14| exceeds sqrt(rho11 rho44)")
-        if abs(self.rho23) > np.sqrt(max(self.rho22 * self.rho33, 0.0)) + 1e-9:
-            raise ValueError("|rho23| exceeds sqrt(rho22 rho33)")
-
-    @classmethod
-    def from_matrix(cls, matrix, tol: float = 1e-10) -> "XState":
-        m = as_matrix(matrix)
-        stray = max_non_x_magnitude(m)
-        if stray > tol:
-            raise ValueError(f"matrix is not X-shaped: stray entry {stray:.3e}")
-        return cls(
-            rho11=float(m[0, 0].real),
-            rho22=float(m[1, 1].real),
-            rho33=float(m[2, 2].real),
-            rho44=float(m[3, 3].real),
-            rho14=complex(m[0, 3]),
-            rho23=complex(m[1, 2]),
-        )
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.rho11, self.rho22, self.rho33, self.rho44
-        m[0, 3], m[3, 0] = self.rho14, np.conj(self.rho14)
-        m[1, 2], m[2, 1] = self.rho23, np.conj(self.rho23)
-        return m
-
-    def to_density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(self.to_matrix(), dims=(2, 2))

@@ -1,5 +1,5 @@
 """Readers and writers for the file formats: JSON states, POVMs and
-Hamiltonians (re/im layout), relation-report JSON, and the CSV tables.
+Hamiltonians (re/im layout), relation and verify reports, and the CSV tables.
 
 Floats in CSV carry 12 significant digits with a '.' decimal separator.
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" in JSON
@@ -40,47 +40,6 @@ def _matrix_from_json(obj) -> np.ndarray:
     return re + 1.0j * im
 
 
-def write_state(path, rho: DensityMatrix) -> None:
-    obj = {
-        "dims": list(rho.dims) if rho.dims is not None else None,
-        **_matrix_to_json(rho.matrix),
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def read_state(path) -> DensityMatrix:
-    """Load a state file and validate the density-matrix invariants."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    dims = obj.get("dims")
-    return DensityMatrix(_matrix_from_json(obj), dims=tuple(dims) if dims else None)
-
-
-def write_povm(path, povm: Povm) -> None:
-    with open(path, "w") as fh:
-        json.dump([_matrix_to_json(m) for m in povm.operators], fh, indent=1)
-        fh.write("\n")
-
-
-def read_povm(path) -> Povm:
-    with open(path) as fh:
-        entries = json.load(fh)
-    return Povm([_matrix_from_json(e) for e in entries])
-
-
-def write_hamiltonian(path, h: Hamiltonian) -> None:
-    with open(path, "w") as fh:
-        json.dump(_matrix_to_json(h.matrix), fh, indent=1)
-        fh.write("\n")
-
-
-def read_hamiltonian(path) -> Hamiltonian:
-    with open(path) as fh:
-        return Hamiltonian(_matrix_from_json(json.load(fh)))
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -96,14 +55,59 @@ def _jsonable(value):
     return value
 
 
+def _dumps(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=1, allow_nan=False)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON plus a newline, non-finite floats as
+    strings; every JSON artifact goes through here."""
+    with open(path, "w") as fh:
+        fh.write(_dumps(obj))
+        fh.write("\n")
+
+
+def write_state(path, rho: DensityMatrix) -> None:
+    obj = {
+        "dims": list(rho.dims) if rho.dims is not None else None,
+        **_matrix_to_json(rho.matrix),
+    }
+    write_json(path, obj)
+
+
+def read_state(path) -> DensityMatrix:
+    """Load a state file and validate the density-matrix invariants."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    dims = obj.get("dims")
+    return DensityMatrix(_matrix_from_json(obj), dims=tuple(dims) if dims else None)
+
+
+def write_povm(path, povm: Povm) -> None:
+    write_json(path, [_matrix_to_json(m) for m in povm.operators])
+
+
+def read_povm(path) -> Povm:
+    with open(path) as fh:
+        entries = json.load(fh)
+    return Povm([_matrix_from_json(e) for e in entries])
+
+
+def write_hamiltonian(path, h: Hamiltonian) -> None:
+    write_json(path, _matrix_to_json(h.matrix))
+
+
+def read_hamiltonian(path) -> Hamiltonian:
+    with open(path) as fh:
+        return Hamiltonian(_matrix_from_json(json.load(fh)))
+
+
 def reports_json(reports: list[RelationReport]) -> str:
-    return json.dumps([_jsonable(r.to_dict()) for r in reports], indent=1)
+    return _dumps([r.to_dict() for r in reports])
 
 
 def write_reports(path, reports: list[RelationReport]) -> None:
-    with open(path, "w") as fh:
-        fh.write(reports_json(reports))
-        fh.write("\n")
+    write_json(path, [r.to_dict() for r in reports])
 
 
 def trajectory_header() -> list[str]:

@@ -24,6 +24,7 @@ COMPLETENESS_TOL = 1e-9
 OPERATOR_PSD_TOL = 1e-10
 PROB_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-10
+PROJECTIVE_TOL = 1e-9
 
 
 class Povm:
@@ -36,6 +37,8 @@ class Povm:
 
     def __init__(self, operators, is_local: bool = False, degenerate_basis: bool = False):
         ops = [as_matrix(m) for m in operators]
+        if not all(np.isfinite(m).all() for m in ops):
+            raise ValueError("POVM operators have non-finite entries")
         if not ops:
             raise ValueError("a POVM needs at least one operator")
         d = ops[0].shape[0]
@@ -60,10 +63,11 @@ class Povm:
     def __len__(self) -> int:
         return len(self.operators)
 
-    def is_projective(self, tol: float = 1e-9) -> bool:
-        """True when every operator is a Hermitian idempotent."""
+    def is_projective(self) -> bool:
+        """True when every operator is a Hermitian idempotent (to 1e-9)."""
         return all(
-            np.abs(m - dagger(m)).max() <= tol and np.abs(m @ m - m).max() <= tol
+            np.abs(m - dagger(m)).max() <= PROJECTIVE_TOL
+            and np.abs(m @ m - m).max() <= PROJECTIVE_TOL
             for m in self.operators
         )
 
@@ -82,12 +86,15 @@ class MeasurementRecord:
     channel_output: DensityMatrix
     degenerate_basis: bool = False
 
-    def average_post_entropy(self) -> float:
+    def average(self, f) -> float:
+        """Outcome-weighted average sum_n p_n f(rho_n) over the outcomes that
+        have a post-measurement state."""
         return sum(
-            p * von_neumann_entropy(s)
-            for p, s in zip(self.probabilities, self.post_states)
-            if s is not None
+            p * f(s) for p, s in zip(self.probabilities, self.post_states) if s is not None
         )
+
+    def average_post_entropy(self) -> float:
+        return self.average(von_neumann_entropy)
 
 
 def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
@@ -164,11 +171,7 @@ def projective_energy_povm(h, side: str, dims) -> Povm:
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:
     """S(rho_side) - sum_n p_n S(rho_n^side), marginals via the partial trace."""
-    avg = sum(
-        p * marginal_entropy(s, side)
-        for p, s in zip(record.probabilities, record.post_states)
-        if s is not None
-    )
+    avg = record.average(lambda s: marginal_entropy(s, side))
     return marginal_entropy(record.pre_state, side) - avg
 
 
@@ -178,9 +181,4 @@ def correlations_lost(record: MeasurementRecord) -> float:
     Nonnegative for local measurements whose post-measurement states have
     orthogonal supports.
     """
-    avg = sum(
-        p * mutual_information(s)
-        for p, s in zip(record.probabilities, record.post_states)
-        if s is not None
-    )
-    return mutual_information(record.pre_state) - avg
+    return mutual_information(record.pre_state) - record.average(mutual_information)

@@ -28,34 +28,34 @@ def random_density_matrix(dim: int, rng, rank: int | None = None, dims=None) -> 
     return DensityMatrix(m / np.trace(m).real, dims=dims)
 
 
-def random_two_qubit_state(rng, rank: int | None = None) -> DensityMatrix:
-    return random_density_matrix(4, rng, rank=rank, dims=(2, 2))
+def random_two_qubit_state(rng) -> DensityMatrix:
+    return random_density_matrix(4, rng, dims=(2, 2))
 
 
-def random_rank2_two_qubit(rng, min_weight: float = 0.1) -> DensityMatrix:
-    """Mixture of two random orthonormal pure states with weights away from
-    0 and 1, so the rank stays numerically clean."""
+def random_rank2_two_qubit(rng) -> DensityMatrix:
+    """Mixture of two random orthonormal pure states with weights in
+    [0.1, 0.9], so the rank stays numerically clean."""
     u = random_unitary(4, rng)
-    w = rng.uniform(min_weight, 1.0 - min_weight)
+    w = rng.uniform(0.1, 0.9)
     m = w * np.outer(u[:, 0], u[:, 0].conj()) + (1.0 - w) * np.outer(u[:, 1], u[:, 1].conj())
     return DensityMatrix(m, dims=(2, 2))
 
 
-def random_hamiltonian(dim: int, rng, scale: float = 1.0) -> Hamiltonian:
+def random_hamiltonian(dim: int, rng) -> Hamiltonian:
     g = _ginibre(rng, dim, dim)
-    return Hamiltonian(scale * 0.5 * (g + dagger(g)))
+    return Hamiltonian(0.5 * (g + dagger(g)))
 
 
-def random_x_state(rng, max_coherence: float = 0.95) -> DensityMatrix:
+def random_x_state(rng) -> DensityMatrix:
     """Random two-qubit X-shape state (diagonal plus anti-diagonal entries).
 
-    The anti-diagonal entries are drawn inside the positivity disks
-    |rho14| <= sqrt(rho11 rho44), |rho23| <= sqrt(rho22 rho33).
+    The anti-diagonal moduli are drawn uniformly up to 0.95 of the positivity
+    radii |rho14| <= sqrt(rho11 rho44), |rho23| <= sqrt(rho22 rho33).
     """
     diag = rng.dirichlet(np.ones(4))
     m = np.diag(diag).astype(complex)
-    r14 = rng.uniform(0.0, max_coherence) * np.sqrt(diag[0] * diag[3])
-    r23 = rng.uniform(0.0, max_coherence) * np.sqrt(diag[1] * diag[2])
+    r14 = rng.uniform(0.0, 0.95) * np.sqrt(diag[0] * diag[3])
+    r23 = rng.uniform(0.0, 0.95) * np.sqrt(diag[1] * diag[2])
     m[0, 3] = r14 * np.exp(2.0j * np.pi * rng.uniform())
     m[3, 0] = np.conj(m[0, 3])
     m[1, 2] = r23 * np.exp(2.0j * np.pi * rng.uniform())
@@ -69,10 +69,10 @@ def random_projective_povm(dim: int, rng) -> Povm:
     return Povm([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
 
 
-def random_two_outcome_projective(dim: int, rng, rank: int = 2) -> Povm:
-    """{P, I - P} with P projecting onto a random subspace."""
+def random_two_outcome_projective(dim: int, rng) -> Povm:
+    """{P, I - P} with P projecting onto a random two-dimensional subspace."""
     u = random_unitary(dim, rng)
-    p = u[:, :rank] @ dagger(u[:, :rank])
+    p = u[:, :2] @ dagger(u[:, :2])
     return Povm([p, np.eye(dim) - p])
 
 
@@ -109,10 +109,9 @@ def random_general_povm(dim: int, rng, n_outcomes: int = 3) -> Povm:
     return Povm(ops)
 
 
-def random_local_general_povm(rng, n_outcomes: int = 2) -> Povm:
-    return local_povm(
-        random_general_povm(2, rng, n_outcomes), random_general_povm(2, rng, n_outcomes)
-    )
+def random_local_general_povm(rng) -> Povm:
+    """Product of two independent two-outcome general qubit POVMs."""
+    return local_povm(random_general_povm(2, rng, 2), random_general_povm(2, rng, 2))
 
 
 def random_unsharp_on_b(rng) -> Povm:

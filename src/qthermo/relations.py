@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, marginal_entropy, mutual_information, partial_trace
-from .correlations import (
-    CorrelationBreakdown,
-    SearchGrid,
-    breakdown,
-    chi_from_local_measurement,
-)
+from .correlations import CorrelationBreakdown, breakdown, chi_from_local_measurement
 from .measurement import (
     Povm,
     entropy_cost,
@@ -78,8 +73,8 @@ class RelationReport:
 
 
 class NotLocallyThermalError(ValueError):
-    """The state's marginals are not thermal (or disagree) for the given
-    local Hamiltonians."""
+    """The state's marginals are not thermal (or disagree) for the local
+    Hamiltonian."""
 
 
 def _report(name, lhs, rhs, tolerance, digest, near_band=None) -> RelationReport:
@@ -102,13 +97,11 @@ def _digest(rho: DensityMatrix, extra: str = "") -> str:
     return f"{base}; {extra}" if extra else base
 
 
-def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian, h_a: Hamiltonian | None = None) -> float:
-    """Shared inverse temperature of the two marginals; raises
-    NotLocallyThermalError when either marginal is not thermal or the fitted
-    temperatures disagree beyond 1e-6."""
-    if h_a is None:
-        h_a = h_b
-    beta_a = local_inverse_temperature(partial_trace(rho, "A"), h_a)
+def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian) -> float:
+    """Shared inverse temperature of the two marginals, both fitted against
+    ``h_b``; raises NotLocallyThermalError when either marginal is not
+    thermal or the fitted temperatures disagree beyond 1e-6."""
+    beta_a = local_inverse_temperature(partial_trace(rho, "A"), h_b)
     beta_b = local_inverse_temperature(partial_trace(rho, "B"), h_b)
     if beta_a is None or beta_b is None:
         raise NotLocallyThermalError("a marginal is not thermal for its Hamiltonian")
@@ -120,8 +113,8 @@ def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian, h_a: Hamiltonian | N
     return 0.0 if abs(beta_b) < 1e-12 else beta_b
 
 
-def _require_locally_thermal(rho, h_b, beta, h_a) -> None:
-    fitted = common_local_beta(rho, h_b, h_a)
+def _require_locally_thermal(rho, h_b, beta) -> None:
+    fitted = common_local_beta(rho, h_b)
     if abs(fitted - beta) > BETA_MATCH_TOL:
         raise NotLocallyThermalError(
             f"state is locally thermal at beta = {fitted:.9g}, not {beta:.9g}"
@@ -168,29 +161,25 @@ def _ergotropy_bound(gain, chi_b, rep: ThermoReport, log_z, digest, global_work:
     return _report(name, gain, rhs, THERMO_TOL, digest)
 
 
-def _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work: bool) -> RelationReport:
-    _require_locally_thermal(rho, h_b, beta, h_a)
+def _checked_ergotropy_bound(rho, h_b, beta, global_work: bool) -> RelationReport:
+    _require_locally_thermal(rho, h_b, beta)
     povm, record = _energy_record(rho, h_b)
     lhs = information_gain(record)
     chi_b = chi_from_local_measurement(rho, povm)
-    rep = thermo_report(rho, h_b, beta, h_a)
+    rep = thermo_report(rho, h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
     return _ergotropy_bound(lhs, chi_b, rep, log_partition(h_b, beta), digest, global_work)
 
 
-def check_ergotropy_bound(
-    rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None
-) -> RelationReport:
+def check_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> RelationReport:
     """Information gain under the local energy measurement on B against
     chi_B + beta (<H_B> - ergotropy - F_B)."""
-    return _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work=False)
+    return _checked_ergotropy_bound(rho, h_b, beta, global_work=False)
 
 
-def check_global_ergotropy_bound(
-    rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None
-) -> RelationReport:
+def check_global_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> RelationReport:
     """Tighter bound with the ergotropy replaced by the global ergotropy."""
-    return _checked_ergotropy_bound(rho, h_b, beta, h_a, global_work=True)
+    return _checked_ergotropy_bound(rho, h_b, beta, global_work=True)
 
 
 def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
@@ -201,12 +190,7 @@ def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
 
 
 def euler_residual(
-    rho: DensityMatrix,
-    h_b: Hamiltonian,
-    beta: float,
-    grid: SearchGrid = SearchGrid(),
-    corr: CorrelationBreakdown | None = None,
-    h_a: Hamiltonian | None = None,
+    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown | None = None
 ) -> RelationReport:
     """Energy balance <H_B> against E_G + F_B + quantum_gain / beta.
 
@@ -214,10 +198,10 @@ def euler_residual(
     near_equality flag marks |slack| <= 0.02.  At beta = 0 the right-hand
     terms are infinite and the slack is +/-inf.
     """
-    _require_locally_thermal(rho, h_b, beta, h_a)
+    _require_locally_thermal(rho, h_b, beta)
     if corr is None:
-        corr = breakdown(rho, h_b, grid)
-    rep = thermo_report(rho, h_b, beta, h_a)
+        corr = breakdown(rho, h_b)
+    rep = thermo_report(rho, h_b, beta)
     return _energy_balance(corr.quantum_gain, rep, _digest(rho, f"beta={beta:.9g}"))
 
 
@@ -237,23 +221,18 @@ def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) ->
 
 
 def tradeoff_residual(
-    rho: DensityMatrix,
-    h_b: Hamiltonian,
-    beta: float,
-    grid: SearchGrid = SearchGrid(),
-    corr: CorrelationBreakdown | None = None,
-    h_a: Hamiltonian | None = None,
+    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown | None = None
 ) -> RelationReport:
     """Quantum gain E(B:C) - D_A against beta (<H_B> - E_G - F_B).
 
     The slack equals beta times the energy-balance slack; the consistency is
     checked to 1e-9 whenever both are finite.
     """
-    _require_locally_thermal(rho, h_b, beta, h_a)
+    _require_locally_thermal(rho, h_b, beta)
     if corr is None:
-        corr = breakdown(rho, h_b, grid)
-    rep = thermo_report(rho, h_b, beta, h_a)
-    energy_balance = euler_residual(rho, h_b, beta, grid, corr=corr, h_a=h_a)
+        corr = breakdown(rho, h_b)
+    rep = thermo_report(rho, h_b, beta)
+    energy_balance = euler_residual(rho, h_b, beta, corr=corr)
     digest = _digest(rho, f"beta={beta:.9g}")
     return _tradeoff(corr.quantum_gain, rep, log_partition(h_b, beta), digest, energy_balance)
 
@@ -289,40 +268,28 @@ def _temperature_free(rho, povm, record, gain, corr, digest) -> list[RelationRep
     ]
 
 
-def temperature_free_reports(
-    rho: DensityMatrix, h_b: Hamiltonian, grid: SearchGrid = SearchGrid()
-) -> list[RelationReport]:
+def temperature_free_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
     """The relations of standard_reports that hold for any bipartite state:
     subadditivity, holevo_closure, local_gain_identity and gain_split."""
     povm, record = _energy_record(rho, h_b)
-    corr = breakdown(rho, h_b, grid)
+    corr = breakdown(rho, h_b)
     return _temperature_free(rho, povm, record, information_gain(record), corr, _digest(rho))
 
 
-def standard_reports(
-    rho: DensityMatrix,
-    h_b: Hamiltonian,
-    beta: float | None = None,
-    grid: SearchGrid = SearchGrid(),
-    h_a: Hamiltonian | None = None,
-) -> list[RelationReport]:
+def standard_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
     """All relations for one locally thermal state under the canonical local
     energy measurement on B.
 
-    The temperature is fitted (or the given one checked) once; the energy
-    measurement, correlation breakdown and thermodynamic report are each built
-    once and shared by every relation.  The dimension bound is exercised
-    separately (its slack is structurally nonzero even for uncorrelated
-    thermal states).
+    The temperature is fitted once; the energy measurement, correlation
+    breakdown and thermodynamic report are each built once and shared by
+    every relation.  The dimension bound is exercised separately (its slack
+    is structurally nonzero even for uncorrelated thermal states).
     """
-    if beta is None:
-        beta = common_local_beta(rho, h_b, h_a)
-    else:
-        _require_locally_thermal(rho, h_b, beta, h_a)
+    beta = common_local_beta(rho, h_b)
     povm, record = _energy_record(rho, h_b)
-    corr = breakdown(rho, h_b, grid)
+    corr = breakdown(rho, h_b)
     gain = information_gain(record)
-    rep = thermo_report(rho, h_b, beta, h_a)
+    rep = thermo_report(rho, h_b, beta)
     log_z = log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
     balance = _energy_balance(corr.quantum_gain, rep, digest)

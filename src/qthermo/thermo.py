@@ -31,6 +31,8 @@ class Hamiltonian:
 
     def __init__(self, matrix):
         m = as_matrix(matrix)
+        if not np.isfinite(m).all():
+            raise ValueError("Hamiltonian has non-finite entries")
         herm = float(np.abs(m - dagger(m)).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
@@ -51,10 +53,11 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class ThermoReport:
-    """Energetics of a bipartite state against its local self-Hamiltonians.
+    """Energetics of a bipartite state whose two partitions share one local
+    Hamiltonian H.
 
     ``avg_energy`` and ``free_energy`` refer to partition B; the ergotropies
-    are global (total Hamiltonian H_A (x) I + I (x) H_B, no interaction term).
+    are global (total Hamiltonian H (x) I + I (x) H, no interaction term).
     ``free_energy`` is -inf when beta is 0.
     """
 
@@ -183,17 +186,17 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return passive_e - _thermal_entropy_energy(e, beta_star)[1]
 
 
-def local_inverse_temperature(rho_local, h: Hamiltonian, tol: float = THERMAL_FIT_TOL):
+def local_inverse_temperature(rho_local, h: Hamiltonian):
     """Least-squares fit of ln(populations) against -energies in the energy
     eigenbasis.  Returns beta, or None when the state is not thermal for ``h``
-    (coherences or fit residual beyond ``tol``)."""
+    (coherences or fit residual beyond 1e-8)."""
     m = as_matrix(rho_local)
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
     v = h.spectrum.eigenvectors
     in_basis = dagger(v) @ m @ v
     off_diagonal = in_basis - np.diag(np.diag(in_basis))
-    if np.abs(off_diagonal).max() > tol:
+    if np.abs(off_diagonal).max() > THERMAL_FIT_TOL:
         return None
     populations = np.diag(in_basis).real
     if populations.min() <= 0.0:
@@ -201,23 +204,22 @@ def local_inverse_temperature(rho_local, h: Hamiltonian, tol: float = THERMAL_FI
     log_p = np.log(populations)
     design = np.stack([-h.eigenvalues, np.ones(h.dim)], axis=1)
     coef, *_ = np.linalg.lstsq(design, log_p, rcond=None)
-    if np.abs(design @ coef - log_p).max() > tol:
+    if np.abs(design @ coef - log_p).max() > THERMAL_FIT_TOL:
         return None
     return float(coef[0])
 
 
-def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float, h_a: Hamiltonian | None = None) -> ThermoReport:
+def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoReport:
     """Assemble the thermodynamic quantities of a bipartite state at the common
-    local inverse temperature ``beta``."""
+    local inverse temperature ``beta``.  Both partitions carry the local
+    Hamiltonian ``h_b``, so H_total = H (x) I + I (x) H."""
     if rho.dims is None:
         raise ValueError("state carries no bipartite dims")
     d_a, d_b = rho.dims
-    if h_a is None:
-        h_a = h_b
-    if h_a.dim != d_a or h_b.dim != d_b:
+    if h_b.dim != d_a or h_b.dim != d_b:
         raise ValueError("local Hamiltonian dimensions do not match the partition dims")
     h_total = Hamiltonian(
-        np.kron(h_a.matrix, np.eye(d_b)) + np.kron(np.eye(d_a), h_b.matrix)
+        np.kron(h_b.matrix, np.eye(d_b)) + np.kron(np.eye(d_a), h_b.matrix)
     )
     rho_b = partial_trace(rho, "B")
     avg = average_energy(rho_b, h_b)

@@ -7,6 +7,7 @@ deterministic for a fixed seed and independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .dissipation import (
     evolve,
     lindblad_rhs,
     local_beta,
+    local_qubit_hamiltonian,
     max_non_x_magnitude,
 )
 from .measurement import (
@@ -160,7 +162,9 @@ def _local_projective(rng, k: int):
     return random_local_projective_povm(rng, side=side)
 
 
-_QUBIT_H = Hamiltonian(np.diag([1.0, 0.0]).astype(complex))  # omega = 1, basis (e, g)
+_QUBIT_H = local_qubit_hamiltonian(1.0)
+# every ordering of four energy levels, for the exhaustive passive check
+_PERMUTATIONS_4 = np.array(list(permutations(range(4))))
 
 
 def suite_entropy_concavity(rng, n):
@@ -323,29 +327,29 @@ def suite_local_gain_identity(rng, n):
     return _residual_suite("local_gain_identity", 1e-9, vals)
 
 
-def suite_gain_split(rng, n, grid=SearchGrid()):
+def suite_gain_split(rng, n):
     vals = []
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
-        corr = breakdown(rho, _QUBIT_H, grid)
+        corr = breakdown(rho, _QUBIT_H)
         record = measure(rho, projective_energy_povm(_QUBIT_H, "B", (2, 2)))
         vals.append(information_gain(record) - (corr.chi_B + corr.quantum_gain))
     return _residual_suite("gain_split", 2e-3, vals)
 
 
-def suite_discord_nonnegative(rng, n, grid=SearchGrid()):
+def suite_discord_nonnegative(rng, n):
     vals = []
     for _ in range(n):
         rho = random_two_qubit_state(rng)
-        vals.append(discord_A(rho, grid))
+        vals.append(discord_A(rho))
     return _slack_suite("discord_nonneg", 1e-6, vals)
 
 
-def suite_kw_vs_wootters(rng, n, grid=SearchGrid()):
+def suite_kw_vs_wootters(rng, n):
     vals = []
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
-        via_kw = eof_via_koashi_winter(rho, grid)
+        via_kw = eof_via_koashi_winter(rho)
         psi = purify(rho).reshape(2, 2, -1)
         r = psi.shape[-1]
         rho_bc = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(2 * r, 2 * r)
@@ -355,13 +359,13 @@ def suite_kw_vs_wootters(rng, n, grid=SearchGrid()):
     return _residual_suite("kw_vs_wootters", 1e-3, vals)
 
 
-def suite_chi_grid_monotone(rng, n, coarse=SearchGrid(), fine=SearchGrid(coarse=128)):
+def suite_chi_grid_monotone(rng, n):
     # tolerance matches the refinement resolution: the pattern search stops at
     # angle steps of 1e-4, so values carry O(step^2) ~ 1e-8 termination noise
     vals = []
     for _ in range(n):
         rho = random_two_qubit_state(rng)
-        vals.append(chi_A_max(rho, fine) - chi_A_max(rho, coarse))
+        vals.append(chi_A_max(rho, SearchGrid(coarse=128)) - chi_A_max(rho, SearchGrid()))
     return _slack_suite("chi_grid_monotone", 1e-7, vals)
 
 
@@ -394,7 +398,7 @@ def suite_ergotropy_unitary_invariance(rng, n):
     return _residual_suite("ergotropy_unitary_invariance", 1e-9, vals)
 
 
-def suite_passive_minimality(rng, n, n_permutations=1000):
+def suite_passive_minimality(rng, n):
     vals = []
     for _ in range(n):
         rho = random_density_matrix(4, rng)
@@ -402,8 +406,7 @@ def suite_passive_minimality(rng, n, n_permutations=1000):
         r_desc = np.sort(rho.eigenvalues())[::-1]
         e_asc = h.eigenvalues
         passive_e = float(r_desc @ e_asc)
-        perms = np.array([rng.permutation(4) for _ in range(n_permutations)])
-        permuted = e_asc[perms] @ r_desc
+        permuted = e_asc[_PERMUTATIONS_4] @ r_desc
         vals.append(float(permuted.min()) - passive_e)
     return _slack_suite("passive_minimality", 1e-9, vals)
 
@@ -450,7 +453,7 @@ def suite_beta_formula(rng, n):
         params = ModelParams(omega=omega, beta_e=beta_e)
         c = rng.uniform(0.0, 1.0)
         rho = analytic_steady_state(c, params)
-        h = Hamiltonian(np.diag([omega, 0.0]).astype(complex))
+        h = local_qubit_hamiltonian(omega)
         fitted = local_inverse_temperature(partial_trace(rho, "B"), h)
         vals.append(np.inf if fitted is None else fitted - local_beta(c, params))
     return _residual_suite("beta_formula_vs_fit", 1e-9, vals)

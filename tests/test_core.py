@@ -42,6 +42,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4, dtype=complex) / 4.0, dims=(3, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
 
 class TestKron:
     def test_identity(self):

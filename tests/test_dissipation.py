@@ -6,7 +6,6 @@ from qthermo import (
     DensityMatrix,
     Hamiltonian,
     ModelParams,
-    XState,
     analytic_ergotropy_low_temperature,
     analytic_steady_state,
     build_hamiltonian,
@@ -117,8 +116,10 @@ class TestEvolve:
 
     def test_trajectory_invariants_and_x_preservation(self):
         params = ModelParams()
-        x = XState(0.3, 0.25, 0.25, 0.2, rho14=0.1 + 0.05j, rho23=-0.12j)
-        rho0 = x.to_density_matrix()
+        m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
+        m[0, 3], m[3, 0] = 0.1 + 0.05j, 0.1 - 0.05j
+        m[1, 2], m[2, 1] = -0.12j, 0.12j
+        rho0 = DensityMatrix(m, dims=(2, 2))
         c0 = effective_c(rho0)
         traj = evolve(rho0, params, dt=0.005, t_max=5.0)
         for state in traj.states:
@@ -195,20 +196,3 @@ class TestAnalyticErgotropy:
             dev = ergotropy(rho, H_TOTAL) - analytic_ergotropy_low_temperature(float(c))
             assert abs(dev) < 5e-3
 
-
-class TestXState:
-    def test_roundtrip(self):
-        params = ModelParams()
-        rho = analytic_steady_state(0.3, params)
-        x = XState.from_matrix(rho.matrix)
-        assert np.abs(x.to_matrix() - rho.matrix).max() < 1e-12
-
-    def test_rejects_non_x_matrix(self, bell_state):
-        m = bell_state.matrix.copy()
-        m[0, 1] = m[1, 0] = 0.1
-        with pytest.raises(ValueError, match="X-shaped"):
-            XState.from_matrix(m)
-
-    def test_rejects_oversized_coherence(self):
-        with pytest.raises(ValueError, match="rho14"):
-            XState(0.25, 0.25, 0.25, 0.25, rho14=0.4, rho23=0.0)

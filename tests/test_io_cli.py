@@ -123,6 +123,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown"):
             load_config(str(path))
 
+    def test_optional_values_accept_null(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"t_max": None, "output_path": None, "dt": 1, "seed": 3}))
+        config = load_config(str(path))
+        assert config.t_max is None and config.dt == 1 and config.seed == 3
+
 
 class TestSweep:
     def test_deterministic_bytes(self, tmp_path):
@@ -278,6 +284,76 @@ class TestMainExitCodes:
         code = main(["--out", str(tmp_path / "v.json"), "verify"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ({"verify_count": "5"}, ["verify"], "verify_count"),
+            ({"verify_count": 5.0}, ["verify"], "verify_count"),
+            ({"beta_e": "10"}, ["sweep"], "beta_e"),
+            ({"c_step": None}, ["sweep"], "c_step"),
+            ({"seed": True}, ["verify"], "seed"),
+            ({"output_path": 3}, ["sweep"], "output_path"),
+            ([1, 2], ["verify"], "JSON object"),
+            (None, ["--beta-e", "inf", "sweep"], "beta_e"),
+            (None, ["--beta-e", "nan", "sweep"], "beta_e"),
+            (None, ["--omega", "nan", "sweep"], "omega"),
+            (None, ["--dt", "nan", "simulate"], "dt"),
+            (None, ["--t-max", "nan", "simulate"], "t_max"),
+        ],
+    )
+    def test_bad_config_values_rejected(self, tmp_path, monkeypatch, capsys, config, flags, field):
+        monkeypatch.chdir(tmp_path)  # no --out flag, so that output_path comes from the file
+        state_path = tmp_path / "singlet.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        argv = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        argv += flags
+        if flags[-1] == "simulate":
+            argv.append(str(state_path))
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input" and field in error["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_non_finite_entry_rejected(self, tmp_path, capfd, qubit_h, command):
+        state = {"dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        h = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        # simulate gets the NaN in the state, report in the Hamiltonian
+        (state if command == "simulate" else h)["re"][0][0] = "nan"
+        state_path, h_path = tmp_path / "state.json", tmp_path / "h.json"
+        state_path.write_text(json.dumps(state))
+        h_path.write_text(json.dumps(h))
+        argv = ["--out", str(tmp_path / "out"), command, str(state_path)]
+        if command == "report":
+            argv.append(str(h_path))
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input" and "non-finite" in error["message"]
+        assert captured.err == ""
+
+    def test_verify_writes_non_finite_worst_as_string(self, tmp_path, monkeypatch, capsys):
+        from qthermo.verify import SuiteResult
+        import qthermo.cli as cli
+
+        fake = [SuiteResult("demo", 5, 5, np.inf, 1e-8, "residual")]
+        monkeypatch.setattr(cli, "run_suites", lambda seed, n: fake)
+        out = tmp_path / "v.json"
+        assert main(["--out", str(out), "verify"]) == 1
+
+        def reject(token):
+            raise ValueError(f"bare {token} in the report")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload[0]["worst"] == "inf"
 
     def test_verify_success_small(self, tmp_path, capsys):
         code = main(

@@ -45,6 +45,10 @@ class TestPovm:
         with pytest.raises(ValueError, match="dimension"):
             Povm([np.eye(2, dtype=complex), np.zeros((4, 4), dtype=complex)])
 
+    def test_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm([np.diag([np.nan, 1.0]).astype(complex), np.diag([0.0, 0.0]).astype(complex)])
+
     def test_projective_flag(self):
         povm = computational_povm(2)
         assert povm.is_projective()
@@ -59,6 +63,11 @@ class TestMeasure:
         assert_allclose(record.probabilities, [1.0, 0.0], atol=1e-12)
         assert_allclose(record.post_states[0].matrix, ground.matrix, atol=1e-12)
         assert record.post_states[1] is None  # null marker for a dead outcome
+
+    def test_average_skips_dead_outcomes(self):
+        record = measure(pure_state([0.0, 1.0]), Povm([G_PROJ, E_PROJ]))
+        # the dead outcome is skipped, not passed to f as None
+        assert record.average(lambda s: s.dim) == record.probabilities[0] * 2
 
     def test_symmetric_outcome_split(self):
         record = measure(DensityMatrix(np.eye(2, dtype=complex) / 2), computational_povm(2))

@@ -268,9 +268,3 @@ class TestStandardReports:
                 assert by_name[rep.name] == rep.to_dict()
         c0 = {rep.name: rep for rep in standard_reports(states[0], qubit_h)}
         assert c0["euler"].lhs == -np.inf and c0["euler"].slack == np.inf
-
-    def test_supplied_beta_is_checked(self, qubit_h):
-        rho = product_thermal(1.0, qubit_h)
-        assert standard_reports(rho, qubit_h, beta=1.0)[-1].satisfied
-        with pytest.raises(NotLocallyThermalError):
-            standard_reports(rho, qubit_h, beta=2.0)

@@ -43,6 +43,11 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="Hermitian"):
             Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Hamiltonian(np.diag([bad, 0.0]).astype(complex))
+
     def test_spectrum_ascending(self, rng):
         h = _random_h(rng)
         assert (np.diff(h.eigenvalues) >= 0).all()
