@@ -69,6 +69,8 @@ SWEEP_COLUMNS = [
     "euler_residual",
 ]
 
+MAX_C_GRID_POINTS = 100_001  # c_step 1e-5 on [0, 1]
+
 
 @dataclass
 class RunConfig:
@@ -108,7 +110,13 @@ class RunConfig:
             raise ValueError("c_step must be positive")
         if not (0.0 <= self.c_start <= self.c_stop <= 1.0):
             raise ValueError("c grid must satisfy 0 <= start <= stop <= 1")
-        count = int(round((self.c_stop - self.c_start) / self.c_step)) + 1
+        # capped before rounding: a tiny c_step makes the ratio overflow to inf
+        span = min((self.c_stop - self.c_start) / self.c_step, MAX_C_GRID_POINTS)
+        count = int(round(span)) + 1
+        if count > MAX_C_GRID_POINTS:
+            raise ValueError(
+                f"c_step {self.c_step:g} gives more than {MAX_C_GRID_POINTS} grid points"
+            )
         grid = self.c_start + self.c_step * np.arange(count)
         return np.clip(grid, 0.0, 1.0)
 
@@ -218,14 +226,11 @@ def cmd_simulate(config: RunConfig, rho0_path: str) -> int:
     rho0 = read_state(rho0_path)
     if rho0.dim != 4:
         raise ValueError(f"simulation needs a 4x4 two-qubit state, got {rho0.dim}x{rho0.dim}")
-    if rho0.dims is None:
-        rho0 = DensityMatrix(rho0.matrix, dims=(2, 2))
     params = config.model_params()
     trajectory = evolve(rho0, params, config.dt, config.horizon())
     c = effective_c(rho0)
-    target = analytic_steady_state(c, params)
-    final = trajectory.states[-1]
-    distance = trace_distance(final, target)
+    final = DensityMatrix(trajectory.states[-1], dims=(2, 2))
+    distance = trace_distance(final, analytic_steady_state(c, params))
 
     out = Path(config.output_path or "trajectory.csv")
     write_trajectory_csv(out, trajectory)
@@ -282,8 +287,16 @@ def cmd_report(config: RunConfig, state_path: str, h_path: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValueError, so that it ends in
+    the same one-line JSON error as every other invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qthermo",
         description="Steady-state sweeps, trajectories, property verification, "
         "and relation reports for the two-qubit collective-dissipation model.",
@@ -314,10 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # every RunConfig field has a global flag of the same dest
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     try:
+        args = _build_parser().parse_args(argv)
+        # every RunConfig field has a global flag of the same dest
+        overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, **overrides)
         if args.command == "sweep":
             return cmd_sweep(config)

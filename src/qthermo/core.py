@@ -42,11 +42,10 @@ class DensityMatrix:
     ``dims = (d_A, d_B)`` labels the tensor factors; marginals and local
     measurements require it.  Construction rejects non-finite entries, then
     validates hermiticity (1e-10), unit trace (1e-10) and positivity
-    (smallest eigenvalue >= -1e-9 by default; integrators may pass a looser
-    ``positivity_tol``).
+    (smallest eigenvalue >= -1e-9).
     """
 
-    def __init__(self, matrix, dims=None, positivity_tol: float = POSITIVITY_TOL):
+    def __init__(self, matrix, dims=None):
         m = np.asarray(matrix, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
@@ -59,10 +58,8 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")
         lowest = float(np.linalg.eigvalsh(m).min())
-        if lowest < -positivity_tol:
-            raise ValueError(
-                f"negative eigenvalue {lowest:.3e} below -{positivity_tol:g}"
-            )
+        if lowest < -POSITIVITY_TOL:
+            raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
         if dims is not None:
             d_a, d_b = int(dims[0]), int(dims[1])
             if d_a * d_b != m.shape[0]:

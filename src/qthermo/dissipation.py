@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DensityMatrix, as_matrix, dagger
+from .core import TRACE_TOL, DensityMatrix, as_matrix, dagger
 from .thermo import Hamiltonian
 
 # single-qubit operators in the (e, g) basis
@@ -60,7 +60,9 @@ class ModelParams:
     @property
     def nbar(self) -> float:
         """Mean photon number of the bath at the qubit frequency."""
-        return 1.0 / np.expm1(self.beta_e * self.omega)
+        # expm1 overflows to inf above beta_e * omega ~ 709; 1/inf = 0 is the limit
+        with np.errstate(over="ignore"):
+            return 1.0 / np.expm1(self.beta_e * self.omega)
 
 
 def local_qubit_hamiltonian(omega: float) -> Hamiltonian:
@@ -114,18 +116,21 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Fixed-step integration output: stored times and validated states."""
+    """Fixed-step RK4 output: times, the (n, 4, 4) states and their smallest eigenvalues."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
+    min_eigenvalues: np.ndarray
 
 
 def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) -> Trajectory:
     """Integrate the master equation with classical fixed-step RK4.
 
-    Every stored state is re-hermitized ((rho + rho^dag)/2) and validated with
-    a positivity floor of -1e-6; a violation aborts with a step-size
-    diagnostic.  Stops early once max|rhs| < 1e-12.
+    Every stored state is re-hermitized ((rho + rho^dag)/2).  Stops early once
+    max|rhs| < 1e-12, or at a state with an entry that no density matrix has
+    (non-finite, or above 2 in modulus).  The trajectory is then checked once:
+    the first state off unit trace (1e-10) or below the positivity floor of
+    -1e-6 aborts with a step-size diagnostic.
     """
     rate = float(np.max(params.gamma)) * (params.nbar + 1.0)
     if dt <= 0:
@@ -135,11 +140,9 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
             f"dt too large: dt * max(gamma) * (nbar + 1) = {dt * rate:.4g} > 0.01"
         )
     lind = _superoperator(params)
-    v = rho0.matrix.reshape(16).copy()
-    times = [0.0]
-    states = [rho0]
-    n_steps = int(round(t_max / dt))
-    for k in range(n_steps):
+    v = as_matrix(rho0).reshape(16)
+    vectors = [v]
+    for _ in range(int(round(t_max / dt))):
         k1 = lind @ v
         if np.abs(k1).max() < FIXED_POINT_TOL:
             break
@@ -148,19 +151,30 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
         k4 = lind @ (v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         r = v.reshape(4, 4)
-        r = 0.5 * (r + dagger(r))
-        v = r.reshape(16)
-        t = (k + 1) * dt
-        try:
-            state = DensityMatrix(r, dims=(2, 2), positivity_tol=STEP_POSITIVITY_TOL)
-        except ValueError as err:
-            raise ValueError(
-                f"integration failed at t = {t:.6g} with dt = {dt:g} "
-                f"(reduce the step size): {err}"
-            ) from None
-        times.append(t)
-        states.append(state)
-    return Trajectory(times=np.asarray(times), states=states)
+        v = (0.5 * (r + dagger(r))).reshape(16)
+        vectors.append(v)
+        if not np.abs(v).max() <= 2.0:  # also true for NaN
+            break
+    states = np.stack(vectors).reshape(-1, 4, 4)
+    times = dt * np.arange(len(states))
+    # eigvalsh rejects a non-finite state, and only the last one can be
+    checked = states if np.isfinite(v).all() else states[:-1]
+    lowest = np.linalg.eigvalsh(checked)[:, 0]
+    off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
+    bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
+    k = bad[0] if bad.size else len(checked)
+    if k == len(states):
+        return Trajectory(times=times, states=states, min_eigenvalues=lowest)
+    if k == len(checked):
+        err = "density matrix has non-finite entries"
+    elif off_trace[k]:
+        err = f"trace {np.trace(states[k]).real:.12g} differs from 1 beyond {TRACE_TOL}"
+    else:
+        err = f"negative eigenvalue {lowest[k]:.3e} below -{STEP_POSITIVITY_TOL:g}"
+    raise ValueError(
+        f"integration failed at t = {times[k]:.6g} with dt = {dt:g} "
+        f"(reduce the step size): {err}"
+    )
 
 
 def effective_c(rho) -> float:

@@ -55,15 +55,11 @@ def _jsonable(value):
     return value
 
 
-def _dumps(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=1, allow_nan=False)
-
-
 def write_json(path, obj) -> None:
     """Write ``obj`` as indented JSON plus a newline, non-finite floats as
     strings; every JSON artifact goes through here."""
     with open(path, "w") as fh:
-        fh.write(_dumps(obj))
+        fh.write(json.dumps(_jsonable(obj), indent=1, allow_nan=False))
         fh.write("\n")
 
 
@@ -102,10 +98,6 @@ def read_hamiltonian(path) -> Hamiltonian:
         return Hamiltonian(_matrix_from_json(json.load(fh)))
 
 
-def reports_json(reports: list[RelationReport]) -> str:
-    return _dumps([r.to_dict() for r in reports])
-
-
 def write_reports(path, reports: list[RelationReport]) -> None:
     write_json(path, [r.to_dict() for r in reports])
 
@@ -122,21 +114,12 @@ def trajectory_header() -> list[str]:
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
-    and the smallest eigenvalue."""
-    lines = [",".join(trajectory_header())]
-    for t, state in zip(trajectory.times, trajectory.states):
-        m = state.matrix
-        fields = [fmt(t)]
-        for i in range(4):
-            for j in range(4):
-                fields.append(fmt(m[i, j].real))
-                fields.append(fmt(m[i, j].imag))
-        fields.append(fmt(np.trace(m).real))
-        fields.append(fmt(state.eigenvalues().min()))
-        lines.append(",".join(fields))
+    and the smallest eigenvalue (from the trajectory's own check)."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(",".join(trajectory_header()) + "\n")
+        for t, m, lowest in zip(trajectory.times, trajectory.states, trajectory.min_eigenvalues):
+            entries = [fmt(part) for z in m.reshape(16) for part in (z.real, z.imag)]
+            fh.write(",".join([fmt(t), *entries, fmt(np.trace(m).real), fmt(lowest)]) + "\n")
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:

@@ -491,11 +491,11 @@ def suite_trajectory_invariants(rng, n):
         c0 = effective_c(rho0)
         worst = 0.0
         for state in traj.states:
-            worst = max(worst, abs(np.trace(state.matrix).real - 1.0) / 1e-9)
-            worst = max(worst, max(0.0, -float(state.eigenvalues().min())) / 1e-6)
+            worst = max(worst, abs(np.trace(state).real - 1.0) / 1e-9)
+            worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(state).min())) / 1e-6)
             worst = max(worst, abs(effective_c(state) - c0) / 1e-6)
             if x_input:
-                worst = max(worst, max_non_x_magnitude(state.matrix) / 1e-10)
+                worst = max(worst, max_non_x_magnitude(state) / 1e-10)
         vals.append(worst)
     return _residual_suite("trajectory_invariants", 1.0, vals)
 

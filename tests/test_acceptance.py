@@ -99,9 +99,9 @@ def test_criterion_4_steady_state_convergence():
         target = analytic_steady_state(effective_c(rho0), params)
         worst_distance = max(worst_distance, trace_distance(trajectory.states[-1], target))
         for state in trajectory.states:
-            if abs(np.trace(state.matrix).real - 1.0) > 1e-9:
+            if abs(np.trace(state).real - 1.0) > 1e-9:
                 invariants_ok = False
-            if state.eigenvalues().min() < -1e-6:
+            if np.linalg.eigvalsh(state).min() < -1e-6:
                 invariants_ok = False
     ok = bool(worst_distance <= 1e-6 and invariants_ok)
     _criterion(

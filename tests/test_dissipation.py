@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qthermo import (
     DensityMatrix,
@@ -20,7 +22,10 @@ from qthermo import (
     pure_state,
     trace_distance,
 )
-from qthermo.dissipation import KET_EE, KET_GG, PSI_MINUS, PSI_PLUS
+from qthermo.dissipation import KET_EE, KET_EG, KET_GG, PSI_MINUS, PSI_PLUS
+from qthermo.random_states import random_two_qubit_state
+
+BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -29,6 +34,11 @@ class TestModelParams:
     def test_nbar_matches_definition(self):
         p = ModelParams(omega=1.0, beta_e=10.0)
         assert abs(p.nbar - 1.0 / (np.exp(10.0) - 1.0)) < 1e-12
+
+    def test_nbar_vanishes_at_huge_beta_omega(self):
+        # expm1 overflows beyond beta_e * omega ~ 709; the limit is exact
+        assert ModelParams(beta_e=800.0).nbar == 0.0
+        assert ModelParams(omega=2000.0).nbar == 0.0
 
     def test_gamma_must_be_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -83,7 +93,7 @@ class TestLindbladRhs:
         rho0 = pure_state((KET_EE + PSI_PLUS) / np.sqrt(2.0), dims=(2, 2))
         traj = evolve(rho0, params, dt=0.005, t_max=0.005)
         e0 = np.trace(h.matrix @ rho0.matrix).real
-        e1 = np.trace(h.matrix @ traj.states[-1].matrix).real
+        e1 = np.trace(h.matrix @ traj.states[-1]).real
         assert abs(e1 - e0) < 1e-12
 
     def test_collective_dissipator_annihilates_singlet(self, singlet):
@@ -123,10 +133,48 @@ class TestEvolve:
         c0 = effective_c(rho0)
         traj = evolve(rho0, params, dt=0.005, t_max=5.0)
         for state in traj.states:
-            assert abs(np.trace(state.matrix).real - 1.0) <= 1e-9
-            assert state.eigenvalues().min() >= -1e-6
+            assert abs(np.trace(state).real - 1.0) <= 1e-9
+            assert np.linalg.eigvalsh(state).min() >= -1e-6
             assert abs(effective_c(state) - c0) <= 1e-6
-            assert max_non_x_magnitude(state.matrix) < 1e-10
+            assert max_non_x_magnitude(state) < 1e-10
+
+    def test_min_eigenvalues_match_each_state(self, rng):
+        params = ModelParams()
+        traj = evolve(random_two_qubit_state(rng), params, dt=0.005, t_max=1.0)
+        assert traj.states.shape == (201, 4, 4)
+        assert_array_equal(traj.times, [0.005 * k for k in range(201)])
+        assert_array_equal(
+            traj.min_eigenvalues, [np.linalg.eigvalsh(s).min() for s in traj.states]
+        )
+
+    @pytest.mark.parametrize(
+        "ket, params, t, lowest",
+        [
+            # every state after the first is far from positive
+            (KET_EG, ModelParams(f=600.0), "0.005", "-2.331e+01"),
+            # the first 16 steps pass; the 17th dips just below the floor
+            (BELL_PHI, ModelParams(f=600.0), "0.085", "-5.239e-05"),
+            # beta_e * omega = 2e4 overflows expm1 in nbar
+            (BELL_PHI, ModelParams(omega=2000.0), "0.005", "-3.299e+03"),
+        ],
+    )
+    def test_unstable_step_reports_first_bad_state(self, ket, params, t, lowest):
+        rho0 = pure_state(ket, dims=(2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                evolve(rho0, params, dt=0.005, t_max=50.0)
+        assert str(info.value) == (
+            f"integration failed at t = {t} with dt = 0.005 (reduce the step size): "
+            f"negative eigenvalue {lowest} below -1e-06"
+        )
+
+    def test_non_finite_step_is_reported(self):
+        # a huge frequency overflows within one RK4 step
+        rho0 = pure_state(BELL_PHI, dims=(2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="t = 0.005 .*non-finite"):
+                evolve(rho0, ModelParams(omega=1e200), dt=0.005, t_max=1.0)
 
 
 class TestEffectiveC:

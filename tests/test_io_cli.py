@@ -22,18 +22,20 @@ from qthermo.cli import (
     sweep_rows,
     SWEEP_COLUMNS,
 )
-from qthermo.dissipation import KET_GG, PSI_MINUS
+from qthermo.dissipation import KET_EE, KET_EG, KET_GG, PSI_MINUS
 from qthermo.io import (
     read_hamiltonian,
     read_povm,
     read_state,
-    reports_json,
     write_hamiltonian,
     write_povm,
+    write_reports,
     write_state,
     write_trajectory_csv,
 )
 from qthermo.relations import _report
+
+BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
 
 
 class TestStateFiles:
@@ -72,15 +74,17 @@ class TestOperatorFiles:
 
 
 class TestReportSerialization:
-    def test_non_finite_values_are_strings(self):
-        rep = _report("demo", -np.inf, 1.0, 1e-9, "x")
-        payload = json.loads(reports_json([rep]))
+    def test_non_finite_values_are_strings(self, tmp_path):
+        path = tmp_path / "reports.json"
+        write_reports(path, [_report("demo", -np.inf, 1.0, 1e-9, "x")])
+        payload = json.loads(path.read_text())
         assert payload[0]["lhs"] == "-inf"
         assert payload[0]["slack"] == "inf"
 
-    def test_finite_values_stay_numeric(self):
-        rep = _report("demo", 0.25, 0.5, 1e-9, "x", near_band=0.02)
-        payload = json.loads(reports_json([rep]))
+    def test_finite_values_stay_numeric(self, tmp_path):
+        path = tmp_path / "reports.json"
+        write_reports(path, [_report("demo", 0.25, 0.5, 1e-9, "x", near_band=0.02)])
+        payload = json.loads(path.read_text())
         assert payload[0]["rhs"] == 0.5
         assert payload[0]["near_equality"] is False
 
@@ -97,6 +101,8 @@ class TestTrajectoryCsv:
         assert header[-2:] == ["trace", "min_eigenvalue"]
         assert len(header) == 1 + 32 + 2
         assert len(lines) == 1 + len(traj.states)
+        last = lines[-1].split(",")
+        assert float(last[-1]) == float(f"{traj.min_eigenvalues[-1]:.12g}")
 
 
 class TestRunConfig:
@@ -110,6 +116,11 @@ class TestRunConfig:
             RunConfig(c_step=0.0).c_grid()
         with pytest.raises(ValueError, match="grid"):
             RunConfig(c_start=-0.2).c_grid()
+        # refused before anything is allocated, also where the point count is inf
+        for step in (9.9e-6, 1e-12, 5e-324):
+            with pytest.raises(ValueError, match="c_step"):
+                RunConfig(c_step=step).c_grid()
+        assert len(RunConfig(c_step=1e-5).c_grid()) == 100_001
 
     def test_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -254,7 +265,13 @@ class TestMainExitCodes:
         assert json.loads(capsys.readouterr().out.strip())["error"] == "not_locally_thermal"
 
     @pytest.mark.parametrize(
-        "flags", [["--count", "0", "verify"], ["--count", "-5", "verify"], ["--gamma", "0", "simulate"]]
+        "flags",
+        [
+            ["--count", "0", "verify"],
+            ["--count", "-5", "verify"],
+            ["--gamma", "0", "simulate"],
+            ["--c-step", "1e-12", "sweep"],
+        ],
     )
     def test_bad_run_settings_rejected(self, tmp_path, capsys, flags):
         state_path = tmp_path / "singlet.json"
@@ -300,6 +317,12 @@ class TestMainExitCodes:
             (None, ["--omega", "nan", "sweep"], "omega"),
             (None, ["--dt", "nan", "simulate"], "dt"),
             (None, ["--t-max", "nan", "simulate"], "t_max"),
+            # malformed command lines, rejected by argparse itself
+            (None, ["--count", "5.5", "verify"], "--count"),
+            (None, ["--beta-e", "abc", "sweep"], "--beta-e"),
+            (None, ["--bogus", "sweep"], "--bogus"),
+            (None, [], "command"),
+            (None, ["report", "state.json"], "hamiltonian"),
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, monkeypatch, capsys, config, flags, field):
@@ -312,13 +335,44 @@ class TestMainExitCodes:
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
         argv += flags
-        if flags[-1] == "simulate":
+        if flags[-1:] == ["simulate"]:
             argv.append(str(state_path))
         assert main(argv) == 2
-        lines = capsys.readouterr().out.strip().split("\n")
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "invalid_input" and field in error["message"]
+        assert captured.err == ""
+
+    def test_huge_beta_omega_simulates_quietly(self, tmp_path, capfd):
+        # beta_e * omega = 800 overflows expm1 in the bath occupation
+        state_path = tmp_path / "singlet.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        argv = ["--beta-e", "800", "--out", str(tmp_path / "traj.csv"), "simulate", str(state_path)]
+        assert main(argv) == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "ket, flags, t",
+        [
+            (KET_EG, ["--f", "600"], "0.005"),
+            (BELL_PHI, ["--f", "600"], "0.085"),
+            (BELL_PHI, ["--omega", "2000"], "0.005"),
+        ],
+    )
+    def test_unstable_step_rejected(self, tmp_path, capfd, ket, flags, t):
+        state_path = tmp_path / "rho0.json"
+        write_state(state_path, pure_state(ket, dims=(2, 2)))
+        argv = flags + ["--out", str(tmp_path / "traj.csv"), "simulate", str(state_path)]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"].startswith(f"integration failed at t = {t} with dt = 0.005")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_non_finite_entry_rejected(self, tmp_path, capfd, qubit_h, command):
