@@ -142,19 +142,22 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     lind = _superoperator(params)
     v = as_matrix(rho0).reshape(16)
     vectors = [v]
-    for _ in range(int(round(t_max / dt))):
-        k1 = lind @ v
-        if np.abs(k1).max() < FIXED_POINT_TOL:
-            break
-        k2 = lind @ (v + 0.5 * dt * k1)
-        k3 = lind @ (v + 0.5 * dt * k2)
-        k4 = lind @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r = v.reshape(4, 4)
-        v = (0.5 * (r + dagger(r))).reshape(16)
-        vectors.append(v)
-        if not np.abs(v).max() <= 2.0:  # also true for NaN
-            break
+    # a Hamiltonian scale far beyond 1/dt overflows within a step; the guard
+    # below stops there and the check reports the non-finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(round(t_max / dt))):
+            k1 = lind @ v
+            if np.abs(k1).max() < FIXED_POINT_TOL:
+                break
+            k2 = lind @ (v + 0.5 * dt * k1)
+            k3 = lind @ (v + 0.5 * dt * k2)
+            k4 = lind @ (v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            r = v.reshape(4, 4)
+            v = (0.5 * (r + dagger(r))).reshape(16)
+            vectors.append(v)
+            if not np.abs(v).max() <= 2.0:  # also true for NaN
+                break
     states = np.stack(vectors).reshape(-1, 4, 4)
     times = dt * np.arange(len(states))
     # eigvalsh rejects a non-finite state, and only the last one can be

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, marginal_entropy, mutual_information, partial_trace
-from .correlations import CorrelationBreakdown, breakdown, chi_from_local_measurement
+from .correlations import (
+    SPLIT_TOL,
+    CorrelationBreakdown,
+    breakdown,
+    chi_from_local_measurement,
+)
 from .measurement import (
     Povm,
     entropy_cost,
@@ -261,9 +266,9 @@ def _temperature_free(rho, povm, record, gain, corr, digest) -> list[RelationRep
             "gain_split",
             gain,
             corr.chi_B + corr.quantum_gain,
-            THERMO_TOL,
+            SPLIT_TOL,
             digest,
-            near_band=THERMO_TOL,
+            near_band=SPLIT_TOL,
         ),
     ]
 

@@ -5,6 +5,7 @@ frequency where one appears.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,20 @@ def ergotropy_double_sum(rho: DensityMatrix, h: Hamiltonian) -> float:
     return float(np.einsum("j,i,ij->", r, e, overlaps) - r @ e)
 
 
-def _thermal_entropy_energy(energies: np.ndarray, beta: float):
-    w = np.exp(-beta * (energies - energies.min()))
-    p = w / w.sum()
-    return entropy_of_eigenvalues(p), float(p @ energies)
+def _thermal_entropy_energy(energies: list[float], beta: float) -> tuple[float, float]:
+    """Entropy and mean energy of exp(-beta H)/Z from the levels of H, on
+    Python floats; populations below 1e-12 contribute no entropy."""
+    e_min = min(energies)
+    w = [math.exp(-beta * (e - e_min)) for e in energies]
+    z = sum(w)
+    entropy = 0.0
+    energy = 0.0
+    for w_i, e in zip(w, energies):
+        p = w_i / z
+        if p >= ENTROPY_CUTOFF:
+            entropy -= p * math.log(p)
+        energy += p * e
+    return entropy, energy
 
 
 def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -169,13 +180,14 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     if target < ENTROPY_CUTOFF:
         # pure state: the entropy-matched thermal state is the ground projector
         return passive_e - float(e.min())
+    levels = e.tolist()
     lo, hi = 0.0, 50.0 * h.dim / spread
-    while hi < BETA_CAP and _thermal_entropy_energy(e, hi)[0] > target:
+    while hi < BETA_CAP and _thermal_entropy_energy(levels, hi)[0] > target:
         hi = min(hi * 2.0, BETA_CAP)
     beta_star = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        s_mid, _ = _thermal_entropy_energy(e, mid)
+        s_mid, _ = _thermal_entropy_energy(levels, mid)
         beta_star = mid
         if abs(s_mid - target) <= ENTROPY_MATCH_TOL:
             break
@@ -183,7 +195,7 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
             lo = mid
         else:
             hi = mid
-    return passive_e - _thermal_entropy_energy(e, beta_star)[1]
+    return passive_e - _thermal_entropy_energy(levels, beta_star)[1]
 
 
 def local_inverse_temperature(rho_local, h: Hamiltonian):

@@ -22,7 +22,8 @@ from qthermo import (
     von_neumann_entropy,
     wootters_eof,
 )
-from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_of_eigenvalues
+from qthermo.random_states import random_rank2_two_qubit, random_two_qubit_state
 
 from conftest import LN2, product_thermal
 
@@ -61,6 +62,63 @@ def brute_force_chi_a(rho, n_theta=128, n_phi=128):
                 value -= p * float(-(w * np.log(w)).sum())
             best = max(best, value)
     return best
+
+
+def _reference_chi_A_max(rho):
+    """The complex-block form of chi_A_max: each measured branch of B is built
+    as a 2x2 block sum and its spectrum taken from trace and determinant, on
+    the same grid and pattern search."""
+    grid = SearchGrid()
+    m = rho.matrix
+    b00, b01, b10, b11 = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
+    rho_b = b00 + b11
+    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(rho_b))
+
+    def branch_entropies(stack):
+        t = np.trace(stack, axis1=-2, axis2=-1).real
+        det = (stack[..., 0, 0] * stack[..., 1, 1] - stack[..., 0, 1] * stack[..., 1, 0]).real
+        disc = np.sqrt(np.clip(t * t - 4.0 * det, 0.0, None))
+        w = np.clip(np.stack([(t - disc) / 2.0, (t + disc) / 2.0], axis=-1), 0.0, None)
+        p = w.sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(w >= ENTROPY_CUTOFF, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+            plog = np.where(p >= ENTROPY_CUTOFF, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        return -term.sum(axis=-1) + plog
+
+    def objective(theta, phi):
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        nx = np.sin(theta) * np.cos(phi)
+        ny = np.sin(theta) * np.sin(phi)
+        nz = np.cos(theta)
+        n_plus = (
+            ((1.0 + nz) / 2.0)[..., None, None] * b00
+            + ((nx + 1.0j * ny) / 2.0)[..., None, None] * b01
+            + ((nx - 1.0j * ny) / 2.0)[..., None, None] * b10
+            + ((1.0 - nz) / 2.0)[..., None, None] * b11
+        )
+        both = np.stack([n_plus, rho_b - n_plus], axis=-3)
+        return s_b - branch_entropies(both).sum(axis=-1)
+
+    thetas = np.linspace(0.0, np.pi, grid.coarse)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid.coarse, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    values = objective(tt, pp)
+    best = np.unravel_index(int(np.argmax(values)), values.shape)
+    best_val = float(values[best])
+    theta, phi = float(tt[best]), float(pp[best])
+    step = max(np.pi / max(grid.coarse - 1, 1), 2.0 * np.pi / grid.coarse)
+    while step > grid.angle_tol:
+        cand_t = np.array([theta + step, theta - step, theta, theta])
+        cand_p = np.array([phi, phi, phi + step, phi - step])
+        cand_v = objective(cand_t, cand_p)
+        k = int(np.argmax(cand_v))
+        if cand_v[k] > best_val:
+            best_val = float(cand_v[k])
+            theta, phi = float(cand_t[k]), float(cand_p[k])
+        else:
+            step /= 2.0
+    return best_val
 
 
 class TestMutualInformation:
@@ -141,6 +199,21 @@ class TestChiAMax:
         with pytest.raises(ValueError, match="qubit"):
             chi_A_max(rho)
 
+    def test_rejects_non_qubit_b(self):
+        rho = DensityMatrix(np.eye(6, dtype=complex) / 6.0, dims=(2, 3))
+        with pytest.raises(ValueError, match=r"two-qubit.*\(2, 3\)"):
+            chi_A_max(rho)
+
+    def test_matches_complex_block_reference(self):
+        rng = np.random.default_rng(2024)
+        states = [random_two_qubit_state(rng) for _ in range(50)]
+        states += [random_rank2_two_qubit(rng) for _ in range(50)]
+        for beta_e in (10.0, 1.0):  # every 5th c of both sweep families
+            params = ModelParams(beta_e=beta_e)
+            states += [analytic_steady_state(k / 100.0, params) for k in range(0, 101, 5)]
+        worst = max(abs(chi_A_max(rho) - _reference_chi_A_max(rho)) for rho in states)
+        assert worst <= 1e-12
+
 
 class TestDiscord:
     def test_classical_classical_state(self):
@@ -182,7 +255,7 @@ class TestKoashiWinterEof:
         )
         psi = purify(rho).reshape(2, 2, 2)
         rho_bc = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(4, 4)
-        assert abs(eof_via_koashi_winter(rho) - wootters_eof(rho_bc)) < 1e-3
+        assert abs(eof_via_koashi_winter(rho) - wootters_eof(rho_bc)) < 1e-7
 
 
 class TestWoottersEof:
@@ -233,7 +306,7 @@ class TestBreakdown:
         out = breakdown(rho, qubit_h)
         record = measure(rho, projective_energy_povm(qubit_h, "B", (2, 2)))
         residual = information_gain(record) - (out.chi_B + out.quantum_gain)
-        assert abs(residual) < 2e-3
+        assert abs(residual) < 2e-6
 
     def test_breakdown_invariants(self, rng, qubit_h):
         rho = _random_state(rng, rank=2)

@@ -374,6 +374,27 @@ class TestMainExitCodes:
         assert error["message"].startswith(f"integration failed at t = {t} with dt = 0.005")
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "ket, flags",
+        [(BELL_PHI, ["--omega", "1e200"]), (KET_EG, ["--f", "1e200"])],
+    )
+    def test_overflowing_hamiltonian_scale_rejected(self, tmp_path, capfd, ket, flags):
+        # the first RK4 step overflows; no numpy warning reaches stderr
+        state_path = tmp_path / "rho0.json"
+        write_state(state_path, pure_state(ket, dims=(2, 2)))
+        argv = flags + ["--out", str(tmp_path / "traj.csv"), "simulate", str(state_path)]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"] == (
+            "integration failed at t = 0.005 with dt = 0.005 (reduce the step size): "
+            "density matrix has non-finite entries"
+        )
+        assert captured.err == ""
+
     @pytest.mark.parametrize("command", ["simulate", "report"])
     def test_non_finite_entry_rejected(self, tmp_path, capfd, qubit_h, command):
         state = {"dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}

@@ -23,6 +23,8 @@ from qthermo import (
     thermo_report,
     von_neumann_entropy,
 )
+from qthermo.core import entropy_of_eigenvalues
+from qthermo.random_states import random_density_matrix, random_hamiltonian
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -36,6 +38,40 @@ def _random_state(rng, dim=4):
 def _random_h(rng, dim=4):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return Hamiltonian(0.5 * (g + g.conj().T))
+
+
+def _reference_bound_ergotropy(rho, h):
+    """The numpy form of bound_ergotropy: the same bracket doubling and
+    bisection, with each thermal entropy and energy from numpy arrays."""
+    e = h.eigenvalues
+    state_eigs = rho.eigenvalues()
+    passive_e = float(np.sort(state_eigs)[::-1] @ np.sort(e))
+    if float(e.max() - e.min()) < 1e-12:
+        return 0.0
+    target = entropy_of_eigenvalues(state_eigs)
+    if target < 1e-12:
+        return passive_e - float(e.min())
+
+    def entropy_energy(beta):
+        w = np.exp(-beta * (e - e.min()))
+        p = w / w.sum()
+        return entropy_of_eigenvalues(p), float(p @ e)
+
+    lo, hi = 0.0, 50.0 * h.dim / float(e.max() - e.min())
+    while hi < 1e6 and entropy_energy(hi)[0] > target:
+        hi = min(hi * 2.0, 1e6)
+    beta_star = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s_mid, _ = entropy_energy(mid)
+        beta_star = mid
+        if abs(s_mid - target) <= 1e-10:
+            break
+        if s_mid > target:
+            lo = mid
+        else:
+            hi = mid
+    return passive_e - entropy_energy(beta_star)[1]
 
 
 class TestHamiltonian:
@@ -165,6 +201,25 @@ class TestBoundErgotropy:
         h = Hamiltonian(np.eye(3, dtype=complex))
         rho = DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
         assert bound_ergotropy(rho, h) == 0.0
+
+    def test_matches_numpy_reference(self, qubit_h):
+        rng = np.random.default_rng(99)
+        pairs = [
+            (random_density_matrix(dim, rng), random_hamiltonian(dim, rng))
+            for dim in (2, 4)
+            for _ in range(50)
+        ]
+        pairs += [
+            (thermal_state(qubit_h, 1.0), qubit_h),
+            (thermal_state(H_TOTAL, 0.3), H_TOTAL),
+            (pure_state([0.6, 0.8]), qubit_h),
+            (pure_state([0.0, 0.6, 0.8, 0.0]), H_TOTAL),
+            # H_TOTAL has a degenerate middle level
+            (analytic_steady_state(0.25, ModelParams()), H_TOTAL),
+            (_random_state(rng), H_TOTAL),
+        ]
+        for rho, h in pairs:
+            assert abs(bound_ergotropy(rho, h) - _reference_bound_ergotropy(rho, h)) <= 1e-12
 
 
 class TestLocalInverseTemperature:
