@@ -4,8 +4,6 @@ collective-dissipation numerics for small quantum systems."""
 from .core import (
     DensityMatrix,
     Spectrum,
-    dephase,
-    kron,
     partial_trace,
     pure_state,
     purify,
@@ -44,7 +42,6 @@ from .thermo import (
     bound_ergotropy,
     ergotropy,
     ergotropy_double_sum,
-    free_energy,
     local_inverse_temperature,
     log_partition,
     passive_state,
@@ -66,10 +63,8 @@ from .dissipation import (
 from .relations import (
     NotLocallyThermalError,
     RelationReport,
-    check_dimension_bound,
     check_ergotropy_bound,
     check_global_ergotropy_bound,
-    check_subadditivity,
     common_local_beta,
     euler_residual,
     standard_reports,

@@ -39,10 +39,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Positive semi-definite, unit-trace operator with an optional bipartite split.
 
-    ``dims = (d_A, d_B)`` labels the tensor factors; marginals and local
-    measurements require it.  Construction rejects non-finite entries, then
-    validates hermiticity (1e-10), unit trace (1e-10) and positivity
-    (smallest eigenvalue >= -1e-9).
+    ``dims = (d_A, d_B)``, two positive integers, labels the tensor factors;
+    marginals and local measurements require it.  Construction rejects
+    non-finite entries, then validates hermiticity (1e-10), unit trace
+    (1e-10) and positivity (smallest eigenvalue >= -1e-9).
     """
 
     def __init__(self, matrix, dims=None):
@@ -61,6 +61,15 @@ class DensityMatrix:
         if lowest < -POSITIVITY_TOL:
             raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
         if dims is not None:
+            if not (
+                isinstance(dims, (tuple, list))
+                and len(dims) == 2
+                and all(
+                    isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+                    for d in dims
+                )
+            ):
+                raise ValueError(f"dims must be two positive integers, got {dims!r}")
             d_a, d_b = int(dims[0]), int(dims[1])
             if d_a * d_b != m.shape[0]:
                 raise ValueError(f"dims {dims!r} incompatible with dimension {m.shape[0]}")
@@ -101,11 +110,6 @@ def spectral_decomposition(op) -> Spectrum:
     """Spectral decomposition of a Hermitian operator (eigenvalues ascending)."""
     w, v = np.linalg.eigh(as_matrix(op))
     return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _partial_trace(matrix: np.ndarray, dims, keep: str) -> np.ndarray:
@@ -184,11 +188,9 @@ def trace_distance(a, b) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(ma - mb)).sum())
 
 
-def dephase(rho, basis) -> np.ndarray:
-    """Remove the off-diagonal elements of ``rho`` in the given orthonormal basis.
-
-    ``basis`` holds the basis vectors as columns.
-    """
+def relative_entropy_of_coherence(rho, basis) -> float:
+    """S(rho_diag) - S(rho) in nats, with the diagonal taken in the
+    orthonormal ``basis`` (basis vectors as columns)."""
     m = as_matrix(rho)
     b = np.asarray(basis, dtype=complex)
     if b.shape != m.shape:
@@ -197,10 +199,4 @@ def dephase(rho, basis) -> np.ndarray:
     if dev > BASIS_TOL:
         raise ValueError(f"basis not orthonormal: max |B^dag B - I| = {dev:.3e}")
     populations = np.diag(dagger(b) @ m @ b)
-    return (b * populations) @ dagger(b)
-
-
-def relative_entropy_of_coherence(rho, basis) -> float:
-    """S(rho_diag) - S(rho) with the diagonal taken in ``basis`` (nats)."""
-    m = as_matrix(rho)
-    return von_neumann_entropy(dephase(m, basis)) - von_neumann_entropy(m)
+    return von_neumann_entropy((b * populations) @ dagger(b)) - von_neumann_entropy(m)

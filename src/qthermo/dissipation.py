@@ -7,6 +7,7 @@ is (|e>, |g>).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,17 +212,26 @@ def analytic_steady_state(c: float, params: ModelParams) -> DensityMatrix:
 def local_beta(c: float, params: ModelParams) -> float:
     """Inverse temperature of either qubit marginal of the steady state:
 
-    (1/omega) ln[(1 + 2 cosh(beta_e omega) + 2 c sinh(beta_e omega)) /
-                 (1 + 2 cosh(beta_e omega) - 2 c sinh(beta_e omega))].
+    (1/omega) ln[((1 + c) + x + (1 - c) x^2) / ((1 - c) + x + (1 + c) x^2)]
+
+    with x = exp(-beta_e omega), free of the cancellation in the equivalent
+    cosh/sinh form.  At c = 1 the ratio is about 2/x, which overflows once
+    beta_e omega > ln(DBL_MAX / 2) ~ 709.09; there the marginals are the
+    ground state (beta = inf), and this raises ValueError.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"c must lie in [0, 1], got {c}")
     arg = params.beta_e * params.omega
-    num = 1.0 + 2.0 * np.cosh(arg) + 2.0 * c * np.sinh(arg)
-    den = 1.0 + 2.0 * np.cosh(arg) - 2.0 * c * np.sinh(arg)
-    if den <= 0:
-        raise ValueError("invalid argument of the logarithm")
-    return float(np.log(num / den) / params.omega)
+    x = math.exp(-arg)
+    num = (1.0 + c) + x + (1.0 - c) * x * x
+    den = (1.0 - c) + x + (1.0 + c) * x * x
+    ratio = num / den if den > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"local temperature is zero at beta_e * omega = {arg:g}, c = {c:g}: "
+            "the qubit marginals are in the ground state"
+        )
+    return math.log(ratio) / params.omega
 
 
 def analytic_ergotropy_low_temperature(c: float) -> float:

@@ -1,5 +1,5 @@
-"""Readers and writers for the file formats: JSON states, POVMs and
-Hamiltonians (re/im layout), relation and verify reports, and the CSV tables.
+"""Readers and writers for the file formats: JSON states and Hamiltonians
+(re/im layout), relation and verify reports, and the CSV tables.
 
 Floats in CSV carry 12 significant digits with a '.' decimal separator.
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" in JSON
@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import DensityMatrix
 from .dissipation import Trajectory
-from .measurement import Povm
 from .relations import RelationReport
 from .thermo import Hamiltonian
 
@@ -33,8 +32,13 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _matrix_from_json(obj) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix file must hold a JSON object, got {type(obj).__name__}")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"re and im must be arrays of numbers: {err}") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes disagree: {re.shape} vs {im.shape}")
     return re + 1.0j * im
@@ -72,21 +76,14 @@ def write_state(path, rho: DensityMatrix) -> None:
 
 
 def read_state(path) -> DensityMatrix:
-    """Load a state file and validate the density-matrix invariants."""
+    """Load a state file and validate the density-matrix invariants; a
+    missing or null ``dims`` means no bipartite split."""
     with open(path) as fh:
         obj = json.load(fh)
-    dims = obj.get("dims")
-    return DensityMatrix(_matrix_from_json(obj), dims=tuple(dims) if dims else None)
-
-
-def write_povm(path, povm: Povm) -> None:
-    write_json(path, [_matrix_to_json(m) for m in povm.operators])
-
-
-def read_povm(path) -> Povm:
-    with open(path) as fh:
-        entries = json.load(fh)
-    return Povm([_matrix_from_json(e) for e in entries])
+    # non-finite entries turn into nan and entries near the float limit
+    # overflow the validation sums to inf; the checks then reject both
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DensityMatrix(_matrix_from_json(obj), dims=obj.get("dims"))
 
 
 def write_hamiltonian(path, h: Hamiltonian) -> None:
@@ -95,7 +92,9 @@ def write_hamiltonian(path, h: Hamiltonian) -> None:
 
 def read_hamiltonian(path) -> Hamiltonian:
     with open(path) as fh:
-        return Hamiltonian(_matrix_from_json(json.load(fh)))
+        obj = json.load(fh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Hamiltonian(_matrix_from_json(obj))
 
 
 def write_reports(path, reports: list[RelationReport]) -> None:

@@ -24,18 +24,16 @@ COMPLETENESS_TOL = 1e-9
 OPERATOR_PSD_TOL = 1e-10
 PROB_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-10
-PROJECTIVE_TOL = 1e-9
 
 
 class Povm:
     """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I.
 
-    ``is_local`` marks a POVM built as a tensor product of local
-    measurements.  ``degenerate_basis`` flags energy-projective POVMs built
-    from an arbitrary eigenbasis of a degenerate spectrum.
+    ``degenerate_basis`` flags energy-projective POVMs built from an
+    arbitrary eigenbasis of a degenerate spectrum.
     """
 
-    def __init__(self, operators, is_local: bool = False, degenerate_basis: bool = False):
+    def __init__(self, operators, degenerate_basis: bool = False):
         ops = [as_matrix(m) for m in operators]
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("POVM operators have non-finite entries")
@@ -53,7 +51,6 @@ class Povm:
             if lowest < -OPERATOR_PSD_TOL:
                 raise ValueError(f"operator {k}: M^dag M has eigenvalue {lowest:.3e}")
         self.operators = ops
-        self.is_local = is_local
         self.degenerate_basis = degenerate_basis
 
     @property
@@ -62,14 +59,6 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.operators)
-
-    def is_projective(self) -> bool:
-        """True when every operator is a Hermitian idempotent (to 1e-9)."""
-        return all(
-            np.abs(m - dagger(m)).max() <= PROJECTIVE_TOL
-            and np.abs(m @ m - m).max() <= PROJECTIVE_TOL
-            for m in self.operators
-        )
 
 
 @dataclass
@@ -141,7 +130,7 @@ def holevo_of_measurement(record: MeasurementRecord) -> float:
 def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
     """All tensor products M_a (x) M_b, outcome pairs flattened row-major."""
     ops = [np.kron(m_a, m_b) for m_a in povm_a.operators for m_b in povm_b.operators]
-    return Povm(ops, is_local=True)
+    return Povm(ops)
 
 
 def projective_energy_povm(h, side: str, dims) -> Povm:
@@ -166,7 +155,7 @@ def projective_energy_povm(h, side: str, dims) -> Povm:
         v = sd.eigenvectors[:, k]
         proj = np.outer(v, v.conj())
         ops.append(np.kron(proj, eye_other) if side == "A" else np.kron(eye_other, proj))
-    return Povm(ops, is_local=True, degenerate_basis=degenerate)
+    return Povm(ops, degenerate_basis=degenerate)
 
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:

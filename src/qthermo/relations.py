@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, marginal_entropy, mutual_information, partial_trace
+from .core import DensityMatrix, marginal_entropy, partial_trace
 from .correlations import (
     SPLIT_TOL,
     CorrelationBreakdown,
@@ -126,30 +126,10 @@ def _require_locally_thermal(rho, h_b, beta) -> None:
         )
 
 
-def check_dimension_bound(rho: DensityMatrix, povm: Povm) -> RelationReport:
-    """Information gain against ln(d) minus the mutual information."""
-    record = measure(rho, povm)
-    lhs = information_gain(record)
-    rhs = np.log(rho.dim) - mutual_information(rho)
-    digest = _digest(rho, f"povm with {len(povm)} outcomes")
-    return _report("dimension_bound", lhs, rhs, SPECTRAL_TOL, digest)
-
-
 def _subadditivity(rho, povm: Povm, record, gain: float) -> RelationReport:
     rhs = local_information_gain(record, "A") + local_information_gain(record, "B")
     digest = _digest(rho, f"local povm with {len(povm)} outcomes")
     return _report("subadditivity", gain, rhs, SPECTRAL_TOL, digest)
-
-
-def check_subadditivity(rho: DensityMatrix, povm: Povm) -> RelationReport:
-    """Information gain against the sum of the two local information gains.
-
-    Only local POVMs (built as tensor products) are accepted.
-    """
-    if not povm.is_local:
-        raise ValueError("subadditivity check requires a local POVM")
-    record = measure(rho, povm)
-    return _subadditivity(rho, povm, record, information_gain(record))
 
 
 def _energy_record(rho: DensityMatrix, h_b: Hamiltonian):

@@ -95,13 +95,6 @@ def log_partition(h: Hamiltonian, beta: float) -> float:
     return float(-beta * e.min() + np.log(np.exp(-beta * (e - e.min())).sum()))
 
 
-def free_energy(h: Hamiltonian, beta: float) -> float:
-    """Helmholtz free energy -ln(Z)/beta; beta must be positive."""
-    if beta <= 0:
-        raise ValueError("free energy requires beta > 0")
-    return -log_partition(h, beta) / beta
-
-
 def average_energy(rho, h: Hamiltonian) -> float:
     return float(np.trace(h.matrix @ as_matrix(rho)).real)
 

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from qthermo import (
     DensityMatrix,
-    kron,
     partial_trace,
     pure_state,
     purify,
@@ -15,7 +14,6 @@ from qthermo import (
     trace_distance,
     von_neumann_entropy,
 )
-from qthermo.core import SIGMA_X, dephase
 
 from conftest import LN2
 
@@ -48,22 +46,6 @@ class TestDensityMatrix:
         m[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(m)
-
-
-class TestKron:
-    def test_identity(self):
-        assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_product(self):
-        p = np.diag([1.0, 0.0])
-        assert_allclose(kron(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_double_flip_maps_gg_to_ee(self):
-        # expanding the 4x4 product by hand: sigma_x (x) sigma_x is the
-        # anti-diagonal, so |gg> (index 3) maps to |ee> (index 0)
-        gg = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-        ee = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        assert_allclose(kron(SIGMA_X, SIGMA_X) @ gg, ee)
 
 
 class TestPartialTrace:
@@ -183,7 +165,7 @@ class TestCoherence:
     def test_non_orthonormal_basis_rejected(self):
         basis = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="orthonormal"):
-            dephase(np.eye(2, dtype=complex) / 2, basis)
+            relative_entropy_of_coherence(np.eye(2, dtype=complex) / 2, basis)
 
 
 class TestSpectrum:
@@ -232,7 +214,7 @@ def test_entropy_subadditivity(rho):
 @settings(max_examples=60, deadline=None)
 @given(a=density_matrices(dim=2), b=density_matrices(dim=2))
 def test_partial_trace_inverts_kron(a, b):
-    joint = DensityMatrix(kron(a, b), dims=(2, 2))
+    joint = DensityMatrix(np.kron(a.matrix, b.matrix), dims=(2, 2))
     assert np.abs(partial_trace(joint, "A").matrix - a.matrix).max() < 1e-9
     assert np.abs(partial_trace(joint, "B").matrix - b.matrix).max() < 1e-9
 

