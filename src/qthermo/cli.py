@@ -235,6 +235,10 @@ def cmd_simulate(config: RunConfig, rho0_path: str) -> int:
     out = Path(config.output_path or "trajectory.csv")
     write_trajectory_csv(out, trajectory)
     print(f"wrote {len(trajectory.states)} steps to {out}")
+    print(
+        f"stopped at {trajectory.stop_reason}: "
+        f"max|L rho| of the final state = {trajectory.final_residual!r}"
+    )
     print(f"effective c = {c:.9g}")
     print(f"trace distance to the analytic steady state: {distance:.3e}")
 

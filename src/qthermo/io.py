@@ -111,14 +111,29 @@ def trajectory_header() -> list[str]:
     return cols
 
 
+# rows formatted per write of the trajectory CSV
+CSV_CHUNK_ROWS = 512
+
+
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
     and the smallest eigenvalue (from the trajectory's own check)."""
+    header = trajectory_header()
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"  # fmt for each column
+    states = trajectory.states
     with open(path, "w") as fh:
-        fh.write(",".join(trajectory_header()) + "\n")
-        for t, m, lowest in zip(trajectory.times, trajectory.states, trajectory.min_eigenvalues):
-            entries = [fmt(part) for z in m.reshape(16) for part in (z.real, z.imag)]
-            fh.write(",".join([fmt(t), *entries, fmt(np.trace(m).real), fmt(lowest)]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(states), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            chunk = states[rows]
+            table = np.empty((len(chunk), len(header)))
+            table[:, 0] = trajectory.times[rows]
+            entries = chunk.reshape(-1, 16)
+            table[:, 1:33:2] = entries.real
+            table[:, 2:33:2] = entries.imag
+            table[:, 33] = np.trace(chunk, axis1=1, axis2=2).real
+            table[:, 34] = trajectory.min_eigenvalues[rows]
+            fh.write("".join([row_format % tuple(row) for row in table.tolist()]))
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qthermo import (
     DensityMatrix,
     ModelParams,
+    Trajectory,
     analytic_steady_state,
     evolve,
     pure_state,
@@ -25,13 +26,17 @@ from qthermo.cli import (
 )
 from qthermo.dissipation import KET_EE, KET_EG, KET_GG, PSI_MINUS
 from qthermo.io import (
+    CSV_CHUNK_ROWS,
+    fmt,
     read_hamiltonian,
     read_state,
+    trajectory_header,
     write_hamiltonian,
     write_reports,
     write_state,
     write_trajectory_csv,
 )
+from qthermo.random_states import random_two_qubit_state, random_x_state
 from qthermo.relations import _report
 
 BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
@@ -94,6 +99,72 @@ class TestTrajectoryCsv:
         assert len(lines) == 1 + len(traj.states)
         last = lines[-1].split(",")
         assert float(last[-1]) == float(f"{traj.min_eigenvalues[-1]:.12g}")
+
+
+def _reference_write_trajectory_csv(path, trajectory):
+    """The row-at-a-time writer that the chunked one replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(trajectory_header()) + "\n")
+        for t, m, lowest in zip(trajectory.times, trajectory.states, trajectory.min_eigenvalues):
+            entries = [fmt(part) for z in m.reshape(16) for part in (z.real, z.imag)]
+            fh.write(",".join([fmt(t), *entries, fmt(np.trace(m).real), fmt(lowest)]) + "\n")
+
+
+def _first_rows(traj, n):
+    return Trajectory(
+        times=traj.times[:n],
+        states=traj.states[:n],
+        min_eigenvalues=traj.min_eigenvalues[:n],
+        stop_reason=traj.stop_reason,
+        final_residual=traj.final_residual,
+    )
+
+
+class TestTrajectoryCsvBytes:
+    """The chunked writer against the row-at-a-time writer, byte for byte."""
+
+    def _assert_same_bytes(self, tmp_path, traj):
+        _reference_write_trajectory_csv(tmp_path / "expected.csv", traj)
+        write_trajectory_csv(tmp_path / "actual.csv", traj)
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "actual.csv").read_bytes() == expected
+        assert expected.count(b"\n") == 1 + len(traj.states)
+
+    @pytest.mark.parametrize("x_shaped", [False, True])
+    def test_full_trajectory(self, tmp_path, x_shaped):
+        rng = np.random.default_rng(5)
+        rho0 = random_x_state(rng) if x_shaped else random_two_qubit_state(rng)
+        traj = evolve(rho0, ModelParams(), dt=0.005, t_max=50.0)
+        assert traj.stop_reason == ("fixed_point" if x_shaped else "horizon")
+        self._assert_same_bytes(tmp_path, traj)
+
+    @pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_lengths_around_the_chunk(self, tmp_path, rng, n):
+        traj = evolve(random_two_qubit_state(rng), ModelParams(), dt=0.005, t_max=5.0)
+        self._assert_same_bytes(tmp_path, _first_rows(traj, n))
+
+    def test_signed_zero_tiny_and_integral_values(self, tmp_path):
+        states = np.zeros((3, 4, 4), dtype=complex)
+        states[0] = np.diag([1.0, 0.0, 0.0, 0.0])
+        states[0, 0, 1] = complex(-0.0, -0.0)
+        states[0, 1, 0] = complex(0.0, -0.0)
+        states[1] = np.diag([0.25, 0.25, 0.25, 0.25])
+        states[1, 0, 3] = complex(1e-300, -1e-300)
+        states[1, 3, 0] = complex(-5e-324, 2.5e-308)
+        states[2] = np.diag([3.0, -2.0, 0.0, 0.0])
+        states[2, 2, 3] = complex(123456789012.0, -1e12)
+        traj = Trajectory(
+            times=np.array([0.0, 1e-300, 7.0]),
+            states=states,
+            min_eigenvalues=np.array([-0.0, 1e-300, -2.0]),
+            stop_reason="horizon",
+            final_residual=0.0,
+        )
+        self._assert_same_bytes(tmp_path, traj)
+        rows = (tmp_path / "actual.csv").read_text().split("\n")
+        assert rows[1].split(",")[3] == "-0"
+        assert rows[2].split(",")[7] == "1e-300"
+        assert rows[3].split(",")[-1] == "-2"
 
 
 class TestRunConfig:
@@ -187,6 +258,25 @@ class TestSimulateCommand:
             "gain_split",
         ]
         assert all(e["satisfied"] for e in payload)
+
+    def test_stop_reason_is_printed(self, tmp_path, capsys, rng):
+        for name, rho0, t_max, reason in (
+            ("x", random_x_state(rng), None, "fixed_point"),
+            ("generic", random_two_qubit_state(rng), 1.0, "horizon"),
+        ):
+            config = RunConfig(output_path=str(tmp_path / f"{name}.csv"), t_max=t_max)
+            traj = evolve(rho0, config.model_params(), config.dt, config.horizon())
+            assert traj.stop_reason == reason
+            assert (traj.final_residual < 1e-12) == (reason == "fixed_point")
+            state_path = tmp_path / f"{name}.json"
+            write_state(state_path, rho0)
+            assert cmd_simulate(config, str(state_path)) == 0
+            out = capsys.readouterr().out.split("\n")
+            assert out[1] == (
+                f"stopped at {reason}: max|L rho| of the final state = "
+                f"{traj.final_residual!r}"
+            )
+        assert len((tmp_path / "generic.csv").read_text().split("\n")) == 1 + 201 + 1
 
     def test_ground_pair_converges(self, tmp_path, capsys):
         state_path = tmp_path / "gg.json"
@@ -364,7 +454,7 @@ class TestMainExitCodes:
         "ket, flags, t",
         [
             (KET_EG, ["--f", "600"], "0.005"),
-            (BELL_PHI, ["--f", "600"], "0.085"),
+            (BELL_PHI, ["--f", "600"], "0.05"),
             (BELL_PHI, ["--omega", "2000"], "0.005"),
         ],
     )
