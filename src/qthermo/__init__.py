@@ -3,12 +3,10 @@ collective-dissipation numerics for small quantum systems."""
 
 from .core import (
     DensityMatrix,
-    Spectrum,
     partial_trace,
     pure_state,
     purify,
     relative_entropy_of_coherence,
-    spectral_decomposition,
     trace_distance,
     von_neumann_entropy,
 )

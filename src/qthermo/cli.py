@@ -79,7 +79,7 @@ class RunConfig:
     beta_e: float = 10.0
     omega: float = 1.0
     f: float = 0.0
-    gamma: float = 1.0  # fully collective: gamma_ij = gamma
+    gamma: float = 1.0  # collective decay rate
     c_start: float = 0.0
     c_stop: float = 1.0
     c_step: float = 0.01
@@ -102,7 +102,7 @@ class RunConfig:
             omega=self.omega,
             f=self.f,
             beta_e=self.beta_e,
-            gamma=self.gamma * np.ones((2, 2)),
+            gamma=self.gamma,
         )
 
     def c_grid(self) -> np.ndarray:

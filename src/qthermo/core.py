@@ -7,8 +7,6 @@ based.  Entropies are natural-log (nats) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
@@ -96,20 +94,6 @@ def pure_state(vector, dims=None) -> DensityMatrix:
         raise ValueError(f"state vector norm {norm:.12g} is not 1")
     v = v / norm
     return DensityMatrix(np.outer(v, v.conj()), dims=dims)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted ascending with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral_decomposition(op) -> Spectrum:
-    """Spectral decomposition of a Hermitian operator (eigenvalues ascending)."""
-    w, v = np.linalg.eigh(as_matrix(op))
-    return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 def _partial_trace(matrix: np.ndarray, dims, keep: str) -> np.ndarray:

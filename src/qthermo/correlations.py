@@ -204,15 +204,15 @@ def _clamp_small_negative(x: float) -> float:
     return 0.0 if -CLAMP_TOL <= x < 0.0 else x
 
 
-def discord_A(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
+def discord_A(rho: DensityMatrix) -> float:
     """Quantum discord I(A:B) - chi_A_max, measurements on the qubit partition A."""
-    return _clamp_small_negative(mutual_information(rho) - chi_A_max(rho, grid))
+    return _clamp_small_negative(mutual_information(rho) - chi_A_max(rho))
 
 
-def eof_via_koashi_winter(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
+def eof_via_koashi_winter(rho: DensityMatrix) -> float:
     """Entanglement of formation E(B:C) for the purifying environment C,
     obtained as S(rho_B) - chi_A_max."""
-    return _clamp_small_negative(marginal_entropy(rho, "B") - chi_A_max(rho, grid))
+    return _clamp_small_negative(marginal_entropy(rho, "B") - chi_A_max(rho))
 
 
 def _binary_entropy(x: float) -> float:
@@ -240,7 +240,7 @@ def wootters_eof(rho_2qubit) -> float:
     return _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - concurrence**2)))
 
 
-def breakdown(rho: DensityMatrix, h_b, grid: SearchGrid = SearchGrid()) -> CorrelationBreakdown:
+def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
     """Assemble the correlation quantities and the classical/quantum split of
     the information gain under the local energy measurement on B.
 
@@ -253,7 +253,7 @@ def breakdown(rho: DensityMatrix, h_b, grid: SearchGrid = SearchGrid()) -> Corre
     gain = information_gain(record)
     chi_b = chi_from_local_measurement(rho, povm)
     mi = mutual_information(rho)
-    chi_a = chi_A_max(rho, grid)
+    chi_a = chi_A_max(rho)
     s_b = marginal_entropy(rho, "B")
     discord = _clamp_small_negative(mi - chi_a)
     eof = _clamp_small_negative(s_b - chi_a)

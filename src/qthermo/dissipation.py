@@ -8,7 +8,7 @@ is (|e>, |g>).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,30 +33,28 @@ FIXED_POINT_TOL = 1e-12
 STEP_POSITIVITY_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModelParams:
-    """Two qubits of frequency omega with exchange coupling f, collectively
-    damped by a bath at inverse temperature beta_e through the decay matrix
-    gamma (fully collective by default)."""
+    """Two qubits of frequency omega with exchange coupling f, damped by a bath
+    at inverse temperature beta_e through the collective jump operator
+    J = s1- + s2-: emission at gamma (nbar + 1), absorption at gamma nbar.
+    All four values are finite; omega and beta_e positive, gamma >= 0."""
 
     omega: float = 1.0
     f: float = 0.0
     beta_e: float = 10.0
-    gamma: np.ndarray = field(default_factory=lambda: np.ones((2, 2)))
+    gamma: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega", "f", "beta_e", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.beta_e <= 0:
             raise ValueError("beta_e must be positive")
-        g = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "gamma", g)
-        if g.shape != (2, 2):
-            raise ValueError(f"gamma must be 2x2, got shape {g.shape}")
-        if np.abs(g - g.T).max() > 1e-12 or g.min() < 0:
-            raise ValueError("gamma must be symmetric with nonnegative entries")
-        if float(np.linalg.eigvalsh(g).min()) < -1e-12:
-            raise ValueError("gamma must be positive semi-definite")
+        if self.gamma < 0:
+            raise ValueError("gamma must be nonnegative")
 
     @property
     def nbar(self) -> float:
@@ -91,21 +89,16 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     h = build_hamiltonian(params).matrix
     eye = np.eye(4, dtype=complex)
     lind = -1.0j * (np.kron(h, eye) - np.kron(eye, h.T))
+    if params.gamma == 0.0:
+        return lind  # closed dynamics, also where nbar overflows to inf
     nbar = params.nbar
-    for i in range(2):
-        for j in range(2):
-            g = params.gamma[i, j]
-            if g == 0.0:
-                continue
-            for coeff, a, b in (
-                (g * (nbar + 1.0), SIGMA_MINUS[j], SIGMA_PLUS[i]),  # emission
-                (g * nbar, SIGMA_PLUS[j], SIGMA_MINUS[i]),  # absorption
-            ):
-                ba = b @ a
-                lind += coeff * (
-                    np.kron(a, b.T)
-                    - 0.5 * (np.kron(ba, eye) + np.kron(eye, ba.T))
-                )
+    jump = SIGMA_MINUS[0] + SIGMA_MINUS[1]
+    for coeff, a in (
+        (params.gamma * (nbar + 1.0), jump),  # emission
+        (params.gamma * nbar, dagger(jump)),  # absorption
+    ):
+        ba = dagger(a) @ a
+        lind += coeff * (np.kron(a, a.conj()) - 0.5 * (np.kron(ba, eye) + np.kron(eye, ba.T)))
     return lind
 
 
@@ -164,12 +157,12 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     checked once: the first state off unit trace (1e-10) or below the
     positivity floor of -1e-6 aborts with a step-size diagnostic.
     """
-    rate = float(np.max(params.gamma)) * (params.nbar + 1.0)
+    rate = params.gamma * (params.nbar + 1.0)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt * rate > 0.01 + 1e-12:
         raise ValueError(
-            f"dt too large: dt * max(gamma) * (nbar + 1) = {dt * rate:.4g} > 0.01"
+            f"dt too large: dt * gamma * (nbar + 1) = {dt * rate:.4g} > 0.01"
         )
     lind = _superoperator(params)
     horizon = int(round(t_max / dt))

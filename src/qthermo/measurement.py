@@ -16,18 +16,18 @@ from .core import (
     dagger,
     marginal_entropy,
     mutual_information,
-    spectral_decomposition,
     von_neumann_entropy,
 )
+from .thermo import Hamiltonian
 
 COMPLETENESS_TOL = 1e-9
-OPERATOR_PSD_TOL = 1e-10
 PROB_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-10
 
 
 class Povm:
-    """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I.
+    """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I to 1e-9
+    (each M_n^dag M_n is positive semi-definite by construction).
 
     ``degenerate_basis`` flags energy-projective POVMs built from an
     arbitrary eigenbasis of a degenerate spectrum.
@@ -46,10 +46,6 @@ class Povm:
         dev = float(np.abs(total - np.eye(d)).max())
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max |sum M^dag M - I| = {dev:.3e}")
-        for k, m in enumerate(ops):
-            lowest = float(np.linalg.eigvalsh(dagger(m) @ m).min())
-            if lowest < -OPERATOR_PSD_TOL:
-                raise ValueError(f"operator {k}: M^dag M has eigenvalue {lowest:.3e}")
         self.operators = ops
         self.degenerate_basis = degenerate_basis
 
@@ -133,26 +129,25 @@ def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
     return Povm(ops)
 
 
-def projective_energy_povm(h, side: str, dims) -> Povm:
+def projective_energy_povm(h: Hamiltonian, side: str, dims) -> Povm:
     """Rank-one projectors onto the energy eigenbasis of one side, identity on the other.
 
-    ``h`` is the local Hamiltonian of the chosen side.  A degenerate spectrum
-    is resolved with an arbitrary orthonormal eigenbasis and flagged.
+    ``h`` is the local Hamiltonian of the chosen side; its eigenvectors are
+    the basis.  A degenerate spectrum is resolved with an arbitrary
+    orthonormal eigenbasis and flagged.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     d_side = d_a if side == "A" else d_b
-    h_mat = as_matrix(h)
-    if h_mat.shape[0] != d_side:
-        raise ValueError(f"Hamiltonian dimension {h_mat.shape[0]} != side dimension {d_side}")
-    sd = spectral_decomposition(h_mat)
-    gaps = np.diff(sd.eigenvalues)
+    if h.dim != d_side:
+        raise ValueError(f"Hamiltonian dimension {h.dim} != side dimension {d_side}")
+    gaps = np.diff(h.eigenvalues)
     degenerate = bool(gaps.size and (np.abs(gaps) < DEGENERACY_TOL).any())
     eye_other = np.eye(d_b if side == "A" else d_a, dtype=complex)
     ops = []
     for k in range(d_side):
-        v = sd.eigenvectors[:, k]
+        v = h.eigenvectors[:, k]
         proj = np.outer(v, v.conj())
         ops.append(np.kron(proj, eye_other) if side == "A" else np.kron(eye_other, proj))
     return Povm(ops, degenerate_basis=degenerate)

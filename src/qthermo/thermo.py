@@ -14,12 +14,10 @@ from .core import (
     DensityMatrix,
     ENTROPY_CUTOFF,
     HERMITICITY_TOL,
-    Spectrum,
     as_matrix,
     dagger,
     entropy_of_eigenvalues,
     partial_trace,
-    spectral_decomposition,
 )
 
 THERMAL_FIT_TOL = 1e-8
@@ -28,7 +26,8 @@ BETA_CAP = 1e6
 
 
 class Hamiltonian:
-    """Hermitian operator with a cached spectral decomposition (ascending)."""
+    """Hermitian operator with its one spectral decomposition: ``eigenvalues``
+    ascending, ``eigenvectors`` the matching orthonormal columns."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix)
@@ -38,15 +37,11 @@ class Hamiltonian:
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
         self.matrix = m
-        self.spectrum: Spectrum = spectral_decomposition(m)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
 
     def __repr__(self) -> str:
         return f"Hamiltonian(dim={self.dim})"
@@ -79,7 +74,7 @@ def thermal_state(h: Hamiltonian, beta: float) -> DensityMatrix:
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     e = h.eigenvalues
-    v = h.spectrum.eigenvectors
+    v = h.eigenvectors
     if np.isinf(beta):
         ground = (e - e.min() < 1e-12).astype(float)
         p = ground / ground.sum()
@@ -105,7 +100,7 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
     populations = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-    v = h.spectrum.eigenvectors
+    v = h.eigenvectors
     return DensityMatrix((v * populations) @ dagger(v), dims=rho.dims)
 
 
@@ -129,7 +124,7 @@ def ergotropy_double_sum(rho: DensityMatrix, h: Hamiltonian) -> float:
     order = np.argsort(r)[::-1]
     r, u = r[order], u[:, order]
     e = h.eigenvalues
-    v = h.spectrum.eigenvectors
+    v = h.eigenvectors
     overlaps = np.abs(dagger(v) @ u) ** 2  # overlaps[i, j] = |<eps_i|r_j>|^2
     return float(np.einsum("j,i,ij->", r, e, overlaps) - r @ e)
 
@@ -198,7 +193,7 @@ def local_inverse_temperature(rho_local, h: Hamiltonian):
     m = as_matrix(rho_local)
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
-    v = h.spectrum.eigenvectors
+    v = h.eigenvectors
     in_basis = dagger(v) @ m @ v
     off_diagonal = in_basis - np.diag(np.diag(in_basis))
     if np.abs(off_diagonal).max() > THERMAL_FIT_TOL:

@@ -93,7 +93,7 @@ def test_criterion_3_ergotropy_regression(sweep):
 
 def test_criterion_4_steady_state_convergence():
     params = ModelParams()
-    horizon = 50.0 / float(params.gamma.max())
+    horizon = 50.0 / params.gamma
     worst_distance = 0.0
     invariants_ok = True
     for rho0 in (

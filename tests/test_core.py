@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from qthermo import (
     DensityMatrix,
+    Hamiltonian,
     partial_trace,
     pure_state,
     purify,
     relative_entropy_of_coherence,
-    spectral_decomposition,
     trace_distance,
     von_neumann_entropy,
 )
@@ -172,11 +172,11 @@ class TestSpectrum:
     def test_ascending_and_reconstructs(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = 0.5 * (g + g.conj().T)
-        sd = spectral_decomposition(h)
-        assert (np.diff(sd.eigenvalues) >= 0).all()
-        v = sd.eigenvectors
+        ham = Hamiltonian(h)
+        assert (np.diff(ham.eigenvalues) >= 0).all()
+        v = ham.eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-9
-        assert np.abs((v * sd.eigenvalues) @ v.conj().T - h).max() < 1e-9
+        assert np.abs((v * ham.eigenvalues) @ v.conj().T - h).max() < 1e-9
 
 
 @st.composite

@@ -53,13 +53,15 @@ class TestModelParams:
         assert ModelParams(beta_e=800.0).nbar == 0.0
         assert ModelParams(omega=2000.0).nbar == 0.0
 
-    def test_gamma_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            ModelParams(gamma=np.array([[1.0, 0.5], [0.2, 1.0]]))
+    def test_gamma_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            ModelParams(gamma=-1.0)
 
-    def test_gamma_must_be_psd(self):
-        with pytest.raises(ValueError, match="semi-definite"):
-            ModelParams(gamma=np.array([[0.1, 1.0], [1.0, 0.1]]))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["omega", "f", "beta_e", "gamma"])
+    def test_non_finite_value_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
 
     def test_positive_frequencies_required(self):
         with pytest.raises(ValueError, match="omega"):
@@ -101,7 +103,7 @@ class TestLindbladRhs:
         assert np.abs(out - out.conj().T).max() < 1e-12
 
     def test_closed_dynamics_conserves_energy(self):
-        params = ModelParams(f=0.1, gamma=np.zeros((2, 2)))
+        params = ModelParams(f=0.1, gamma=0.0)
         h = build_hamiltonian(params)
         rho0 = pure_state((KET_EE + PSI_PLUS) / np.sqrt(2.0), dims=(2, 2))
         traj = evolve(rho0, params, dt=0.005, t_max=0.005)

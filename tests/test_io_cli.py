@@ -352,6 +352,7 @@ class TestMainExitCodes:
             ["--count", "-5", "verify"],
             ["--gamma", "0", "simulate"],
             ["--c-step", "1e-12", "sweep"],
+            ["--gamma", "-1", "sweep"],
         ],
     )
     def test_bad_run_settings_rejected(self, tmp_path, capsys, flags):
