@@ -76,10 +76,10 @@ MAX_C_GRID_POINTS = 100_001  # c_step 1e-5 on [0, 1]
 class RunConfig:
     """Model, grid, and output settings shared by the commands."""
 
-    beta_e: float = 10.0
-    omega: float = 1.0
-    f: float = 0.0
-    gamma: float = 1.0  # collective decay rate
+    beta_e: float = ModelParams.beta_e
+    omega: float = ModelParams.omega
+    f: float = ModelParams.f
+    gamma: float = ModelParams.gamma  # collective decay rate
     c_start: float = 0.0
     c_stop: float = 1.0
     c_step: float = 0.01
@@ -175,7 +175,7 @@ def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian) -> dict:
     rho = analytic_steady_state(c, params)
     beta = local_beta(c, params)
     corr = breakdown(rho, h_local)
-    record = measure(rho, projective_energy_povm(h_local, "B", rho.dims))
+    record = measure(rho, projective_energy_povm(h_local, rho.dims))
     rep = thermo_report(rho, h_local, beta)
     bound1 = check_ergotropy_bound(rho, h_local, beta)
     bound2 = check_global_ergotropy_bound(rho, h_local, beta)
@@ -291,6 +291,17 @@ def cmd_report(config: RunConfig, state_path: str, h_path: str) -> int:
     return 0
 
 
+# each global flag is "--" plus its RunConfig field name with "-" for "_", but these
+_FLAG_NAMES = {"verify_count": "--count", "output_path": "--out"}
+
+
+def _flag(f: dataclasses.Field) -> tuple[str, type]:
+    """Name and type of the global flag that sets the RunConfig field ``f``;
+    the type is the one its annotation names first."""
+    name = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+    return name, {"float": float, "int": int, "str": str}[f.type.partition(" | ")[0]]
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ValueError, so that it ends in
     the same one-line JSON error as every other invalid input."""
@@ -306,18 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "and relation reports for the two-qubit collective-dissipation model.",
     )
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    parser.add_argument("--beta-e", type=float, dest="beta_e")
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--f", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--c-start", type=float, dest="c_start")
-    parser.add_argument("--c-stop", type=float, dest="c_stop")
-    parser.add_argument("--c-step", type=float, dest="c_step")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--count", type=int, dest="verify_count")
-    parser.add_argument("--out", dest="output_path")
+    for f in dataclasses.fields(RunConfig):
+        name, kind = _flag(f)
+        parser.add_argument(name, type=kind, dest=f.name)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("sweep", help="write the steady-state sweep CSV")
@@ -333,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # every RunConfig field has a global flag of the same dest
         overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, **overrides)
         if args.command == "sweep":

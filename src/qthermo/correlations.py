@@ -248,7 +248,7 @@ def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
     is violated beyond 2e-6.
     """
     dims = _require_dims(rho)
-    povm = projective_energy_povm(h_b, "B", dims)
+    povm = projective_energy_povm(h_b, dims)
     record = measure(rho, povm)
     gain = information_gain(record)
     chi_b = chi_from_local_measurement(rho, povm)

@@ -58,10 +58,15 @@ class ModelParams:
 
     @property
     def nbar(self) -> float:
-        """Mean photon number of the bath at the qubit frequency."""
-        # expm1 overflows to inf above beta_e * omega ~ 709; 1/inf = 0 is the limit
-        with np.errstate(over="ignore"):
-            return 1.0 / np.expm1(self.beta_e * self.omega)
+        """Mean photon number 1/expm1(beta_e omega) of the bath at the qubit
+        frequency; ValueError where it is infinite (beta_e * omega < ~5.6e-309)."""
+        arg = self.beta_e * self.omega
+        # expm1 overflows to inf above arg ~ 709; 1/inf = 0 is the limit
+        with np.errstate(over="ignore", divide="ignore"):
+            nbar = 1.0 / np.expm1(arg)
+        if not np.isfinite(nbar):
+            raise ValueError(f"bath occupation nbar is infinite at beta_e * omega = {arg:g}")
+        return nbar
 
 
 def local_qubit_hamiltonian(omega: float) -> Hamiltonian:
@@ -90,7 +95,7 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     eye = np.eye(4, dtype=complex)
     lind = -1.0j * (np.kron(h, eye) - np.kron(eye, h.T))
     if params.gamma == 0.0:
-        return lind  # closed dynamics, also where nbar overflows to inf
+        return lind  # closed dynamics: nbar plays no part
     nbar = params.nbar
     jump = SIGMA_MINUS[0] + SIGMA_MINUS[1]
     for coeff, a in (
@@ -155,17 +160,23 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     state with max|L v| < 1e-12, or at a state with an entry that no density
     matrix has (non-finite, or above 2 in modulus).  The trajectory is then
     checked once: the first state off unit trace (1e-10) or below the
-    positivity floor of -1e-6 aborts with a step-size diagnostic.
+    positivity floor of -1e-6 aborts with a step-size diagnostic.  Refused up
+    front: dt or t_max <= 0, a non-finite t_max / dt, dt * gamma * (nbar + 1) > 0.01.
     """
-    rate = params.gamma * (params.nbar + 1.0)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max:g}")
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_max / dt = {steps:g} steps is not finite")
+    rate = params.gamma * (params.nbar + 1.0) if params.gamma else 0.0
     if dt * rate > 0.01 + 1e-12:
         raise ValueError(
             f"dt too large: dt * gamma * (nbar + 1) = {dt * rate:.4g} > 0.01"
         )
     lind = _superoperator(params)
-    horizon = int(round(t_max / dt))
+    horizon = int(round(steps))
     v = as_matrix(rho0).reshape(16)
     # blocks are kept as made, so a horizon far past a fixed point allocates nothing
     blocks = [v[None]]

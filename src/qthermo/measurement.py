@@ -22,18 +22,13 @@ from .thermo import Hamiltonian
 
 COMPLETENESS_TOL = 1e-9
 PROB_CUTOFF = 1e-12
-DEGENERACY_TOL = 1e-10
 
 
 class Povm:
     """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I to 1e-9
-    (each M_n^dag M_n is positive semi-definite by construction).
+    (each M_n^dag M_n is positive semi-definite by construction)."""
 
-    ``degenerate_basis`` flags energy-projective POVMs built from an
-    arbitrary eigenbasis of a degenerate spectrum.
-    """
-
-    def __init__(self, operators, degenerate_basis: bool = False):
+    def __init__(self, operators):
         ops = [as_matrix(m) for m in operators]
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("POVM operators have non-finite entries")
@@ -47,7 +42,6 @@ class Povm:
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max |sum M^dag M - I| = {dev:.3e}")
         self.operators = ops
-        self.degenerate_basis = degenerate_basis
 
     @property
     def dim(self) -> int:
@@ -69,7 +63,6 @@ class MeasurementRecord:
     post_states: list
     pre_state: DensityMatrix
     channel_output: DensityMatrix
-    degenerate_basis: bool = False
 
     def average(self, f) -> float:
         """Outcome-weighted average sum_n p_n f(rho_n) over the outcomes that
@@ -104,7 +97,6 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
         post_states=posts,
         pre_state=rho,
         channel_output=output,
-        degenerate_basis=povm.degenerate_basis,
     )
 
 
@@ -129,28 +121,18 @@ def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
     return Povm(ops)
 
 
-def projective_energy_povm(h: Hamiltonian, side: str, dims) -> Povm:
-    """Rank-one projectors onto the energy eigenbasis of one side, identity on the other.
+def projective_energy_povm(h: Hamiltonian, dims) -> Povm:
+    """The local energy measurement on B: I_A (x) |e_k><e_k| over the
+    eigenvectors e_k of B's Hamiltonian ``h``, in ascending energy order.
 
-    ``h`` is the local Hamiltonian of the chosen side; its eigenvectors are
-    the basis.  A degenerate spectrum is resolved with an arbitrary
-    orthonormal eigenbasis and flagged.
+    A degenerate eigenspace is resolved with an arbitrary orthonormal basis.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    d_side = d_a if side == "A" else d_b
-    if h.dim != d_side:
-        raise ValueError(f"Hamiltonian dimension {h.dim} != side dimension {d_side}")
-    gaps = np.diff(h.eigenvalues)
-    degenerate = bool(gaps.size and (np.abs(gaps) < DEGENERACY_TOL).any())
-    eye_other = np.eye(d_b if side == "A" else d_a, dtype=complex)
-    ops = []
-    for k in range(d_side):
-        v = h.eigenvectors[:, k]
-        proj = np.outer(v, v.conj())
-        ops.append(np.kron(proj, eye_other) if side == "A" else np.kron(eye_other, proj))
-    return Povm(ops, degenerate_basis=degenerate)
+    if h.dim != d_b:
+        raise ValueError(f"Hamiltonian dimension {h.dim} != dimension {d_b} of B")
+    eye_a = np.eye(d_a, dtype=complex)
+    vecs = h.eigenvectors
+    return Povm([np.kron(eye_a, np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(d_b)])
 
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:

@@ -133,7 +133,7 @@ def _subadditivity(rho, povm: Povm, record, gain: float) -> RelationReport:
 
 
 def _energy_record(rho: DensityMatrix, h_b: Hamiltonian):
-    povm = projective_energy_povm(h_b, "B", rho.dims)
+    povm = projective_energy_povm(h_b, rho.dims)
     return povm, measure(rho, povm)
 
 

@@ -167,6 +167,7 @@ def _local_projective(rng, k: int):
 
 
 _QUBIT_H = local_qubit_hamiltonian(1.0)
+_ENERGY_POVM_B = projective_energy_povm(_QUBIT_H, (2, 2))
 # every ordering of four energy levels, for the exhaustive passive check
 _PERMUTATIONS_4 = np.array(list(permutations(range(4))))
 
@@ -298,7 +299,7 @@ def suite_coherence_gap(rng, n):
 def suite_energy_measurement_structure(rng, n):
     for _ in range(n):
         rho = random_two_qubit_state(rng)
-        record = measure(rho, projective_energy_povm(_QUBIT_H, "B", (2, 2)))
+        record = measure(rho, _ENERGY_POVM_B)
         for p, s in zip(record.probabilities, record.post_states):
             if s is None:
                 continue
@@ -310,9 +311,8 @@ def suite_energy_measurement_structure(rng, n):
 def suite_local_gain_identity(rng, n):
     for _ in range(n):
         rho = random_two_qubit_state(rng)
-        povm = projective_energy_povm(_QUBIT_H, "B", (2, 2))
-        record = measure(rho, povm)
-        chi_b = chi_from_local_measurement(rho, povm)
+        record = measure(rho, _ENERGY_POVM_B)
+        chi_b = chi_from_local_measurement(rho, _ENERGY_POVM_B)
         s_b = marginal_entropy(rho, "B")
         yield information_gain(record) - (chi_b + s_b - mutual_information(rho))
 
@@ -328,7 +328,7 @@ def suite_gain_split(rng, n):
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
         corr = breakdown(rho, _QUBIT_H)
-        record = measure(rho, projective_energy_povm(_QUBIT_H, "B", (2, 2)))
+        record = measure(rho, _ENERGY_POVM_B)
         yield information_gain(record) - (corr.chi_B + corr.quantum_gain)
 
 

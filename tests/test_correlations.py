@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from qthermo import (
     DensityMatrix,
     ModelParams,
+    Povm,
     SearchGrid,
     analytic_steady_state,
     breakdown,
@@ -136,11 +137,11 @@ class TestMutualInformation:
 class TestChiFromLocalMeasurement:
     def test_product_state(self, qubit_h):
         rho = product_thermal(1.0, qubit_h)
-        povm = projective_energy_povm(qubit_h, "B", (2, 2))
+        povm = projective_energy_povm(qubit_h, (2, 2))
         assert_allclose(chi_from_local_measurement(rho, povm), 0.0, atol=1e-12)
 
     def test_bell_state(self, bell_state, qubit_h):
-        povm = projective_energy_povm(qubit_h, "B", (2, 2))
+        povm = projective_energy_povm(qubit_h, (2, 2))
         assert_allclose(chi_from_local_measurement(bell_state, povm), LN2, atol=1e-12)
 
     def test_classically_correlated(self, qubit_h):
@@ -148,7 +149,7 @@ class TestChiFromLocalMeasurement:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = m[3, 3] = 0.5  # (|ee><ee| + |gg><gg|) / 2
         rho = DensityMatrix(m, dims=(2, 2))
-        povm = projective_energy_povm(qubit_h, "B", (2, 2))
+        povm = projective_energy_povm(qubit_h, (2, 2))
         assert_allclose(chi_from_local_measurement(rho, povm), LN2, atol=1e-12)
 
     def test_rejects_non_local_form(self, bell_state):
@@ -161,7 +162,7 @@ class TestChiFromLocalMeasurement:
 
     def test_matches_local_information_gain(self, rng, qubit_h):
         rho = _random_state(rng)
-        povm = projective_energy_povm(qubit_h, "B", (2, 2))
+        povm = projective_energy_povm(qubit_h, (2, 2))
         record = measure(rho, povm)
         assert_allclose(
             chi_from_local_measurement(rho, povm),
@@ -181,9 +182,11 @@ class TestChiAMax:
         rho = analytic_steady_state(0.5, ModelParams())
         assert abs(chi_A_max(rho) - brute_force_chi_a(rho)) < 1e-3
 
-    def test_never_below_z_axis_value(self, rng, qubit_h):
+    def test_never_below_z_axis_value(self, rng):
         rho = _random_state(rng)
-        povm = projective_energy_povm(qubit_h, "A", (2, 2))
+        # the sigma_z measurement on A, one of the directions chi_A_max searches
+        eye = np.eye(2, dtype=complex)
+        povm = Povm([np.kron(np.outer(eye[k], eye[k]), eye) for k in range(2)])
         record = measure(rho, povm)
         z_value = local_information_gain(record, "B")
         assert chi_A_max(rho) >= z_value - 1e-9
@@ -291,7 +294,7 @@ class TestBreakdown:
         s_b = von_neumann_entropy(partial_trace(rho, "B"))
         assert_allclose(out.chi_B, 0.0, atol=1e-9)
         assert_allclose(out.quantum_gain, s_b, atol=1e-9)
-        record = measure(rho, projective_energy_povm(qubit_h, "B", (2, 2)))
+        record = measure(rho, projective_energy_povm(qubit_h, (2, 2)))
         assert_allclose(information_gain(record), s_b, atol=1e-9)
 
     def test_bell_state(self, bell_state, qubit_h):
@@ -304,7 +307,7 @@ class TestBreakdown:
     def test_steady_state_split_residual(self, qubit_h):
         rho = analytic_steady_state(0.9, ModelParams())
         out = breakdown(rho, qubit_h)
-        record = measure(rho, projective_energy_povm(qubit_h, "B", (2, 2)))
+        record = measure(rho, projective_energy_povm(qubit_h, (2, 2)))
         residual = information_gain(record) - (out.chi_B + out.quantum_gain)
         assert abs(residual) < 2e-6
 

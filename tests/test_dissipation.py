@@ -53,6 +53,16 @@ class TestModelParams:
         assert ModelParams(beta_e=800.0).nbar == 0.0
         assert ModelParams(omega=2000.0).nbar == 0.0
 
+    def test_infinite_nbar_refused_by_name(self):
+        # beta_e * omega underflows to 0, where 1/expm1 divides by zero
+        params = ModelParams(beta_e=1e-200, omega=1e-200)
+        with pytest.raises(ValueError, match=r"nbar is infinite at beta_e \* omega = 0$"):
+            params.nbar
+        # closed dynamics never evaluate nbar
+        closed = ModelParams(beta_e=1e-200, omega=1e-200, gamma=0.0)
+        traj = evolve(pure_state(KET_EG, dims=(2, 2)), closed, dt=0.005, t_max=0.05)
+        assert traj.stop_reason == "fixed_point"
+
     def test_gamma_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="gamma must be nonnegative"):
             ModelParams(gamma=-1.0)
@@ -142,6 +152,20 @@ class TestEvolve:
         assert traj.stop_reason == "fixed_point"
         assert len(traj.states) < 10_000
 
+    @pytest.mark.parametrize(
+        "dt, t_max, message",
+        [
+            (0.005, 0.0, "t_max must be positive, got 0"),
+            (0.005, -1.0, "t_max must be positive, got -1"),
+            (1e-300, 1e10, r"t_max / dt = inf steps is not finite"),
+            (0.005, np.nan, r"t_max / dt = nan steps is not finite"),
+        ],
+    )
+    def test_bad_horizon_rejected(self, dt, t_max, message):
+        params = ModelParams()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evolve(analytic_steady_state(0.5, params), params, dt=dt, t_max=t_max)
+
     def test_step_size_precondition(self):
         params = ModelParams()
         with pytest.raises(ValueError, match="dt"):
@@ -193,10 +217,12 @@ class TestEvolve:
             f"integration failed at t = {t} with dt = 0.005 (reduce the step size): "
             f"negative eigenvalue {lowest} below -1e-06"
         )
-        # every state before the reported one passes the check
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evolve(rho0, params, dt=0.005, t_max=float(t) - 0.005)
+        # every state before the reported one passes the check; at t = dt
+        # that is the initial state alone, and a zero horizon is refused
+        if float(t) > 0.005:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                evolve(rho0, params, dt=0.005, t_max=float(t) - 0.005)
 
     def test_non_finite_step_is_reported(self):
         # a huge frequency overflows within one RK4 step, with no RuntimeWarning

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from qthermo import (
 )
 from qthermo.cli import (
     RunConfig,
+    _flag,
     cmd_report,
     cmd_simulate,
     cmd_sweep,
@@ -353,6 +355,9 @@ class TestMainExitCodes:
             ["--gamma", "0", "simulate"],
             ["--c-step", "1e-12", "sweep"],
             ["--gamma", "-1", "sweep"],
+            ["--t-max", "-1", "simulate"],
+            ["--t-max", "0", "simulate"],
+            ["--dt", "1e-300", "--t-max", "1e10", "simulate"],
         ],
     )
     def test_bad_run_settings_rejected(self, tmp_path, capsys, flags):
@@ -432,6 +437,23 @@ class TestMainExitCodes:
         state_path = tmp_path / "singlet.json"
         write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
         argv = ["--beta-e", "800", "--out", str(tmp_path / "traj.csv"), "simulate", str(state_path)]
+        assert main(argv) == 0
+        assert capfd.readouterr().err == ""
+
+    def test_infinite_nbar_refused_by_name(self, tmp_path, capfd):
+        # beta_e * omega underflows to 0: the bath occupation is infinite
+        state_path = tmp_path / "singlet.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        flags = ["--beta-e", "1e-200", "--omega", "1e-200"]
+        argv = flags + ["--out", str(tmp_path / "traj.csv"), "simulate", str(state_path)]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1 and captured.err == ""
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input" and "beta_e * omega" in error["message"]
+        # the sweep never uses the bath occupation
+        argv = flags + ["--c-step", "0.5", "--out", str(tmp_path / "s.csv"), "sweep"]
         assert main(argv) == 0
         assert capfd.readouterr().err == ""
 
@@ -634,3 +656,58 @@ def test_malformed_files_exit_2(tmp_path, capfd, qubit_h, bell_state, state, ham
         lines = captured.out.strip().split("\n")
         assert (code, len(lines), captured.err) == (2, 1, ""), (argv, captured)
         assert "error" in json.loads(lines[0])
+
+
+def _rejected_by(kind):
+    def rejects(text: str) -> bool:
+        try:
+            kind(text)
+        except ValueError:
+            return True
+        return False
+
+    return rejects
+
+
+def _bad_flag_value(kind):
+    """Flag text that every command refuses: what the flag's type rejects,
+    a non-finite float, or a float where an integer is wanted."""
+    values = [st.text(max_size=6).filter(_rejected_by(kind)), st.just("")]
+    if kind is float:
+        values.append(st.sampled_from(["nan", "inf", "-inf"]))
+    else:
+        values.append(st.floats().map(repr).filter(_rejected_by(kind)))
+    return st.one_of(values)
+
+
+# the numeric global flags, from the RunConfig field table the parser is built from
+_NUMERIC_FLAGS = [
+    (name, kind) for name, kind in map(_flag, dataclasses.fields(RunConfig)) if kind is not str
+]
+
+
+@pytest.mark.parametrize("flag, kind", _NUMERIC_FLAGS, ids=[name for name, _ in _NUMERIC_FLAGS])
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_malformed_flags_exit_2(tmp_path, capfd, qubit_h, bell_state, flag, kind, data):
+    """A malformed numeric flag ends in exit 2, one invalid_input JSON line
+    and an empty stderr, for every command."""
+    value = data.draw(_bad_flag_value(kind), label="value")
+    state, h = tmp_path / "state.json", tmp_path / "h.json"
+    write_state(state, bell_state)
+    write_hamiltonian(h, qubit_h)
+    # cheap settings first, so a value wrongly accepted costs milliseconds;
+    # "=" hands a value that starts with "-" to the flag
+    head = ["--count", "1", "--c-step", "0.5", "--t-max", "0.01", "--out", str(tmp_path / "out")]
+    head.append(f"{flag}={value}")
+    commands = (["sweep"], ["verify"], ["simulate", str(state)], ["report", str(state), str(h)])
+    for command in commands:
+        code = main(head + command)
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert (code, len(lines), captured.err) == (2, 1, ""), (head, command, captured)
+        assert json.loads(lines[0])["error"] == "invalid_input"

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qthermo import (
     DensityMatrix,
-    Hamiltonian,
     Povm,
     correlations_lost,
     entropy_cost,
@@ -32,7 +31,7 @@ def computational_povm(dim):
 
 @pytest.fixture
 def energy_povm_b(qubit_h):
-    return projective_energy_povm(qubit_h, "B", (2, 2))
+    return projective_energy_povm(qubit_h, (2, 2))
 
 
 class TestPovm:
@@ -181,21 +180,9 @@ class TestProjectiveEnergyPovm:
         assert_allclose(energy_povm_b.operators[0], np.kron(np.eye(2), G_PROJ), atol=1e-12)
         assert_allclose(energy_povm_b.operators[1], np.kron(np.eye(2), E_PROJ), atol=1e-12)
 
-    def test_side_a(self, qubit_h):
-        povm = projective_energy_povm(qubit_h, "A", (2, 2))
-        assert_allclose(povm.operators[0], np.kron(G_PROJ, np.eye(2)), atol=1e-12)
-        assert_allclose(povm.operators[1], np.kron(E_PROJ, np.eye(2)), atol=1e-12)
-
     def test_completeness(self, energy_povm_b):
         total = sum(m.conj().T @ m for m in energy_povm_b.operators)
         assert_allclose(total, np.eye(4), atol=1e-12)
-
-    def test_degenerate_spectrum_flagged(self):
-        flat = Hamiltonian(np.eye(2, dtype=complex))
-        povm = projective_energy_povm(flat, "B", (2, 2))
-        assert povm.degenerate_basis
-        record = measure(DensityMatrix(np.eye(4, dtype=complex) / 4, dims=(2, 2)), povm)
-        assert record.degenerate_basis
 
 
 class TestLocalInformationGain:

@@ -62,7 +62,7 @@ class TestDimensionBound:
         assert_allclose(np.log(4.0) - mutual_information(rho) - gain, 0.0, atol=1e-12)
 
     def test_bell_state_saturates_through_correlations(self, bell_state, qubit_h):
-        povm = projective_energy_povm(qubit_h, "B", (2, 2))
+        povm = projective_energy_povm(qubit_h, (2, 2))
         assert_allclose(information_gain(measure(bell_state, povm)), 0.0, atol=1e-12)
         # ln 4 - 2 ln 2
         assert_allclose(np.log(4.0) - mutual_information(bell_state), 0.0, atol=1e-12)
