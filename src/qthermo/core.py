@@ -34,17 +34,31 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m.T)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays as one broadcasted outer product: the same
+    elementwise products, without np.kron's shape bookkeeping."""
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 class DensityMatrix:
     """Positive semi-definite, unit-trace operator with an optional bipartite split.
 
     ``dims = (d_A, d_B)``, two positive integers, labels the tensor factors;
     marginals and local measurements require it.  Construction rejects
     non-finite entries, then validates hermiticity (1e-10), unit trace
-    (1e-10) and positivity (smallest eigenvalue >= -1e-9).
+    (1e-10) and positivity (smallest eigenvalue >= -1e-9).  ``matrix`` is a
+    read-only copy of the input, so the validated state and the spectrum kept
+    from the positivity check cannot change afterwards.
     """
 
     def __init__(self, matrix, dims=None):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -55,7 +69,8 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")
-        lowest = float(np.linalg.eigvalsh(m).min())
+        spectrum = np.linalg.eigvalsh(m)
+        lowest = float(spectrum.min())
         if lowest < -POSITIVITY_TOL:
             raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
         if dims is not None:
@@ -72,15 +87,17 @@ class DensityMatrix:
             if d_a * d_b != m.shape[0]:
                 raise ValueError(f"dims {dims!r} incompatible with dimension {m.shape[0]}")
             dims = (d_a, d_b)
-        self.matrix = m
+        self.matrix = _read_only(m)
         self.dims = dims
+        self._spectrum = _read_only(spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The ascending spectrum, as a writable copy."""
+        return self._spectrum.copy()
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
@@ -131,6 +148,8 @@ def entropy_of_eigenvalues(values) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho ln rho) in nats."""
+    if isinstance(rho, DensityMatrix):
+        return entropy_of_eigenvalues(rho._spectrum)
     return entropy_of_eigenvalues(np.linalg.eigvalsh(as_matrix(rho)))
 
 

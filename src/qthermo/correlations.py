@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .core import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
+    _kron,
     _partial_trace,
+    _read_only,
     as_matrix,
     entropy_of_eigenvalues,
     marginal_entropy,
@@ -79,7 +82,7 @@ def chi_from_local_measurement(rho: DensityMatrix, povm_on_b: Povm) -> float:
     d_a, d_b = _require_dims(rho)
     for k, m in enumerate(povm_on_b.operators):
         local = _partial_trace(m, (d_a, d_b), "B") / d_a
-        if np.abs(m - np.kron(np.eye(d_a), local)).max() > LOCAL_FORM_TOL:
+        if np.abs(m - _kron(np.eye(d_a), local)).max() > LOCAL_FORM_TOL:
             raise ValueError(f"operator {k} is not of the form I_A (x) K")
     return local_information_gain(measure(rho, povm_on_b), "A")
 
@@ -139,6 +142,21 @@ def _branch_entropy(t: float, sq: float) -> float:
     return -(_xlogx(lo) + _xlogx(hi)) + _xlogx(lo + hi)
 
 
+@lru_cache(maxsize=4)
+def _direction_grid(coarse: int):
+    """The coarse (theta, phi) grid of chi_A_max: the 1-D angles and the
+    Cartesian components of every direction, indexed [theta, phi].  Read-only,
+    since every caller shares them; 3 coarse^2 floats per size (393 kB at
+    coarse = 128)."""
+    thetas = np.linspace(0.0, np.pi, coarse)
+    phis = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    sin_t = np.sin(tt)
+    return tuple(
+        _read_only(a) for a in (thetas, phis, sin_t * np.cos(pp), sin_t * np.sin(pp), np.cos(tt))
+    )
+
+
 def chi_A_max(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
     """Best Holevo quantity about B over rank-one projective measurements on
     qubit A: max over Bloch directions n of S(rho_B) - sum_+- p_+- S(rho_B^+-).
@@ -163,17 +181,12 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid = SearchGrid()) -> float:
     s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(m[:2, :2] + m[2:, 2:]))
     r = _bloch_data(m)
 
-    thetas = np.linspace(0.0, np.pi, grid.coarse)
-    phis = np.linspace(0.0, 2.0 * np.pi, grid.coarse, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    sin_t = np.sin(tt)
-    t_plus, sq_plus, t_minus, sq_minus = _branches(
-        r, sin_t * np.cos(pp), sin_t * np.sin(pp), np.cos(tt)
-    )
+    thetas, phis, nx, ny, nz = _direction_grid(grid.coarse)
+    t_plus, sq_plus, t_minus, sq_minus = _branches(r, nx, ny, nz)
     values = s_b - (_branch_entropy_grid(t_plus, sq_plus) + _branch_entropy_grid(t_minus, sq_minus))
     best = np.unravel_index(int(np.argmax(values)), values.shape)
     best_val = float(values[best])
-    theta, phi = float(tt[best]), float(pp[best])
+    theta, phi = float(thetas[best[0]]), float(phis[best[1]])
 
     def objective(theta: float, phi: float) -> float:
         sin_theta = math.sin(theta)

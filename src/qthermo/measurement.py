@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    _kron,
     as_matrix,
     dagger,
     marginal_entropy,
@@ -132,7 +133,7 @@ def projective_energy_povm(h: Hamiltonian, dims) -> Povm:
         raise ValueError(f"Hamiltonian dimension {h.dim} != dimension {d_b} of B")
     eye_a = np.eye(d_a, dtype=complex)
     vecs = h.eigenvectors
-    return Povm([np.kron(eye_a, np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(d_b)])
+    return Povm([_kron(eye_a, np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(d_b)])
 
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from .core import (
     DensityMatrix,
     ENTROPY_CUTOFF,
     HERMITICITY_TOL,
+    _kron,
+    _read_only,
     as_matrix,
     dagger,
     entropy_of_eigenvalues,
@@ -27,21 +30,30 @@ BETA_CAP = 1e6
 
 class Hamiltonian:
     """Hermitian operator with its one spectral decomposition: ``eigenvalues``
-    ascending, ``eigenvectors`` the matching orthonormal columns."""
+    ascending, ``eigenvectors`` the matching orthonormal columns.  ``matrix``
+    is a read-only copy of the input, and both spectral arrays are read-only."""
 
     def __init__(self, matrix):
-        m = as_matrix(matrix)
+        m = as_matrix(matrix).copy()
         if not np.isfinite(m).all():
             raise ValueError("Hamiltonian has non-finite entries")
         herm = float(np.abs(m - dagger(m)).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
-        self.matrix = m
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
+        self.matrix = _read_only(m)
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        self.eigenvalues = _read_only(eigenvalues)
+        self.eigenvectors = _read_only(eigenvectors)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def doubled(self) -> "Hamiltonian":
+        """H (x) I + I (x) H: two non-interacting copies, built once."""
+        eye = np.eye(self.dim)
+        return Hamiltonian(_kron(self.matrix, eye) + _kron(eye, self.matrix))
 
     def __repr__(self) -> str:
         return f"Hamiltonian(dim={self.dim})"
@@ -99,7 +111,7 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     ascending; commutes with H and shares the spectrum of ``rho``."""
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
-    populations = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
+    populations = np.sort(rho.eigenvalues())[::-1]
     v = h.eigenvectors
     return DensityMatrix((v * populations) @ dagger(v), dims=rho.dims)
 
@@ -145,6 +157,19 @@ def _thermal_entropy_energy(energies: list[float], beta: float) -> tuple[float, 
     return entropy, energy
 
 
+def _thermal_entropy(gaps: list[float], beta: float) -> float:
+    """The entropy of _thermal_entropy_energy, by the same arithmetic, from
+    the precomputed gaps e - min(e)."""
+    w = [math.exp(-beta * g) for g in gaps]
+    z = sum(w)
+    entropy = 0.0
+    for w_i in w:
+        p = w_i / z
+        if p >= ENTROPY_CUTOFF:
+            entropy -= p * math.log(p)
+    return entropy
+
+
 def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Extra work unlocked by global operations on many copies:
     tr{(P_rho - P_th) H} where P_th is the thermal state with the entropy of
@@ -169,13 +194,15 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
         # pure state: the entropy-matched thermal state is the ground projector
         return passive_e - float(e.min())
     levels = e.tolist()
+    e_min = min(levels)
+    gaps = [level - e_min for level in levels]
     lo, hi = 0.0, 50.0 * h.dim / spread
-    while hi < BETA_CAP and _thermal_entropy_energy(levels, hi)[0] > target:
+    while hi < BETA_CAP and _thermal_entropy(gaps, hi) > target:
         hi = min(hi * 2.0, BETA_CAP)
     beta_star = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        s_mid, _ = _thermal_entropy_energy(levels, mid)
+        s_mid = _thermal_entropy(gaps, mid)
         beta_star = mid
         if abs(s_mid - target) <= ENTROPY_MATCH_TOL:
             break
@@ -218,9 +245,7 @@ def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoRe
     d_a, d_b = rho.dims
     if h_b.dim != d_a or h_b.dim != d_b:
         raise ValueError("local Hamiltonian dimensions do not match the partition dims")
-    h_total = Hamiltonian(
-        np.kron(h_b.matrix, np.eye(d_b)) + np.kron(np.eye(d_a), h_b.matrix)
-    )
+    h_total = h_b.doubled
     rho_b = partial_trace(rho, "B")
     avg = average_energy(rho_b, h_b)
     f_b = -np.inf if beta == 0 else -log_partition(h_b, beta) / beta

@@ -12,11 +12,13 @@ from qthermo import (
     analytic_steady_state,
     effective_c,
     evolve,
+    local_beta,
     pure_state,
+    thermo_report,
     trace_distance,
 )
 from qthermo.cli import RunConfig, sweep_rows
-from qthermo.dissipation import KET_EE, KET_GG
+from qthermo.dissipation import KET_EE, KET_GG, local_qubit_hamiltonian
 from qthermo.verify import run_suites
 
 GRID_RUNTIME_BUDGET = 60.0  # seconds for the full c grid
@@ -177,5 +179,37 @@ def test_criterion_6_randomized_property_suites():
         f"{len(results)} randomized suites, zero failures"
         + (f" (failed: {failed})" if failed else "")
         + (f" (below their stated count: {short})" if short else ""),
+        ok,
+    )
+
+
+def test_criterion_7_ergotropy_kink_over_beta_e():
+    """The ergotropy column vanishes from c* = Z/(1 + Z) on, Z = 1 + x + x^2
+    and x = exp(-beta_e omega): the first zero on the sweep grid, refined by
+    bisection on ergotropy > 1e-12 against its closed-form location."""
+    located = {}
+    for beta_e in (0.1, 1.0, 3.0, 10.0, 30.0):
+        params = ModelParams(beta_e=beta_e)
+        h_local = local_qubit_hamiltonian(params.omega)
+
+        def positive(c):
+            rho = analytic_steady_state(c, params)
+            return thermo_report(rho, h_local, local_beta(c, params)).ergotropy > 1e-12
+
+        grid = np.linspace(0.0, 1.0, 101)
+        k = next(k for k, c in enumerate(grid) if not positive(float(c)))
+        lo, hi = float(grid[k - 1]), float(grid[k])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+        x = np.exp(-beta_e * params.omega)
+        z = 1.0 + x + x * x
+        located[beta_e] = (hi, z / (1.0 + z))
+    worst = max(abs(found - expected) for found, expected in located.values())
+    ok = bool(worst <= 1e-9)
+    _criterion(
+        7,
+        f"ergotropy kink at c* = Z/(1+Z) for beta_e in 0.1..30: c* = {located[1.0][0]:.4f} "
+        f"at beta_e = 1, worst |c - c*| = {worst:.1e} <= 1e-9",
         ok,
     )

@@ -4,7 +4,8 @@ Each workload of ``bench/run.py`` runs once in trace mode at tiny size, in a
 copy of ``src/``, ``bench/`` and ``BENCHMARK.json``, so the checkout is never
 written to.  Trace mode checks every op's output, the pinned per-row call
 counts of the sweep and the library names the harness imports; this test
-keeps those in step with the library.  It has no timing gate.
+keeps those in step with the library.  The result line must name exactly the
+per-layer metrics of BENCHMARK.json, with their units.  It has no timing gate.
 """
 
 import json
@@ -43,3 +44,6 @@ def test_traced_workload_passes_its_checks(bench_copy, workload):
     result = lines[-1]
     assert summary["self_check_problems"] == []
     assert (result["correct"], result["failed"]) == (True, 0), summary
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    units = {name: metric["unit"] for name, metric in result["metrics"].items()}
+    assert units == {metric["name"]: metric["unit"] for metric in spec["per_layer"]}

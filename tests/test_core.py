@@ -47,6 +47,22 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(m)
 
+    def test_state_is_a_read_only_copy(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityMatrix(m)
+        assert rho.matrix is not m
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 1.0
+        m[0, 0], m[1, 1] = 1.0, 0.0
+        assert_allclose(rho.matrix, np.diag([0.25, 0.75]), atol=0)
+        assert_allclose(von_neumann_entropy(rho), -0.25 * np.log(0.25) - 0.75 * np.log(0.75))
+
+    def test_eigenvalues_is_a_copy_of_the_kept_spectrum(self):
+        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+        spectrum = rho.eigenvalues()
+        spectrum[:] = 0.0
+        assert_allclose(rho.eigenvalues(), [0.25, 0.75], atol=0)
+
 
 class TestPartialTrace:
     def test_product_state(self, rng):

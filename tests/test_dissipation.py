@@ -377,6 +377,21 @@ class TestSteadyStateFamilyClosedForm:
             axis_best = max(_chi_measuring_a(rho, SIGMA_Z), _chi_measuring_a(rho, SIGMA_X))
             assert -1e-9 <= chi_A_max(rho) - axis_best <= 1e-10
 
+    @pytest.mark.parametrize("beta_e", [0.1, 1.0, 3.0, 10.0, 30.0])
+    def test_ergotropy(self, beta_e, qubit_h):
+        """Sorting the spectrum onto the levels {0, omega, omega, 2 omega} gives
+        E(c) = omega max(1 - c - c/Z, 0, c x^2/Z - (1 - c)): zero between the
+        kinks at Z/(1 + Z) and Z/(Z + x^2)."""
+        params = ModelParams(beta_e=beta_e)
+        x = np.exp(-beta_e * params.omega)
+        z = 1.0 + x + x * x
+        kinks = [z / (1.0 + z), z / (z + x * x)]
+        for c in np.concatenate([np.linspace(0.0, 1.0, 101), kinks]):
+            c = float(c)
+            closed = params.omega * max(1.0 - c - c / z, 0.0, c * x * x / z - (1.0 - c))
+            work = ergotropy(analytic_steady_state(c, params), qubit_h.doubled)
+            assert abs(work - closed) <= 1e-12, c
+
 
 class TestEffectiveC:
     def test_singlet(self, singlet):

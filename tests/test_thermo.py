@@ -87,6 +87,18 @@ class TestHamiltonian:
         h = _random_h(rng)
         assert (np.diff(h.eigenvalues) >= 0).all()
 
+    def test_arrays_are_read_only_copies(self):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        h = Hamiltonian(m)
+        assert h.matrix is not m
+        for attr in ("matrix", "eigenvalues", "eigenvectors"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(h, attr)[0, ...] = 5.0
+        m[0, 0] = 7.0
+        assert_allclose(h.matrix, np.diag([1.0, 0.0]), atol=0)
+        assert_allclose(h.eigenvalues, [0.0, 1.0], atol=0)
+        assert_allclose(h.doubled.eigenvalues, [0.0, 1.0, 1.0, 2.0], atol=0)
+
 
 class TestThermalState:
     def test_infinite_temperature(self, qubit_h):
