@@ -63,14 +63,14 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm = float(np.abs(m - np.conj(m.T)).max())
+        herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")
         spectrum = np.linalg.eigvalsh(m)
-        lowest = float(spectrum.min())
+        lowest = float(spectrum[0])  # eigvalsh is ascending
         if lowest < -POSITIVITY_TOL:
             raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
         if dims is not None:

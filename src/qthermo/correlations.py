@@ -11,6 +11,7 @@ by pattern-search refinement.  The result is a lower bound on the optimum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,17 @@ class SearchGrid:
 
     coarse: int = 64
     angle_tol: float = 1e-4
+
+    def __post_init__(self):
+        if isinstance(self.coarse, bool) or not isinstance(self.coarse, numbers.Integral):
+            raise ValueError(f"coarse must be an integer, got {self.coarse!r}")
+        if self.coarse < 1:
+            raise ValueError(f"coarse must be at least 1, got {self.coarse}")
+        tol = self.angle_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
+            math.isfinite(tol) and tol > 0
+        ):
+            raise ValueError(f"angle_tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     _kron,
+    _read_only,
     as_matrix,
     dagger,
     marginal_entropy,
@@ -27,10 +28,12 @@ PROB_CUTOFF = 1e-12
 
 class Povm:
     """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I to 1e-9
-    (each M_n^dag M_n is positive semi-definite by construction)."""
+    (each M_n^dag M_n is positive semi-definite by construction).
+    ``operators`` is a tuple of read-only copies of the input, so the checked
+    completeness cannot change afterwards."""
 
     def __init__(self, operators):
-        ops = [as_matrix(m) for m in operators]
+        ops = tuple(_read_only(as_matrix(m).copy()) for m in operators)
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("POVM operators have non-finite entries")
         if not ops:
@@ -81,7 +84,7 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     if povm.dim != rho.dim:
         raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
     unnormalized = [m @ rho.matrix @ dagger(m) for m in povm.operators]
-    probs = np.array([float(np.trace(u).real) for u in unnormalized])
+    probs = np.array([float(u.trace().real) for u in unnormalized])
     if probs.min() < -PROB_CUTOFF:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
     probs = np.clip(probs, 0.0, None)

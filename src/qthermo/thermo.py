@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .core import (
 THERMAL_FIT_TOL = 1e-8
 ENTROPY_MATCH_TOL = 1e-10
 BETA_CAP = 1e6
+# levels closer than this times their magnitude are equal up to eigh round-off
+LEVEL_ROUNDOFF = 64 * float(np.finfo(float).eps)
 
 
 class Hamiltonian:
@@ -103,7 +105,7 @@ def log_partition(h: Hamiltonian, beta: float) -> float:
 
 
 def average_energy(rho, h: Hamiltonian) -> float:
-    return float(np.trace(h.matrix @ as_matrix(rho)).real)
+    return float((h.matrix @ as_matrix(rho)).trace().real)
 
 
 def passive_state(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
@@ -170,14 +172,39 @@ def _thermal_entropy(gaps: list[float], beta: float) -> float:
     return entropy
 
 
+@lru_cache(maxsize=1)
+def _entropy_matched_beta(levels: tuple[float, ...], target: float) -> float:
+    """beta* with S(thermal(beta*)) = ``target`` for the energy ``levels``, by
+    bisection with bracket auto-expansion (upper bound doubled until the
+    entropy falls below the target, capped at 1e6).
+
+    The cache holds the last solve only: callers that evaluate one state
+    several times in a row (the sweep's relation checks) solve once, and
+    nothing is carried across states.
+    """
+    e_min = min(levels)
+    gaps = [level - e_min for level in levels]
+    lo, hi = 0.0, 50.0 * len(levels) / (max(levels) - e_min)
+    while hi < BETA_CAP and _thermal_entropy(gaps, hi) > target:
+        hi = min(hi * 2.0, BETA_CAP)
+    beta_star = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s_mid = _thermal_entropy(gaps, mid)
+        beta_star = mid
+        if abs(s_mid - target) <= ENTROPY_MATCH_TOL:
+            break
+        if s_mid > target:
+            lo = mid
+        else:
+            hi = mid
+    return beta_star
+
+
 def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Extra work unlocked by global operations on many copies:
     tr{(P_rho - P_th) H} where P_th is the thermal state with the entropy of
-    the passive state.
-
-    beta* solves S(thermal(beta*)) = S(P_rho) by bisection with bracket
-    auto-expansion (upper bound doubled until the entropy falls below the
-    target, capped at 1e6).
+    the passive state, at the beta* of ``_entropy_matched_beta``.
     """
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
@@ -194,29 +221,19 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
         # pure state: the entropy-matched thermal state is the ground projector
         return passive_e - float(e.min())
     levels = e.tolist()
-    e_min = min(levels)
-    gaps = [level - e_min for level in levels]
-    lo, hi = 0.0, 50.0 * h.dim / spread
-    while hi < BETA_CAP and _thermal_entropy(gaps, hi) > target:
-        hi = min(hi * 2.0, BETA_CAP)
-    beta_star = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s_mid = _thermal_entropy(gaps, mid)
-        beta_star = mid
-        if abs(s_mid - target) <= ENTROPY_MATCH_TOL:
-            break
-        if s_mid > target:
-            lo = mid
-        else:
-            hi = mid
+    beta_star = _entropy_matched_beta(tuple(levels), target)
     return passive_e - _thermal_entropy_energy(levels, beta_star)[1]
 
 
 def local_inverse_temperature(rho_local, h: Hamiltonian):
-    """Least-squares fit of ln(populations) against -energies in the energy
-    eigenbasis.  Returns beta, or None when the state is not thermal for ``h``
-    (coherences or fit residual beyond 1e-8)."""
+    """Least-squares line through ln(populations) against -energies in the
+    energy eigenbasis, in closed form: beta = -sum (e_i - <e>)(l_i - <l>) /
+    sum (e_i - <e>)^2 with l = ln p.  Returns beta, or None when the state is
+    not thermal for ``h`` (coherences or fit residual beyond 1e-8, or a
+    population that is not positive).  A degenerate spectrum (all levels
+    equal, up to the round-off of the eigendecomposition) fits beta = 0, which
+    is thermal only for uniform populations.
+    """
     m = as_matrix(rho_local)
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
@@ -225,15 +242,28 @@ def local_inverse_temperature(rho_local, h: Hamiltonian):
     off_diagonal = in_basis - np.diag(np.diag(in_basis))
     if np.abs(off_diagonal).max() > THERMAL_FIT_TOL:
         return None
-    populations = np.diag(in_basis).real
-    if populations.min() <= 0.0:
+    populations = np.diag(in_basis).real.tolist()
+    if min(populations) <= 0.0:
         return None
-    log_p = np.log(populations)
-    design = np.stack([-h.eigenvalues, np.ones(h.dim)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, log_p, rcond=None)
-    if np.abs(design @ coef - log_p).max() > THERMAL_FIT_TOL:
+    log_p = [math.log(p) for p in populations]
+    energies = h.eigenvalues.tolist()  # ascending
+    n = len(energies)
+    e_mean = sum(energies) / n
+    l_mean = sum(log_p) / n
+    lowest, highest = energies[0], energies[-1]
+    if highest - lowest <= LEVEL_ROUNDOFF * max(abs(lowest), abs(highest)):
+        beta = 0.0
+    else:
+        # deviations scaled by a power of two near 1/spread, which is exact and
+        # keeps their squares from under- or overflowing at any energy scale
+        k = math.frexp(highest - lowest)[1]
+        de = [math.ldexp(e - e_mean, -k) for e in energies]
+        slope = sum(d * (l_mean - l) for d, l in zip(de, log_p)) / sum(d * d for d in de)
+        beta = math.ldexp(slope, -k)
+    intercept = l_mean + beta * e_mean
+    if max(abs(l - (intercept - beta * e)) for l, e in zip(log_p, energies)) > THERMAL_FIT_TOL:
         return None
-    return float(coef[0])
+    return beta
 
 
 def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoReport:

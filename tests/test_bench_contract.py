@@ -5,7 +5,9 @@ copy of ``src/``, ``bench/`` and ``BENCHMARK.json``, so the checkout is never
 written to.  Trace mode checks every op's output, the pinned per-row call
 counts of the sweep and the library names the harness imports; this test
 keeps those in step with the library.  The result line must name exactly the
-per-layer metrics of BENCHMARK.json, with their units.  It has no timing gate.
+per-layer metrics of BENCHMARK.json, with their units.  Without the sources
+the harness must refuse to run rather than print a result.  It has no timing
+gate.
 """
 
 import json
@@ -47,3 +49,20 @@ def test_traced_workload_passes_its_checks(bench_copy, workload):
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     units = {name: metric["unit"] for name, metric in result["metrics"].items()}
     assert units == {metric["name"]: metric["unit"] for metric in spec["per_layer"]}
+
+
+def test_refuses_a_checkout_without_sources(tmp_path):
+    """Only ``bench/`` and BENCHMARK.json: exit 2 and no result line."""
+    shutil.copytree(REPO / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "sweep", "--seed", "1"]
+        + ["--seconds", "1", "--trace", "0"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert '"metrics"' not in proc.stdout
+    assert not (tmp_path / ".bench_work").exists()

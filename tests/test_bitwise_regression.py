@@ -5,9 +5,9 @@ total Hamiltonian that ``thermo_report`` built on every call, the spectrum
 recomputed by every entropy and ergotropy, the bisection that evaluated
 entropy and energy together, and the (theta, phi) grid that ``chi_A_max``
 built on every call.  The current kernels reuse work (``Hamiltonian.doubled``,
-the spectrum kept by ``DensityMatrix``, the level gaps, the cached grid) but
-must do the same floating-point operations, so results are compared with
-``==``, not a tolerance.
+the spectrum kept by ``DensityMatrix``, the level gaps, the memoized root
+solve, the cached grid) but must do the same floating-point operations, so
+results are compared with ``==``, not a tolerance.
 """
 
 import itertools
@@ -255,6 +255,22 @@ def test_ergotropies_match_the_earlier_bisection(states):
         for h in (H_SWEEP, hamiltonians[k % len(hamiltonians)]):
             assert ergotropy(rho, h) == _ergotropy(rho, h)
             assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
+
+
+def test_memoized_root_matches_the_earlier_bisection_in_any_call_order(states):
+    """bound_ergotropy keeps its last root solve.  Repeats, alternations and
+    returns to an earlier state (A, A, B, A, B, B) must each give the
+    bisection's own value, so a stale memo shows as a mismatch."""
+    hamiltonians = _total_hamiltonians()
+    for k in range(0, len(states) - 1, 17):
+        a, b = states[k], states[k + 1]
+        for h in (H_SWEEP, hamiltonians[k % len(hamiltonians)]):
+            for rho in (a, a, b, a, b, b):
+                assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
+    # the same state against two Hamiltonians in turn
+    rho = states[0]
+    for h in (H_SWEEP, hamiltonians[0], H_SWEEP, H_SWEEP, hamiltonians[0]):
+        assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
 
 
 def test_thermo_report_matches_the_inline_kron_sum(states):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -169,6 +171,23 @@ class TestChiFromLocalMeasurement:
             local_information_gain(record, "A"),
             atol=1e-9,
         )
+
+
+class TestSearchGrid:
+    @pytest.mark.parametrize("coarse", [0, -3, True, 2.0, "64", None])
+    def test_rejects_bad_coarse(self, coarse):
+        with pytest.raises(ValueError, match="coarse"):
+            SearchGrid(coarse=coarse)
+
+    @pytest.mark.parametrize("angle_tol", [0.0, -1e-4, np.inf, np.nan, True, "1e-4", None])
+    def test_rejects_bad_angle_tol(self, angle_tol):
+        with pytest.raises(ValueError, match="angle_tol"):
+            SearchGrid(angle_tol=angle_tol)
+
+    def test_smallest_grid_still_searches(self):
+        rho = analytic_steady_state(0.5, ModelParams())
+        for grid in (SearchGrid(coarse=1), SearchGrid(coarse=np.int64(8), angle_tol=math.pi)):
+            assert chi_A_max(rho, grid) >= 0.0
 
 
 class TestChiAMax:

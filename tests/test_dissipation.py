@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +25,15 @@ from qthermo import (
     thermal_state,
     trace_distance,
 )
-from qthermo.core import SIGMA_X, SIGMA_Z, as_matrix, dagger, entropy_of_eigenvalues
+from qthermo.cli import sweep_row
+from qthermo.core import (
+    ENTROPY_CUTOFF,
+    SIGMA_X,
+    SIGMA_Z,
+    as_matrix,
+    dagger,
+    entropy_of_eigenvalues,
+)
 from qthermo.dissipation import (
     FIXED_POINT_TOL,
     KET_EE,
@@ -39,6 +48,16 @@ from qthermo.dissipation import (
 from qthermo.random_states import random_two_qubit_state, random_x_state
 
 BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
+
+
+def _shannon(probabilities) -> float:
+    """Entropy in nats with the library's convention: probabilities below
+    ENTROPY_CUTOFF contribute nothing."""
+    return -sum(p * math.log(p) for p in probabilities if p >= ENTROPY_CUTOFF)
+
+
+def _binary_entropy(p: float) -> float:
+    return _shannon([p, 1.0 - p])
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -391,6 +410,48 @@ class TestSteadyStateFamilyClosedForm:
             closed = params.omega * max(1.0 - c - c / z, 0.0, c * x * x / z - (1.0 - c))
             work = ergotropy(analytic_steady_state(c, params), qubit_h.doubled)
             assert abs(work - closed) <= 1e-12, c
+
+    @pytest.mark.parametrize("beta_e", [0.1, 1.0, 3.0, 10.0, 30.0])
+    def test_sweep_columns(self, beta_e, qubit_h):
+        """The B energy measurement leaves A diagonal, so with p_e the
+        excited population of B and q_e = (c x^2/Z)/p_e, q_g = (c/Z)/(1 - p_e)
+        the conditional excited and ground populations of A:
+        I_g = S - p_e h(q_e) - (1 - p_e) h(q_g), chi_B = h(p_e) - p_e h(q_e)
+        - (1 - p_e) h(q_g), MI = 2 h(p_e) - S, <H_B> = omega p_e,
+        F_B = -ln(1 + e^{-beta omega})/beta and rhs_ineq1 = chi_B
+        + beta (omega p_e - E) + ln(1 + e^{-beta omega}), with beta the local
+        inverse temperature and E the closed-form ergotropy."""
+        params = ModelParams(beta_e=beta_e)
+        omega = params.omega
+        x = math.exp(-beta_e * omega)
+        z = 1.0 + x + x * x
+        kinks = [z / (1.0 + z), z / (z + x * x)]
+        for c in np.concatenate([np.linspace(0.0, 1.0, 101), kinks]):
+            c = float(c)
+            row = sweep_row(c, params, qubit_h)
+            beta = row["_beta"]
+            p_e = c * x * x / z + (1.0 - c) / 2.0 + c * x / (2.0 * z)
+            s = _shannon([1.0 - c, c * x * x / z, c * x / z, c / z])
+            cond = p_e * _binary_entropy(c * x * x / z / p_e) + (1.0 - p_e) * _binary_entropy(
+                c / z / (1.0 - p_e)
+            )
+            chi_b = _binary_entropy(p_e) - cond
+            work = omega * max(1.0 - c - c / z, 0.0, c * x * x / z - (1.0 - c))
+            log_z = math.log1p(math.exp(-beta * omega))
+            closed = {
+                "I_g": s - cond,
+                "chi_B": chi_b,
+                "MI": 2.0 * _binary_entropy(p_e) - s,
+                "avg_energy_B": omega * p_e,
+                "rhs_ineq1": chi_b + beta * (omega * p_e - work) + log_z,
+            }
+            for column, value in closed.items():
+                assert abs(row[column] - value) <= 1e-12, (column, c)
+            if beta == 0.0:
+                assert row["free_energy_B"] == -math.inf, c
+            else:
+                assert abs(row["free_energy_B"] - (-log_z / beta)) <= 1e-12, c
+        assert sweep_row(0.0, params, qubit_h)["free_energy_B"] == -math.inf
 
 
 class TestEffectiveC:

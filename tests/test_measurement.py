@@ -47,6 +47,19 @@ class TestPovm:
         with pytest.raises(ValueError, match="non-finite"):
             Povm([np.diag([np.nan, 1.0]).astype(complex), np.diag([0.0, 0.0]).astype(complex)])
 
+    def test_operators_are_read_only_copies(self):
+        """A write to the source arrays after construction cannot break the
+        completeness already checked, and the kept operators refuse writes."""
+        ops = [E_PROJ.copy(), G_PROJ.copy()]
+        povm = Povm(ops)
+        ops[0][0, 0] = 5.0
+        assert isinstance(povm.operators, tuple)
+        assert_allclose(povm.operators[0], E_PROJ, atol=0)
+        with pytest.raises(ValueError, match="read-only"):
+            povm.operators[0][0, 0] = 5.0
+        record = measure(DensityMatrix(np.eye(2, dtype=complex) / 2), povm)
+        assert_allclose(record.probabilities, [0.5, 0.5], atol=1e-15)
+
 
 class TestMeasure:
     def test_projectors_on_ground_state(self):

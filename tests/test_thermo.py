@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from qthermo import (
     von_neumann_entropy,
 )
 from qthermo.core import entropy_of_eigenvalues
-from qthermo.random_states import random_density_matrix, random_hamiltonian
+from qthermo.random_states import random_density_matrix, random_hamiltonian, random_unitary
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -236,6 +239,75 @@ class TestBoundErgotropy:
             assert abs(bound_ergotropy(rho, h) - _reference_bound_ergotropy(rho, h)) <= 1e-12
 
 
+def _lstsq_fit(m, h):
+    """The earlier fit: a design matrix and np.linalg.lstsq for the line
+    ln p = c - beta e, with the same coherence, positivity and residual
+    checks."""
+    v = h.eigenvectors
+    in_basis = v.conj().T @ m @ v
+    if np.abs(in_basis - np.diag(np.diag(in_basis))).max() > 1e-8:
+        return None
+    populations = np.diag(in_basis).real
+    if populations.min() <= 0.0:
+        return None
+    log_p = np.log(populations)
+    design = np.stack([-h.eigenvalues, np.ones(h.dim)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, log_p, rcond=None)
+    if np.abs(design @ coef - log_p).max() > 1e-8:
+        return None
+    return float(coef[0])
+
+
+def _log_populations(m, h):
+    v = h.eigenvectors
+    return [math.log(p) for p in np.diag(v.conj().T @ m @ v).real.tolist()]
+
+
+def _exact_fit(m, h) -> float:
+    """The least-squares slope in exact rationals from the float logs."""
+    log_p = [Fraction(l) for l in _log_populations(m, h)]
+    energies = [Fraction(e) for e in h.eigenvalues.tolist()]
+    e_mean, l_mean = sum(energies) / len(energies), sum(log_p) / len(log_p)
+    num = sum((e - e_mean) * (l - l_mean) for e, l in zip(energies, log_p))
+    return float(-num / sum((e - e_mean) ** 2 for e in energies))
+
+
+def _slope_roundoff(m, h) -> float:
+    """eps max|ln p| / spread: the round-off scale of a fitted slope."""
+    spread = float(h.eigenvalues[-1] - h.eigenvalues[0])
+    return np.finfo(float).eps * max(map(abs, _log_populations(m, h))) / spread
+
+
+def _fit_cases():
+    """Seeded local states of random 2-, 3- and 4-level Hamiltonians: thermal
+    ones, and ones made non-thermal by a coherence, by perturbed populations
+    (beyond and within the 1e-8 residual), or by a zero or negative
+    population."""
+    rng = np.random.default_rng(314)
+    cases = []
+    for dim in (2, 3, 4):
+        for k in range(150):
+            h = random_hamiltonian(dim, rng)
+            v = h.eigenvectors
+            beta = float(rng.uniform(0.05, 5.0))
+            p = np.exp(-beta * (h.eigenvalues - h.eigenvalues[0]))
+            kind = k % 6
+            if kind == 1:
+                p = p * (1.0 + 1e-6 * rng.standard_normal(dim))
+            elif kind == 2:
+                p = p * (1.0 + 1e-11 * rng.standard_normal(dim))
+            elif kind == 3:
+                p[rng.integers(dim)] = 0.0
+            elif kind == 4:
+                p[rng.integers(dim)] = -0.1
+            m = (v * (p / p.sum())) @ v.conj().T
+            if kind == 5:
+                coherence = v[:, [0]] @ v[:, [1]].conj().T
+                m = m + 1e-6 * (coherence + coherence.conj().T)
+            cases.append((m, h))
+    return cases
+
+
 class TestLocalInverseTemperature:
     def test_roundtrip(self, qubit_h):
         assert_allclose(
@@ -254,6 +326,49 @@ class TestLocalInverseTemperature:
         h = Hamiltonian(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         rho = DensityMatrix(np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex))
         assert local_inverse_temperature(rho, h) is None
+
+    def test_matches_the_least_squares_fit(self):
+        """Same verdict as the lstsq fit on every case; where both fit, the
+        values differ by round-off of the size eps max|ln p| / spread, the
+        conditioning of the line's slope (at most 5.4 such units here)."""
+        for m, h in _fit_cases():
+            fitted, reference = local_inverse_temperature(m, h), _lstsq_fit(m, h)
+            assert (fitted is None) == (reference is None)
+            if fitted is not None:
+                assert abs(fitted - reference) <= 16 * _slope_roundoff(m, h)
+
+    def test_is_the_exact_least_squares_line(self):
+        """Against the least-squares slope computed in exact rationals from the
+        same float logarithms: within a few units of round-off (at most 1.8
+        here), where lstsq itself is off by up to 4.8."""
+        for m, h in _fit_cases():
+            fitted = local_inverse_temperature(m, h)
+            if fitted is not None:
+                assert abs(fitted - _exact_fit(m, h)) <= 4 * _slope_roundoff(m, h)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+    def test_any_energy_scale(self, qubit_h, scale):
+        """Same populations, levels scaled: beta scales inversely, with no
+        underflow or overflow in the squared deviations."""
+        rho = thermal_state(qubit_h, 0.7)
+        fitted = local_inverse_temperature(rho, Hamiltonian(scale * qubit_h.matrix))
+        assert fitted * scale == pytest.approx(local_inverse_temperature(rho, qubit_h), rel=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_degenerate_spectrum_is_infinite_temperature(self, dim):
+        """All levels equal, exactly or up to eigh round-off after a rotation:
+        uniform populations fit beta = 0.0, anything else is not thermal."""
+        u = random_unitary(dim, np.random.default_rng(dim))
+        uniform = np.eye(dim, dtype=complex) / dim
+        skewed = np.diag(np.linspace(1.0, 2.0, dim)).astype(complex)
+        skewed /= np.trace(skewed)
+        for h in (
+            Hamiltonian(2.5 * np.eye(dim, dtype=complex)),
+            Hamiltonian(2.5 * u @ u.conj().T),
+            Hamiltonian(np.zeros((dim, dim), dtype=complex)),
+        ):
+            assert local_inverse_temperature(uniform, h) == 0.0
+            assert local_inverse_temperature(skewed, h) is None
 
 
 class TestThermoReport:
