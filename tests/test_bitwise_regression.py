@@ -280,7 +280,12 @@ def test_thermo_report_matches_the_inline_kron_sum(states):
             assert astuple(thermo_report(rho, h_b, beta)) == _thermo_report(rho, h_b, beta)
 
 
-@pytest.mark.parametrize("grid", [SearchGrid(), SearchGrid(coarse=128)], ids=repr)
+# the last grid is the grid-only call of the benchmark's chi re-timing
+@pytest.mark.parametrize(
+    "grid",
+    [SearchGrid(), SearchGrid(coarse=128), SearchGrid(coarse=64, angle_tol=math.pi)],
+    ids=repr,
+)
 def test_chi_A_max_matches_the_inline_grid(states, grid):
     for rho in states:
         assert chi_A_max(rho, grid) == _chi_A_max(rho, grid)

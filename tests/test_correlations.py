@@ -25,8 +25,9 @@ from qthermo import (
     von_neumann_entropy,
     wootters_eof,
 )
-from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_of_eigenvalues
-from qthermo.random_states import random_rank2_two_qubit, random_two_qubit_state
+from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_of_eigenvalues, pure_state
+from qthermo.correlations import _ASCENT_MAX_ITER, _bloch_data, _g, _newton_chi, _tangent_model
+from qthermo.random_states import random_rank2_two_qubit, random_two_qubit_state, random_x_state
 
 from conftest import LN2, product_thermal
 
@@ -233,8 +234,113 @@ class TestChiAMax:
         for beta_e in (10.0, 1.0):  # every 5th c of both sweep families
             params = ModelParams(beta_e=beta_e)
             states += [analytic_steady_state(k / 100.0, params) for k in range(0, 101, 5)]
-        worst = max(abs(chi_A_max(rho) - _reference_chi_A_max(rho)) for rho in states)
+        grid = SearchGrid()
+        worst = max(abs(chi_A_max(rho, grid) - _reference_chi_A_max(rho)) for rho in states)
         assert worst <= 1e-12
+
+
+ORACLE_STATES_PER_CLASS = 340
+
+
+@pytest.fixture(scope="module")
+def oracle_states():
+    """Seeded generic, rank-2 and X-shaped states for the Newton ascent."""
+    rng = np.random.default_rng(2025)
+    return [
+        draw(rng)
+        for draw in (random_two_qubit_state, random_rank2_two_qubit, random_x_state)
+        for _ in range(ORACLE_STATES_PER_CLASS)
+    ]
+
+
+def _near_pure_states():
+    """Pure and nearly pure states, where branch spectra touch zero."""
+    product = np.zeros(4, dtype=complex)
+    product[0] = 1.0
+    states = [
+        pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), dims=(2, 2)),
+        pure_state(product, dims=(2, 2)),
+        analytic_steady_state(0.0, ModelParams()),
+    ]
+    params = ModelParams(beta_e=30.0)
+    states += [analytic_steady_state(k / 20.0, params) for k in range(21)]
+    return states
+
+
+class TestNewtonAscent:
+    """The default chi_A_max: Newton ascent on the sphere of measurement
+    directions, checked against the reference grid search."""
+
+    def test_never_below_the_grid_search(self, oracle_states):
+        grid = SearchGrid()
+        worst = min(chi_A_max(rho) - chi_A_max(rho, grid) for rho in oracle_states)
+        assert worst >= -1e-12
+
+    def test_iterations_stay_below_the_cap(self, oracle_states):
+        for rho in oracle_states + _near_pure_states():
+            assert _newton_chi(rho.matrix)[1] < _ASCENT_MAX_ITER
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_pure_states(self):
+        bell, product, singlet, *family = _near_pure_states()
+        assert_allclose(chi_A_max(bell), LN2, rtol=0, atol=1e-12)
+        assert abs(chi_A_max(product)) <= 1e-12
+        assert_allclose(chi_A_max(singlet), LN2, rtol=0, atol=1e-12)
+        grid = SearchGrid()
+        for rho in family:
+            assert chi_A_max(rho) >= chi_A_max(rho, grid) - 1e-12
+
+    def test_x_state_off_axis_optimum(self):
+        """Every start direction of this X state (x, y, z) is stationary, and
+        the optimum lies off axis (Huang, PRA 88, 014302 (2013)): only the
+        step along negative curvature reaches it."""
+        m = np.diag([0.04, 0.03, 0.03, 0.9]).astype(complex)
+        m[0, 3] = m[3, 0] = 0.152
+        rho = DensityMatrix(m, dims=(2, 2))
+        eye = np.eye(2, dtype=complex)
+        axis_best = max(
+            local_information_gain(
+                measure(rho, Povm([np.kron((eye + s * pauli) / 2.0, eye) for s in (1.0, -1.0)])),
+                "B",
+            )
+            for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        )
+        chi = chi_A_max(rho)
+        assert chi - axis_best > 3e-4
+        assert chi >= chi_A_max(rho, SearchGrid()) - 1e-12
+
+    def test_tangent_model_matches_finite_differences(self, oracle_states):
+        """Gradient and Riemannian Hessian against central differences of g
+        along geodesics, Richardson-extrapolated (error O(h^4))."""
+        rng = np.random.default_rng(5)
+        for rho in oracle_states[::34]:
+            r = _bloch_data(rho.matrix)
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            e1, e2, *model = _tangent_model(r, tuple(n))
+            e1, e2 = np.array(e1), np.array(e2)
+
+            def g_at(x, y):
+                step = math.hypot(x, y)
+                if step == 0.0:
+                    return _g(r, tuple(n))
+                d = (x * e1 + y * e2) / step
+                return _g(r, tuple(n * math.cos(step) + d * math.sin(step)))
+
+            def differences(h):
+                g0 = g_at(0.0, 0.0)
+                return np.array([
+                    (g_at(h, 0.0) - g_at(-h, 0.0)) / (2 * h),
+                    (g_at(0.0, h) - g_at(0.0, -h)) / (2 * h),
+                    (g_at(h, 0.0) - 2 * g0 + g_at(-h, 0.0)) / h**2,
+                    (g_at(h, h) - g_at(h, -h) - g_at(-h, h) + g_at(-h, -h)) / (4 * h * h),
+                    (g_at(0.0, h) - 2 * g0 + g_at(0.0, -h)) / h**2,
+                ])
+
+            h = 2e-3
+            numeric = (4.0 * differences(h / 2) - differences(h)) / 3.0
+            assert_allclose(model[:2], numeric[:2], rtol=0, atol=1e-10)
+            assert_allclose(model[2:], numeric[2:], rtol=0, atol=1e-8)
 
 
 class TestDiscord:

@@ -373,9 +373,10 @@ class TestSteadyStateFamilyClosedForm:
     angle lies at the poles or the equator (Ali, Rau & Alber, PRA 81, 042105
     (2010)); Huang, PRA 88, 014302 (2013) gives X states for which the
     reduction fails, which is why it is checked here rather than assumed.
-    ``chi_A_max`` is a search, a lower bound on the optimum: it may fall short
-    of the axis value by its search resolution (1e-9) and exceed it only by
-    round-off (1e-10); a larger excess would be an off-axis optimum.
+    ``chi_A_max`` is a search, a lower bound on the optimum that starts from
+    both axes: it may fall short of the axis value only by round-off (1e-12)
+    and exceed it only by round-off (1e-10); a larger excess would be an
+    off-axis optimum.
     """
 
     C_GRID = np.linspace(0.0, 1.0, 21)
@@ -394,7 +395,7 @@ class TestSteadyStateFamilyClosedForm:
             for side in ("A", "B"):
                 assert np.abs(partial_trace(rho, side).matrix - tau).max() < 1e-12
             axis_best = max(_chi_measuring_a(rho, SIGMA_Z), _chi_measuring_a(rho, SIGMA_X))
-            assert -1e-9 <= chi_A_max(rho) - axis_best <= 1e-10
+            assert -1e-12 <= chi_A_max(rho) - axis_best <= 1e-10
 
     @pytest.mark.parametrize("beta_e", [0.1, 1.0, 3.0, 10.0, 30.0])
     def test_ergotropy(self, beta_e, qubit_h):
