@@ -27,6 +27,7 @@ from .core import (
     _kron,
     _partial_trace,
     _read_only,
+    _spectrum,
     as_matrix,
     entropy_of_eigenvalues,
     marginal_entropy,
@@ -391,7 +392,7 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid | None = None) -> float:
     m = rho.matrix
     if grid is None:
         return _newton_chi(m)[0]
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(m[:2, :2] + m[2:, 2:]))
+    s_b = entropy_of_eigenvalues(_spectrum(m[:2, :2] + m[2:, 2:]))
     r = _bloch_data(m)
 
     thetas, phis, nx, ny, nz = _direction_grid(grid.coarse)
@@ -450,16 +451,20 @@ def _binary_entropy(x: float) -> float:
 def wootters_eof(rho_2qubit) -> float:
     """Entanglement of formation (nats) of a two-qubit state via the concurrence.
 
-    C = max(0, l1 - l2 - l3 - l4) from the square-rooted eigenvalues of
-    rho (sy(x)sy) rho* (sy(x)sy), then E = h((1 + sqrt(1 - C^2)) / 2).
+    C = max(0, l1 - l2 - l3 - l4) from the descending singular values l_i of
+    sqrt(rho)^T (sy(x)sy) sqrt(rho), then E = h((1 + sqrt(1 - C^2)) / 2).
+    These are the square roots of the eigenvalues of rho (sy(x)sy) rho*
+    (sy(x)sy) (Uhlmann's form), but taken without a square root of
+    eigenvalues that are zero up to round-off, which would turn a 1e-16
+    error into 1e-8.  sqrt(rho) comes from ``eigh`` with negative round-off
+    eigenvalues clipped to zero.
     """
     m = as_matrix(rho_2qubit)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got {m.shape}")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    flipped = m @ yy @ m.conj() @ yy
-    lam = np.sqrt(np.clip(np.linalg.eigvals(flipped).real, 0.0, None))
-    lam = np.sort(lam)[::-1]
+    w, v = np.linalg.eigh(m)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.svd(sqrt_rho.T @ np.kron(SIGMA_Y, SIGMA_Y) @ sqrt_rho, compute_uv=False)
     concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     if concurrence <= 0.0:
         return 0.0

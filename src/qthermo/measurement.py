@@ -29,23 +29,37 @@ PROB_CUTOFF = 1e-12
 class Povm:
     """Ordered measurement operators {M_n} with sum_n M_n^dag M_n = I to 1e-9
     (each M_n^dag M_n is positive semi-definite by construction).
-    ``operators`` is a tuple of read-only copies of the input, so the checked
-    completeness cannot change afterwards."""
+    ``operators`` is a tuple of read-only copies of the input (views of one
+    stacked copy), so the checked completeness cannot change afterwards.
+    Construction rejects non-finite entries, then an empty list, then
+    operators of different dimensions, then a completeness deviation beyond
+    1e-9."""
 
     def __init__(self, operators):
-        ops = tuple(_read_only(as_matrix(m).copy()) for m in operators)
-        if not all(np.isfinite(m).all() for m in ops):
-            raise ValueError("POVM operators have non-finite entries")
-        if not ops:
+        mats = [as_matrix(m) for m in operators]
+        if not mats:
             raise ValueError("a POVM needs at least one operator")
-        d = ops[0].shape[0]
-        if any(m.shape != (d, d) for m in ops):
+        d = mats[0].shape[0]
+        same_shape = all(m.shape == (d, d) for m in mats)
+        if same_shape:
+            stack = np.array(mats)
+            finite = np.isfinite(stack).all()
+        else:
+            # mixed shapes do not stack; a non-finite entry is still reported first
+            finite = all(np.isfinite(m).all() for m in mats)
+        if not finite:
+            raise ValueError("POVM operators have non-finite entries")
+        if not same_shape:
             raise ValueError("POVM operators must share a single dimension")
-        total = sum(dagger(m) @ m for m in ops)
-        dev = float(np.abs(total - np.eye(d)).max())
+        # sum_n M_n^dag M_n as one product of the operators stacked row-wise,
+        # minus I in place
+        rows = stack.reshape(-1, d)
+        deviation = rows.conj().T @ rows
+        deviation.reshape(-1)[:: d + 1] -= 1.0
+        dev = float(np.abs(deviation).max())
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max |sum M^dag M - I| = {dev:.3e}")
-        self.operators = ops
+        self.operators = tuple(_read_only(stack))
 
     @property
     def dim(self) -> int:

@@ -238,11 +238,14 @@ def local_inverse_temperature(rho_local, h: Hamiltonian):
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
     v = h.eigenvectors
-    in_basis = dagger(v) @ m @ v
-    off_diagonal = in_basis - np.diag(np.diag(in_basis))
-    if np.abs(off_diagonal).max() > THERMAL_FIT_TOL:
+    in_basis = (dagger(v) @ m @ v).tolist()
+    coherence = max(
+        (abs(x) for i, row in enumerate(in_basis) for j, x in enumerate(row) if i != j),
+        default=0.0,
+    )
+    if coherence > THERMAL_FIT_TOL:
         return None
-    populations = np.diag(in_basis).real.tolist()
+    populations = [row[i].real for i, row in enumerate(in_basis)]
     if min(populations) <= 0.0:
         return None
     log_p = [math.log(p) for p in populations]

@@ -339,14 +339,13 @@ def suite_discord_nonnegative(rng, n):
         yield discord_A(rho)
 
 
-@_suite("kw_vs_wootters", "residual", 1e-7)
+@_suite("kw_vs_wootters", "residual", 1e-12)
 def suite_kw_vs_wootters(rng, n):
     # the one exact oracle for chi_A_max: Koashi-Winter EoF against Wootters'
-    # concurrence formula on rank-2 states.  The residual (worst ~2e-8 at
-    # count 500) is not the search's: it is the double-precision Wootters
-    # formula's, whose square roots of eigenvalues that are zero up to
-    # round-off come out near 1e-8 (a 40-digit evaluation of the formula
-    # agrees with the Koashi-Winter value to ~1e-15)
+    # concurrence formula on rank-2 states.  The concurrence comes from the
+    # singular values of sqrt(rho)^T (sy(x)sy) sqrt(rho) (Uhlmann's form), so
+    # the oracle is accurate to round-off and both sides agree to a few 1e-15
+    # at count 500; the tolerance leaves room for that round-off only
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
         via_kw = eof_via_koashi_winter(rho)

@@ -3,11 +3,13 @@
 Each reference below is the earlier inline form of a kernel: the kron-sum
 total Hamiltonian that ``thermo_report`` built on every call, the spectrum
 recomputed by every entropy and ergotropy, the bisection that evaluated
-entropy and energy together, and the (theta, phi) grid that ``chi_A_max``
-built on every call.  The current kernels reuse work (``Hamiltonian.doubled``,
-the spectrum kept by ``DensityMatrix``, the level gaps, the memoized root
-solve, the cached grid) but must do the same floating-point operations, so
-results are compared with ``==``, not a tolerance.
+entropy and energy together, the (theta, phi) grid that ``chi_A_max`` built
+on every call, and ``np.linalg.eigvalsh``, whose LAPACK gufunc
+``core._spectrum`` calls directly.  The current kernels reuse work
+(``Hamiltonian.doubled``, the spectrum kept by ``DensityMatrix``, the level
+gaps, the memoized root solve, the cached grid) or skip wrapper overhead but
+must do the same floating-point operations, so results are compared with
+``==``, not a tolerance.
 """
 
 import itertools
@@ -18,7 +20,9 @@ import numpy as np
 import pytest
 
 from qthermo import (
+    DensityMatrix,
     Hamiltonian,
+    ModelParams,
     SearchGrid,
     average_energy,
     bound_ergotropy,
@@ -27,16 +31,20 @@ from qthermo import (
     log_partition,
     partial_trace,
     passive_state,
+    standard_reports,
     thermo_report,
     von_neumann_entropy,
 )
-from qthermo.core import ENTROPY_CUTOFF, _kron, entropy_of_eigenvalues
+from qthermo import core
+from qthermo.cli import sweep_row
+from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
     _bloch_data,
     _branch_entropy,
     _branch_entropy_grid,
     _branches,
 )
+from qthermo.dissipation import local_qubit_hamiltonian
 from qthermo.random_states import (
     random_hamiltonian,
     random_rank2_two_qubit,
@@ -289,3 +297,49 @@ def test_thermo_report_matches_the_inline_kron_sum(states):
 def test_chi_A_max_matches_the_inline_grid(states, grid):
     for rho in states:
         assert chi_A_max(rho, grid) == _chi_A_max(rho, grid)
+
+
+def test_spectrum_kernel_matches_eigvalsh(states):
+    for rho in states:
+        m = rho.matrix
+        marginals = (
+            core._partial_trace(m, rho.dims, "A"),
+            core._partial_trace(m, rho.dims, "B"),
+            m[:2, :2] + m[2:, 2:],  # chi_A_max's form of the B marginal
+        )
+        for a in (m, *marginals):
+            assert _same_bits(core._spectrum(a), np.linalg.eigvalsh(a))
+
+
+def test_spectrum_kernel_raises_on_nonconvergence(monkeypatch):
+    """LAPACK leaves NaN where it does not converge; the kernel raises as the
+    numpy wrapper would, and so does DensityMatrix."""
+    monkeypatch.setattr(
+        core._umath_linalg, "eigvalsh_lo", lambda m, signature: np.full(m.shape[-1], np.nan)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        core._spectrum(np.eye(2, dtype=complex) / 2)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        DensityMatrix(np.eye(4, dtype=complex) / 4, dims=(2, 2))
+
+
+def test_hot_paths_bypass_the_eigvalsh_wrapper(monkeypatch):
+    """A sweep row and the standard reports run without np.linalg.eigvalsh,
+    so its dispatch overhead cannot creep back into the validated-state path."""
+    params = ModelParams()
+    h_local = local_qubit_hamiltonian(params.omega)
+    # locally thermal, not X-shaped: the Pauli products leave both marginals alone
+    tau = np.diag([math.exp(-0.8), 1.0]) / (1.0 + math.exp(-0.8))
+    coherent = DensityMatrix(
+        np.kron(tau, tau) + 0.03 * (np.kron(SIGMA_X, SIGMA_Z) + np.kron(SIGMA_Y, SIGMA_X)),
+        dims=(2, 2),
+    )
+    expected_row = sweep_row(0.3, params, h_local)  # also builds h_local.doubled
+    expected_reports = [r.to_dict() for r in standard_reports(coherent, h_local)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called on a hot path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert sweep_row(0.3, params, h_local) == expected_row
+    assert [r.to_dict() for r in standard_reports(coherent, h_local)] == expected_reports

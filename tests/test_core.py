@@ -64,6 +64,38 @@ class TestDensityMatrix:
         assert_allclose(rho.eigenvalues(), [0.25, 0.75], atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDensityMatrixValidationOrder:
+    """Each input breaks two checks at once; the earlier check's message wins,
+    in the order finite, square, Hermitian, trace, positivity, dims."""
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            # non-finite and non-Hermitian
+            ([[0.5, 1.0], [0.0, np.nan]], "non-finite"),
+            # non-square and non-finite
+            (np.full((2, 3), np.inf), "non-finite"),
+            # non-Hermitian and trace 2
+            ([[1.0, 1.0], [0.0, 1.0]], "Hermitian"),
+            # trace 2 and a negative eigenvalue
+            (np.diag([2.5, -0.5]), "trace"),
+        ],
+    )
+    def test_first_failing_check_is_reported(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.asarray(m, dtype=complex))
+
+    def test_negative_eigenvalue_before_dims(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), dims=(3, 2))
+
+    def test_trace_tolerance_edges(self):
+        with pytest.raises(ValueError, match="trace 1.0000000002 differs"):
+            DensityMatrix(np.diag([0.5 + 2e-10, 0.5]).astype(complex))
+        assert DensityMatrix(np.diag([0.5 + 5e-11, 0.5]).astype(complex)).dim == 2
+
+
 class TestPartialTrace:
     def test_product_state(self, rng):
         a = np.diag([0.3, 0.7]).astype(complex)

@@ -383,7 +383,7 @@ class TestKoashiWinterEof:
         )
         psi = purify(rho).reshape(2, 2, 2)
         rho_bc = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(4, 4)
-        assert abs(eof_via_koashi_winter(rho) - wootters_eof(rho_bc)) < 1e-7
+        assert abs(eof_via_koashi_winter(rho) - wootters_eof(rho_bc)) < 1e-12
 
 
 class TestWoottersEof:

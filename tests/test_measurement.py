@@ -61,6 +61,31 @@ class TestPovm:
         assert_allclose(record.probabilities, [0.5, 0.5], atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPovmValidationOrder:
+    """Checks run in the order: non-finite entries, no operators, mixed
+    dimensions, completeness."""
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([], "at least one"),
+            ([np.diag([np.nan, 1.0]), G_PROJ], "non-finite"),
+            ([np.eye(2), np.zeros((4, 4))], "single dimension"),
+            # mixed shapes do not stack, yet the non-finite entry is still reported first
+            ([np.eye(2), np.full((4, 4), np.inf)], "non-finite"),
+            ([E_PROJ, np.sqrt(1.0 + 1e-8) * G_PROJ], "completeness"),
+        ],
+    )
+    def test_first_failing_check_is_reported(self, ops, message):
+        with pytest.raises(ValueError, match=message):
+            Povm([np.asarray(m, dtype=complex) for m in ops])
+
+    def test_deviation_within_tolerance_accepted(self):
+        povm = Povm([E_PROJ, np.sqrt(1.0 + 1e-10) * G_PROJ])
+        assert len(povm) == 2 and povm.dim == 2
+
+
 class TestMeasure:
     def test_projectors_on_ground_state(self):
         ground = pure_state([0.0, 1.0])  # |g> in the (e, g) basis
