@@ -45,7 +45,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a finite Hermitian complex matrix.
+    """Ascending eigenvalues of a finite Hermitian complex matrix, or one row
+    of them per matrix of an ``(n, d, d)`` stack.
 
     The LAPACK gufunc behind ``np.linalg.eigvalsh``, called without the
     wrapper's type, shape and error-state handling, so it returns the same
@@ -54,7 +55,8 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     like the wrapper.  ``_umath_linalg`` is a private numpy module.
     """
     w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
-    if math.isnan(w[0]):
+    lowest = w[0] if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
+    if math.isnan(lowest):
         raise LinAlgError("Eigenvalues did not converge")
     return w
 
@@ -74,15 +76,27 @@ class DensityMatrix:
     and ``dims``, in that order.  ``matrix`` is a read-only copy of the
     input, so the validated state and the spectrum kept from the positivity
     check cannot change afterwards.
+
+    ``spectrum`` is for states the library derives from validated inputs
+    (marginals, post-measurement states, channel outputs, analytic steady
+    states): the caller hands over a freshly computed complex matrix it does
+    not keep, its ascending spectrum and ``dims`` in normal form.  Both
+    arrays are then stored read-only as they are, and no check runs.
     """
 
-    def __init__(self, matrix, dims=None):
+    def __init__(self, matrix, dims=None, *, spectrum=None):
+        if spectrum is not None:
+            self.matrix = _read_only(matrix)
+            self.dims = dims
+            self._spectrum = _read_only(spectrum)
+            return
         m = np.array(matrix, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm = float(np.abs(m - m.conj().T).max())
+        with np.errstate(over="ignore"):  # finite entries near the float limit
+            herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = sum(m.diagonal().tolist())
@@ -146,7 +160,8 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Marginal state on subsystem ``keep`` ("A" or "B") of a bipartite state."""
     if rho.dims is None:
         raise ValueError("state carries no bipartite dims; cannot take a marginal")
-    return DensityMatrix(_partial_trace(rho.matrix, rho.dims, keep))
+    m = _partial_trace(rho.matrix, rho.dims, keep)
+    return DensityMatrix(m, spectrum=_spectrum(m))
 
 
 def entropy_of_eigenvalues(values) -> float:

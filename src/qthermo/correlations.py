@@ -47,6 +47,8 @@ CLAMP_TOL = 1e-6
 # The gain split is exact algebra (quantum gain = S_B - I, chi_A cancels) up
 # to the two CLAMP_TOL clamps of discord and EoF.
 SPLIT_TOL = 2e-6
+# sy (x) sy, the spin flip in Wootters' concurrence
+SPIN_FLIP = _read_only(_kron(SIGMA_Y, SIGMA_Y))
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,7 @@ def wootters_eof(rho_2qubit) -> float:
         raise ValueError(f"expected a 4x4 state, got {m.shape}")
     w, v = np.linalg.eigh(m)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam = np.linalg.svd(sqrt_rho.T @ np.kron(SIGMA_Y, SIGMA_Y) @ sqrt_rho, compute_uv=False)
+    lam = np.linalg.svd(sqrt_rho.T @ SPIN_FLIP @ sqrt_rho, compute_uv=False)
     concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     if concurrence <= 0.0:
         return 0.0

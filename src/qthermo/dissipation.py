@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRACE_TOL, DensityMatrix, as_matrix, dagger
+from .core import TRACE_TOL, DensityMatrix, _spectrum, as_matrix, dagger
 from .thermo import Hamiltonian
 
 # single-qubit operators in the (e, g) basis
@@ -253,7 +253,7 @@ def analytic_steady_state(c: float, params: ModelParams) -> DensityMatrix:
         + x * np.outer(PSI_PLUS, PSI_PLUS.conj())
         + np.outer(KET_GG, KET_GG.conj())
     )
-    return DensityMatrix(m, dims=(2, 2))
+    return DensityMatrix(m, dims=(2, 2), spectrum=_spectrum(m))
 
 
 def local_beta(c: float, params: ModelParams) -> float:

@@ -41,7 +41,9 @@ def _matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"re and im must be arrays of numbers: {err}") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes disagree: {re.shape} vs {im.shape}")
-    return re + 1.0j * im
+    # 1j * inf has a NaN real part; the non-finite check rejects it
+    with np.errstate(invalid="ignore"):
+        return re + 1.0j * im
 
 
 def _jsonable(value):
@@ -80,10 +82,7 @@ def read_state(path) -> DensityMatrix:
     missing or null ``dims`` means no bipartite split."""
     with open(path) as fh:
         obj = json.load(fh)
-    # non-finite entries turn into nan and entries near the float limit
-    # overflow the validation sums to inf; the checks then reject both
-    with np.errstate(over="ignore", invalid="ignore"):
-        return DensityMatrix(_matrix_from_json(obj), dims=obj.get("dims"))
+    return DensityMatrix(_matrix_from_json(obj), dims=obj.get("dims"))
 
 
 def write_hamiltonian(path, h: Hamiltonian) -> None:
@@ -93,8 +92,7 @@ def write_hamiltonian(path, h: Hamiltonian) -> None:
 def read_hamiltonian(path) -> Hamiltonian:
     with open(path) as fh:
         obj = json.load(fh)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Hamiltonian(_matrix_from_json(obj))
+    return Hamiltonian(_matrix_from_json(obj))
 
 
 def write_reports(path, reports: list[RelationReport]) -> None:

@@ -7,6 +7,7 @@ Only efficient measurements are supported: one operator per outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .core import (
     DensityMatrix,
     _kron,
     _read_only,
+    _spectrum,
     as_matrix,
     dagger,
     marginal_entropy,
@@ -105,16 +107,19 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total:.12g}")
-    posts = [
-        DensityMatrix(u / p, dims=rho.dims) if p >= PROB_CUTOFF else None
-        for u, p in zip(unnormalized, probs)
-    ]
-    output = DensityMatrix(sum(unnormalized), dims=rho.dims)
+    kept = [n for n, p in enumerate(probs) if p >= PROB_CUTOFF]
+    # the kept post-measurement states and the channel output derive from
+    # validated inputs: one stacked spectrum and no re-validation
+    stack = np.array([unnormalized[n] / probs[n] for n in kept] + [sum(unnormalized)])
+    states = [DensityMatrix(m, rho.dims, spectrum=w) for m, w in zip(stack, _spectrum(stack))]
+    posts = [None] * len(probs)
+    for n, state in zip(kept, states):
+        posts[n] = state
     return MeasurementRecord(
         probabilities=probs,
         post_states=posts,
         pre_state=rho,
-        channel_output=output,
+        channel_output=states[-1],
     )
 
 
@@ -135,7 +140,7 @@ def holevo_of_measurement(record: MeasurementRecord) -> float:
 
 def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
     """All tensor products M_a (x) M_b, outcome pairs flattened row-major."""
-    ops = [np.kron(m_a, m_b) for m_a in povm_a.operators for m_b in povm_b.operators]
+    ops = [_kron(m_a, m_b) for m_a in povm_a.operators for m_b in povm_b.operators]
     return Povm(ops)
 
 
@@ -144,13 +149,21 @@ def projective_energy_povm(h: Hamiltonian, dims) -> Povm:
     eigenvectors e_k of B's Hamiltonian ``h``, in ascending energy order.
 
     A degenerate eigenspace is resolved with an arbitrary orthonormal basis.
+    The POVM is built and validated once per ``(h, d_A)`` and then shared.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if h.dim != d_b:
         raise ValueError(f"Hamiltonian dimension {h.dim} != dimension {d_b} of B")
+    return _energy_povm(h, d_a)
+
+
+# Hamiltonian is immutable and hashed by identity; the cache holds a reference
+# to each key, so a cached id cannot be reused by a new Hamiltonian
+@lru_cache(maxsize=4)
+def _energy_povm(h: Hamiltonian, d_a: int) -> Povm:
     eye_a = np.eye(d_a, dtype=complex)
     vecs = h.eigenvectors
-    return Povm([_kron(eye_a, np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(d_b)])
+    return Povm([_kron(eye_a, np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(h.dim)])
 
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:

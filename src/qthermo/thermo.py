@@ -39,7 +39,8 @@ class Hamiltonian:
         m = as_matrix(matrix).copy()
         if not np.isfinite(m).all():
             raise ValueError("Hamiltonian has non-finite entries")
-        herm = float(np.abs(m - dagger(m)).max())
+        with np.errstate(over="ignore"):  # finite entries near the float limit
+            herm = float(np.abs(m - dagger(m)).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
         self.matrix = _read_only(m)

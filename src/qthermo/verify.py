@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    _kron,
     marginal_entropy,
     partial_trace,
     purify,
@@ -197,7 +198,7 @@ def suite_ptrace_kron_roundtrip(rng, n):
     for _ in range(n):
         a = random_density_matrix(2, rng)
         b = random_density_matrix(2, rng)
-        joint = DensityMatrix(np.kron(a.matrix, b.matrix), dims=(2, 2))
+        joint = DensityMatrix(_kron(a.matrix, b.matrix), dims=(2, 2))
         yield np.abs(partial_trace(joint, "A").matrix - a.matrix).max()
         yield np.abs(partial_trace(joint, "B").matrix - b.matrix).max()
 
@@ -291,7 +292,7 @@ def suite_coherence_gap(rng, n):
         proj_b = Povm([np.outer(u_b[:, i], u_b[:, i].conj()) for i in range(2)])
         record = measure(rho, local_povm(proj_a, proj_b))
         gap = holevo_of_measurement(record) - information_gain(record)
-        coherence = relative_entropy_of_coherence(rho.matrix, np.kron(u_a, u_b))
+        coherence = relative_entropy_of_coherence(rho.matrix, _kron(u_a, u_b))
         yield gap - coherence
 
 
@@ -353,7 +354,7 @@ def suite_kw_vs_wootters(rng, n):
         r = psi.shape[-1]
         rho_bc = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(2 * r, 2 * r)
         if r == 1:
-            rho_bc = np.kron(rho_bc, np.diag([1.0, 0.0]))
+            rho_bc = _kron(rho_bc, np.diag([1.0, 0.0]))
         yield via_kw - wootters_eof(rho_bc)
 
 

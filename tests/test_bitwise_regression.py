@@ -9,7 +9,10 @@ on every call, and ``np.linalg.eigvalsh``, whose LAPACK gufunc
 (``Hamiltonian.doubled``, the spectrum kept by ``DensityMatrix``, the level
 gaps, the memoized root solve, the cached grid) or skip wrapper overhead but
 must do the same floating-point operations, so results are compared with
-``==``, not a tolerance.
+``==``, not a tolerance.  The same holds for the states the library derives
+without re-validation (marginals, post-measurement states, channel outputs,
+analytic steady states): each equals the validated construction of its
+matrix.
 """
 
 import itertools
@@ -24,13 +27,17 @@ from qthermo import (
     Hamiltonian,
     ModelParams,
     SearchGrid,
+    analytic_steady_state,
     average_energy,
     bound_ergotropy,
     chi_A_max,
     ergotropy,
+    local_povm,
     log_partition,
+    measure,
     partial_trace,
     passive_state,
+    projective_energy_povm,
     standard_reports,
     thermo_report,
     von_neumann_entropy,
@@ -47,6 +54,7 @@ from qthermo.correlations import (
 from qthermo.dissipation import local_qubit_hamiltonian
 from qthermo.random_states import (
     random_hamiltonian,
+    random_projective_povm,
     random_rank2_two_qubit,
     random_two_qubit_state,
     random_x_state,
@@ -343,3 +351,39 @@ def test_hot_paths_bypass_the_eigvalsh_wrapper(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     assert sweep_row(0.3, params, h_local) == expected_row
     assert [r.to_dict() for r in standard_reports(coherent, h_local)] == expected_reports
+
+
+def test_stacked_spectrum_matches_the_per_matrix_call(states):
+    stack = np.array([rho.matrix for rho in states])
+    expected = [core._spectrum(m) for m in stack]
+    assert _same_bits(core._spectrum(stack), np.array(expected))
+    marginals = np.array([core._partial_trace(rho.matrix, rho.dims, "B") for rho in states])
+    assert _same_bits(core._spectrum(marginals), np.array([core._spectrum(m) for m in marginals]))
+
+
+def _derived_states(rho, povms):
+    derived = [partial_trace(rho, "A"), partial_trace(rho, "B")]
+    for povm in povms:
+        record = measure(rho, povm)
+        derived.extend(s for s in record.post_states if s is not None)
+        derived.append(record.channel_output)
+    return derived
+
+
+def test_derived_states_match_their_validated_construction(states):
+    """Every derived state has the matrix, spectrum and dims of the validated
+    construction of its matrix, and both arrays refuse writes."""
+    rng = np.random.default_rng(3)
+    povms = (
+        projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2)),
+        local_povm(random_projective_povm(2, rng), random_projective_povm(2, rng)),
+        random_projective_povm(4, rng),
+    )
+    steady = [analytic_steady_state(c, ModelParams()) for c in np.linspace(0.0, 1.0, 21)]
+    derived = steady + [s for rho in states for s in _derived_states(rho, povms)]
+    for s in derived:
+        validated = DensityMatrix(s.matrix, s.dims)
+        assert _same_bits(s.matrix, validated.matrix)
+        assert _same_bits(s._spectrum, validated._spectrum)
+        assert s.dims == validated.dims
+        assert not s.matrix.flags.writeable and not s._spectrum.flags.writeable

@@ -15,6 +15,13 @@ from qthermo import (
     von_neumann_entropy,
 )
 
+from qthermo.io import read_state, write_json
+from qthermo.random_states import (
+    random_density_matrix,
+    random_rank2_two_qubit,
+    random_x_state,
+)
+
 from conftest import LN2
 
 
@@ -94,6 +101,62 @@ class TestDensityMatrixValidationOrder:
         with pytest.raises(ValueError, match="trace 1.0000000002 differs"):
             DensityMatrix(np.diag([0.5 + 2e-10, 0.5]).astype(complex))
         assert DensityMatrix(np.diag([0.5 + 5e-11, 0.5]).astype(complex)).dim == 2
+
+
+@pytest.mark.parametrize("cls", [DensityMatrix, Hamiltonian])
+def test_overflowing_hermiticity_difference_is_refused_without_a_warning(cls):
+    # finite entries whose difference overflows; RuntimeWarnings are errors here
+    m = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian.* = inf"):
+        cls(m)
+
+
+class _Draws:
+    """A seeded generator with some of its draws replaced."""
+
+    def __init__(self, **replaced):
+        self._rng = np.random.default_rng(0)
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestTrustBoundary:
+    """States that enter from outside the library (the public constructor,
+    state files, the random generators) still pass every check; only the
+    states the library derives from them skip it."""
+
+    @pytest.mark.parametrize(
+        "m, dims, message",
+        [
+            ([[0.5, np.nan], [0.0, 0.5]], None, "non-finite"),
+            ([[0.5, complex(0.0, np.inf)], [0.0, 0.5]], None, "non-finite"),
+            (np.ones((2, 3)) / 2, None, "square"),
+            ([[0.5, 0.5], [0.0, 0.5]], None, "Hermitian"),
+            ([[0.5, 1e308], [-1e308, 0.5]], None, "Hermitian"),
+            (np.eye(2), None, "trace"),
+            (np.diag([1.5, -0.5]), None, "negative eigenvalue"),
+            (np.eye(4) / 4, [3, 2], "incompatible"),
+            (np.eye(4) / 4, [2, 2.0], "two positive integers"),
+        ],
+    )
+    def test_constructor_and_state_file_reject(self, tmp_path, m, dims, message):
+        m = np.asarray(m, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(m, dims)
+        path = tmp_path / "state.json"
+        write_json(path, {"dims": dims, "re": m.real.tolist(), "im": m.imag.tolist()})
+        with pytest.raises(ValueError, match=message):
+            read_state(path)
+
+    def test_random_generators_reject_bad_draws(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            random_density_matrix(4, np.random.default_rng(0), dims=(3, 2))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            random_rank2_two_qubit(_Draws(uniform=lambda *bounds: 1.5))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            random_x_state(_Draws(dirichlet=lambda alpha: np.array([1.5, -0.5, 0.0, 0.0])))
 
 
 class TestPartialTrace:

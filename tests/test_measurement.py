@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qthermo import (
     DensityMatrix,
+    Hamiltonian,
     Povm,
     correlations_lost,
     entropy_cost,
@@ -16,6 +17,7 @@ from qthermo import (
     pure_state,
     von_neumann_entropy,
 )
+from qthermo import core
 from qthermo.core import SIGMA_X
 
 from conftest import LN2
@@ -93,6 +95,9 @@ class TestMeasure:
         assert_allclose(record.probabilities, [1.0, 0.0], atol=1e-12)
         assert_allclose(record.post_states[0].matrix, ground.matrix, atol=1e-12)
         assert record.post_states[1] is None  # null marker for a dead outcome
+        flipped = measure(ground, Povm([E_PROJ, G_PROJ]))
+        assert flipped.post_states[0] is None
+        assert_allclose(flipped.post_states[1].matrix, ground.matrix, atol=1e-12)
 
     def test_average_skips_dead_outcomes(self):
         record = measure(pure_state([0.0, 1.0]), Povm([G_PROJ, E_PROJ]))
@@ -183,6 +188,26 @@ class TestHolevo:
         )
 
 
+class TestDerivedStates:
+    """Post-measurement states and channel outputs are not re-validated;
+    their spectra come from one stacked call."""
+
+    def test_non_converged_spectrum_in_the_stack_raises(self, monkeypatch, bell_state, energy_povm_b):
+        """LAPACK leaves NaN where it does not converge; one such matrix in
+        measure's stack of post-measurement states raises."""
+        solve = core._umath_linalg.eigvalsh_lo
+
+        def one_fails(m, signature):
+            w = solve(m, signature=signature)
+            if w.ndim == 2:
+                w[1] = np.nan
+            return w
+
+        monkeypatch.setattr(core._umath_linalg, "eigvalsh_lo", one_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            measure(bell_state, energy_povm_b)
+
+
 class TestLocalPovm:
     def test_product_of_computational_bases(self):
         povm = local_povm(computational_povm(2), computational_povm(2))
@@ -221,6 +246,23 @@ class TestProjectiveEnergyPovm:
     def test_completeness(self, energy_povm_b):
         total = sum(m.conj().T @ m for m in energy_povm_b.operators)
         assert_allclose(total, np.eye(4), atol=1e-12)
+
+    def test_built_once_per_hamiltonian(self, qubit_h, energy_povm_b):
+        """The POVM is validated once and shared; another Hamiltonian with the
+        same matrix, or another d_A, gets its own."""
+        assert projective_energy_povm(qubit_h, (2, 2)) is energy_povm_b
+        vecs = qubit_h.eigenvectors
+        fresh = Povm([np.kron(np.eye(2), np.outer(vecs[:, k], vecs[:, k].conj())) for k in range(2)])
+        for ours, theirs in zip(energy_povm_b.operators, fresh.operators):
+            assert ours.tobytes() == theirs.tobytes()
+        assert projective_energy_povm(Hamiltonian(qubit_h.matrix), (2, 2)) is not energy_povm_b
+        wider = projective_energy_povm(qubit_h, (3, 2))
+        assert wider is not energy_povm_b and wider.dim == 6
+
+    def test_dimension_mismatch_raises_on_every_call(self, qubit_h, energy_povm_b):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension 2 != dimension 3 of B"):
+                projective_energy_povm(qubit_h, (2, 3))
 
 
 class TestLocalInformationGain:
