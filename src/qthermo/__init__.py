@@ -24,7 +24,6 @@ from .measurement import (
 )
 from .correlations import (
     CorrelationBreakdown,
-    SearchGrid,
     breakdown,
     chi_A_max,
     chi_from_local_measurement,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -310,6 +311,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qthermo",

@@ -37,6 +37,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m.T)
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian positive semi-definite matrix from ``eigh``,
+    with negative round-off eigenvalues clipped to zero."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two 2-D arrays as one broadcasted outer product: the same
     elementwise products, without np.kron's shape bookkeeping."""

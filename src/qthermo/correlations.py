@@ -6,8 +6,9 @@ defined for two-qubit states: the optimization over rank-one projective
 measurements on qubit A evaluates the measured branches of B in closed form
 from the real Bloch data of the state, by a Riemannian Newton ascent on the
 sphere of measurement directions.  A ``SearchGrid`` selects the reference
-search instead: a coarse (theta, phi) grid followed by pattern-search
-refinement.  Either result is a lower bound on the optimum.
+search instead: the same exact objective on a coarse (theta, phi) grid
+followed by pattern-search refinement.  Either result is a lower bound on the
+optimum.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from .core import (
     DensityMatrix,
     _kron,
     _partial_trace,
+    _psd_sqrt,
     _read_only,
-    _spectrum,
     as_matrix,
-    entropy_of_eigenvalues,
     marginal_entropy,
     mutual_information,
-    ENTROPY_CUTOFF,
 )
 from .measurement import (
     Povm,
@@ -136,28 +135,18 @@ def _branches(r, nx, ny, nz):
 
 
 def _xlogx_grid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= ENTROPY_CUTOFF, x * np.log(np.maximum(x, ENTROPY_CUTOFF)), 0.0)
+    """x ln x elementwise for x >= 0, with 0 ln 0 = 0 and no cutoff."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _branch_entropy_grid(t: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """p S(N / p) for branches of trace t and squared Bloch length sq: the
-    eigenvalues (t -+ sqrt(sq) / 2) / 2, clipped at 0, and p their sum."""
+    eigenvalues (t -+ sqrt(sq) / 2) / 2, clipped at 0, and p their sum.  The
+    array form of one branch's term of ``_g``."""
     disc = np.sqrt(sq) / 2.0
     lo = np.maximum((t - disc) / 2.0, 0.0)
     hi = np.maximum((t + disc) / 2.0, 0.0)
     return -(_xlogx_grid(lo) + _xlogx_grid(hi)) + _xlogx_grid(lo + hi)
-
-
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x >= ENTROPY_CUTOFF else 0.0
-
-
-def _branch_entropy(t: float, sq: float) -> float:
-    """Scalar form of _branch_entropy_grid."""
-    disc = math.sqrt(sq) / 2.0
-    lo = max((t - disc) / 2.0, 0.0)
-    hi = max((t + disc) / 2.0, 0.0)
-    return -(_xlogx(lo) + _xlogx(hi)) + _xlogx(lo + hi)
 
 
 @lru_cache(maxsize=4)
@@ -196,6 +185,13 @@ def _entropy_term(x: float) -> float:
     drop by up to ~3e-11 where a branch eigenvalue crosses it, and the ascent
     would climb into that drop."""
     return x * math.log(x) if x > 0.0 else 0.0
+
+
+def _entropy_b(r) -> float:
+    """S(rho_B) from the Bloch data: the eigenvalues (tr -+ |b|) / 2."""
+    tr, b1, b2, b3 = r[0]
+    b_len = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    return -(_entropy_term((tr - b_len) / 2.0) + _entropy_term((tr + b_len) / 2.0))
 
 
 def _g(r, n) -> float:
@@ -347,9 +343,7 @@ def _newton_chi(m: np.ndarray) -> tuple[float, int]:
     best two of five start directions (the left singular vectors of T, the
     direction of a, and z); returns chi and the largest iteration count."""
     r = _bloch_data(m)
-    (tr, b1, b2, b3), (a1, *_), (a2, *_), (a3, *_) = r
-    b_len = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    s_b = -(_entropy_term((tr - b_len) / 2.0) + _entropy_term((tr + b_len) / 2.0))
+    _, (a1, *_), (a2, *_), (a3, *_) = r
     starts = [tuple(col) for col in np.linalg.svd(np.array([row[1:] for row in r[1:]]))[0].T.tolist()]
     a_len = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     if a_len > _TINY_BRANCH:
@@ -360,7 +354,7 @@ def _newton_chi(m: np.ndarray) -> tuple[float, int]:
     for value, k in scored[:2]:
         value, it = _descend(r, starts[k], value)
         best, iterations = min(best, value), max(iterations, it)
-    return s_b - best, iterations
+    return _entropy_b(r) - best, iterations
 
 
 def chi_A_max(rho: DensityMatrix, grid: SearchGrid | None = None) -> float:
@@ -379,8 +373,9 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid | None = None) -> float:
     (Huang, PRA 88, 014302 (2013)).
 
     Passing a ``SearchGrid`` selects the reference grid search instead: the
-    objective on a coarse (theta, phi) grid, the best point refined by a
-    pattern search that halves its angle step down to ``grid.angle_tol``.
+    ascent's objective, exact x ln x with no cutoff, on a coarse (theta, phi)
+    grid, the best point refined by a pattern search that halves its angle
+    step down to ``grid.angle_tol``.
 
     Either way the returned value is a lower bound on the optimum over this
     measurement class, never below the z-axis measurement, which both
@@ -394,8 +389,8 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid | None = None) -> float:
     m = rho.matrix
     if grid is None:
         return _newton_chi(m)[0]
-    s_b = entropy_of_eigenvalues(_spectrum(m[:2, :2] + m[2:, 2:]))
     r = _bloch_data(m)
+    s_b = _entropy_b(r)
 
     thetas, phis, nx, ny, nz = _direction_grid(grid.coarse)
     t_plus, sq_plus, t_minus, sq_minus = _branches(r, nx, ny, nz)
@@ -406,10 +401,7 @@ def chi_A_max(rho: DensityMatrix, grid: SearchGrid | None = None) -> float:
 
     def objective(theta: float, phi: float) -> float:
         sin_theta = math.sin(theta)
-        t_plus, sq_plus, t_minus, sq_minus = _branches(
-            r, sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)
-        )
-        return s_b - (_branch_entropy(t_plus, sq_plus) + _branch_entropy(t_minus, sq_minus))
+        return s_b - _g(r, (sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)))
 
     step = max(math.pi / max(grid.coarse - 1, 1), 2.0 * math.pi / grid.coarse)
     while step > grid.angle_tol:
@@ -444,12 +436,6 @@ def eof_via_koashi_winter(rho: DensityMatrix) -> float:
     return _clamp_small_negative(marginal_entropy(rho, "B") - chi_A_max(rho))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
-
-
 def wootters_eof(rho_2qubit) -> float:
     """Entanglement of formation (nats) of a two-qubit state via the concurrence.
 
@@ -464,13 +450,14 @@ def wootters_eof(rho_2qubit) -> float:
     m = as_matrix(rho_2qubit)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got {m.shape}")
-    w, v = np.linalg.eigh(m)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam = np.linalg.svd(sqrt_rho.T @ SPIN_FLIP @ sqrt_rho, compute_uv=False)
-    concurrence = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    sqrt_rho = _psd_sqrt(m)
+    lam = np.linalg.svd(sqrt_rho.T @ SPIN_FLIP @ sqrt_rho, compute_uv=False).tolist()
+    concurrence = lam[0] - lam[1] - lam[2] - lam[3]
     if concurrence <= 0.0:
         return 0.0
-    return _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - concurrence**2)))
+    # a pure maximally entangled state can give C = 1 + 2e-16
+    x = 0.5 * (1.0 + math.sqrt(max(1.0 - concurrence * concurrence, 0.0)))
+    return -(_entropy_term(x) + _entropy_term(1.0 - x))
 
 
 def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRACE_TOL, DensityMatrix, _spectrum, as_matrix, dagger
+from .core import TRACE_TOL, DensityMatrix, _kron, _spectrum, as_matrix, dagger
 from .thermo import Hamiltonian
 
 # single-qubit operators in the (e, g) basis
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 _I2 = np.eye(2, dtype=complex)
 
-SIGMA_MINUS = (np.kron(_LOWER, _I2), np.kron(_I2, _LOWER))
+SIGMA_MINUS = (_kron(_LOWER, _I2), _kron(_I2, _LOWER))
 SIGMA_PLUS = tuple(dagger(s) for s in SIGMA_MINUS)
 
 KET_EE = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -93,7 +93,7 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     """
     h = build_hamiltonian(params).matrix
     eye = np.eye(4, dtype=complex)
-    lind = -1.0j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lind = -1.0j * (_kron(h, eye) - _kron(eye, h.T))
     if params.gamma == 0.0:
         return lind  # closed dynamics: nbar plays no part
     nbar = params.nbar
@@ -103,7 +103,7 @@ def _superoperator(params: ModelParams) -> np.ndarray:
         (params.gamma * nbar, dagger(jump)),  # absorption
     ):
         ba = dagger(a) @ a
-        lind += coeff * (np.kron(a, a.conj()) - 0.5 * (np.kron(ba, eye) + np.kron(eye, ba.T)))
+        lind += coeff * (_kron(a, a.conj()) - 0.5 * (_kron(ba, eye) + _kron(eye, ba.T)))
     return lind
 
 
@@ -202,9 +202,10 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
                 break
     states = np.concatenate(blocks).reshape(-1, 4, 4)
     times = dt * np.arange(len(states))
-    # eigvalsh rejects a non-finite state, and only the last one can be
+    # the spectrum kernel takes finite states only, and only the last one can
+    # be non-finite
     checked = states if np.isfinite(v).all() else states[:-1]
-    lowest = np.linalg.eigvalsh(checked)[:, 0]
+    lowest = _spectrum(checked)[:, 0]
     off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
     bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
     k = bad[0] if bad.size else len(checked)

@@ -19,9 +19,11 @@ from .relations import RelationReport
 from .thermo import Hamiltonian
 
 
-def fmt(x) -> str:
-    """12-significant-digit decimal rendering used in every CSV column."""
-    return f"{float(x):.12g}"
+def _write_rows(fh, rows, width: int) -> None:
+    """Write each row of ``width`` numbers as one CSV line, every value in the
+    12-significant-digit "%.12g" form."""
+    row_format = ",".join(["%.12g"] * width) + "\n"
+    fh.write("".join([row_format % tuple(row) for row in rows]))
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:
@@ -117,7 +119,6 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
     and the smallest eigenvalue (from the trajectory's own check)."""
     header = trajectory_header()
-    row_format = ",".join(["%.12g"] * len(header)) + "\n"  # fmt for each column
     states = trajectory.states
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -131,13 +132,10 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
             table[:, 2:33:2] = entries.imag
             table[:, 33] = np.trace(chunk, axis1=1, axis2=2).real
             table[:, 34] = trajectory.min_eigenvalues[rows]
-            fh.write("".join([row_format % tuple(row) for row in table.tolist()]))
+            _write_rows(fh, table.tolist(), len(header))
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(",".join(columns) + "\n")
+        _write_rows(fh, [[row[c] for c in columns] for row in rows], len(columns))

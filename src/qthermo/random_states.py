@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, dagger
+from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _psd_sqrt, dagger
 from .measurement import Povm, local_povm
 from .thermo import Hamiltonian
 
@@ -101,12 +101,7 @@ def random_general_povm(dim: int, rng, n_outcomes: int = 3) -> Povm:
     total = sum(blocks)
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-    ops = []
-    for b in blocks:
-        e = inv_sqrt @ b @ inv_sqrt
-        we, ve = np.linalg.eigh(e)
-        ops.append((ve * np.sqrt(np.clip(we, 0.0, None))) @ dagger(ve))
-    return Povm(ops)
+    return Povm([_psd_sqrt(inv_sqrt @ b @ inv_sqrt) for b in blocks])
 
 
 def random_local_general_povm(rng) -> Povm:
@@ -118,13 +113,7 @@ def random_unsharp_on_b(rng) -> Povm:
     """Identity on A times the square-root two-outcome POVM ((I +/- n.sigma)/2)^{1/2}."""
     n = rng.standard_normal(3)
     n /= np.linalg.norm(n)
-    from .core import SIGMA_X, SIGMA_Y, SIGMA_Z
-
     pauli = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    ops = []
-    for sign in (1.0, -1.0):
-        e = 0.5 * (np.eye(2) + sign * pauli)
-        w, v = np.linalg.eigh(e)
-        ops.append((v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
+    ops = [_psd_sqrt(0.5 * (np.eye(2) + sign * pauli)) for sign in (1.0, -1.0)]
     trivial = Povm([np.eye(2, dtype=complex)])
     return local_povm(trivial, Povm(ops))

@@ -63,18 +63,8 @@ class RelationReport:
     near_equality: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "tolerance": self.tolerance,
-            "inputs_digest": self.inputs_digest,
-        }
-        if self.near_equality is not None:
-            out["near_equality"] = self.near_equality
-        return out
+        """The fields in declaration order, leaving out an unset near_equality."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 class NotLocallyThermalError(ValueError):

@@ -103,15 +103,8 @@ class SuiteResult:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.name,
-            "count": self.count,
-            "failures": self.failures,
-            "worst": self.worst,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-            "passed": self.passed,
-        }
+        out = dict(vars(self))
+        return {"suite": out.pop("name"), **out, "passed": self.passed}
 
 
 # (name, run, scale) in definition order: a suite's index here seeds its

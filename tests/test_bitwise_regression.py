@@ -26,7 +26,6 @@ from qthermo import (
     DensityMatrix,
     Hamiltonian,
     ModelParams,
-    SearchGrid,
     analytic_steady_state,
     average_energy,
     bound_ergotropy,
@@ -46,10 +45,12 @@ from qthermo import core
 from qthermo.cli import sweep_row
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
+    SearchGrid,
     _bloch_data,
-    _branch_entropy,
     _branch_entropy_grid,
     _branches,
+    _entropy_b,
+    _g,
 )
 from qthermo.dissipation import local_qubit_hamiltonian
 from qthermo.random_states import (
@@ -183,9 +184,8 @@ def _thermo_report(rho, h_b, beta):
 
 
 def _chi_A_max(rho, grid):
-    m = rho.matrix
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(m[:2, :2] + m[2:, 2:]))
-    r = _bloch_data(m)
+    r = _bloch_data(rho.matrix)
+    s_b = _entropy_b(r)
     thetas = np.linspace(0.0, np.pi, grid.coarse)
     phis = np.linspace(0.0, 2.0 * np.pi, grid.coarse, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -200,10 +200,7 @@ def _chi_A_max(rho, grid):
 
     def objective(theta, phi):
         sin_theta = math.sin(theta)
-        t_plus, sq_plus, t_minus, sq_minus = _branches(
-            r, sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)
-        )
-        return s_b - (_branch_entropy(t_plus, sq_plus) + _branch_entropy(t_minus, sq_minus))
+        return s_b - _g(r, (sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)))
 
     step = max(math.pi / max(grid.coarse - 1, 1), 2.0 * math.pi / grid.coarse)
     while step > grid.angle_tol:
@@ -313,7 +310,6 @@ def test_spectrum_kernel_matches_eigvalsh(states):
         marginals = (
             core._partial_trace(m, rho.dims, "A"),
             core._partial_trace(m, rho.dims, "B"),
-            m[:2, :2] + m[2:, 2:],  # chi_A_max's form of the B marginal
         )
         for a in (m, *marginals):
             assert _same_bits(core._spectrum(a), np.linalg.eigvalsh(a))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qthermo import (
     von_neumann_entropy,
 )
 
+from qthermo.core import _psd_sqrt
 from qthermo.io import read_state, write_json
 from qthermo.random_states import (
     random_density_matrix,
@@ -23,6 +26,8 @@ from qthermo.random_states import (
 )
 
 from conftest import LN2
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestDensityMatrix:
@@ -335,3 +340,20 @@ def test_partial_trace_inverts_kron(a, b):
 def test_purify_roundtrip(rho):
     mat = purify(rho).reshape(rho.dim, -1)
     assert np.abs(mat @ mat.conj().T - rho.matrix).max() < 1e-9
+
+
+def test_psd_sqrt_squares_back_with_negative_round_off_clipped(rng):
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    m = (u * np.array([-1e-17, 0.0, 0.25, 0.75])) @ u.conj().T
+    root = _psd_sqrt(m)
+    assert np.abs(root - root.conj().T).max() < 1e-15
+    assert np.abs(root @ root - m).max() < 1e-15
+
+
+def test_each_kernel_is_written_once():
+    """Kronecker products go through core._kron and PSD square roots through
+    core._psd_sqrt, so no module grows its own copy."""
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "qthermo").glob("*.py")}
+    assert "core.py" in sources
+    assert [name for name, s in sources.items() if "np.kron(" in s] == []
+    assert sum(s.count("np.sqrt(np.clip(") for s in sources.values()) <= 1

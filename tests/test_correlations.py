@@ -8,7 +8,6 @@ from qthermo import (
     DensityMatrix,
     ModelParams,
     Povm,
-    SearchGrid,
     analytic_steady_state,
     breakdown,
     chi_A_max,
@@ -26,8 +25,24 @@ from qthermo import (
     wootters_eof,
 )
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_of_eigenvalues, pure_state
-from qthermo.correlations import _ASCENT_MAX_ITER, _bloch_data, _g, _newton_chi, _tangent_model
-from qthermo.random_states import random_rank2_two_qubit, random_two_qubit_state, random_x_state
+from qthermo.correlations import (
+    _ASCENT_MAX_ITER,
+    SearchGrid,
+    _bloch_data,
+    _branch_entropy_grid,
+    _branches,
+    _entropy_b,
+    _g,
+    _newton_chi,
+    _tangent_model,
+)
+from qthermo.random_states import (
+    random_density_matrix,
+    random_rank2_two_qubit,
+    random_two_qubit_state,
+    random_unitary,
+    random_x_state,
+)
 
 from conftest import LN2, product_thermal
 
@@ -343,6 +358,51 @@ class TestNewtonAscent:
             assert_allclose(model[2:], numeric[2:], rtol=0, atol=1e-8)
 
 
+class TestReferenceObjective:
+    """The reference search scores the ascent's objective S(rho_B) - g(n),
+    exact down to zero branch eigenvalues, in its array and scalar forms."""
+
+    @staticmethod
+    def _objectives(r, nx, ny, nz):
+        t_plus, sq_plus, t_minus, sq_minus = _branches(r, nx, ny, nz)
+        grid = _entropy_b(r) - (
+            _branch_entropy_grid(t_plus, sq_plus) + _branch_entropy_grid(t_minus, sq_minus)
+        )
+        scalar = [_entropy_b(r) - _g(r, n) for n in zip(nx.tolist(), ny.tolist(), nz.tolist())]
+        return grid, np.array(scalar)
+
+    def test_zero_near_a_on_a_pure_products(self):
+        """chi is exactly 0 on rho_A (x) rho_B with rho_A pure.  Within 1e-4 rad
+        of a/|a| the minus branch has weight ~1e-9 and eigenvalues crossing
+        1e-12, where an entropy cutoff reads ~3e-11 high."""
+        rng = np.random.default_rng(15)
+        deltas = np.linspace(0.0, 1e-4, 200)[:, None]
+        phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)[None, :]
+        for _ in range(3):
+            psi = random_unitary(2, rng)[:, 0]
+            rho_b = random_density_matrix(2, rng).matrix
+            r = _bloch_data(np.kron(np.outer(psi, psi.conj()), rho_b))
+            a = np.array([r[1][0], r[2][0], r[3][0]])
+            a /= np.linalg.norm(a)
+            e1 = np.cross(a, [1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(a, e1)
+            n = np.cos(deltas)[..., None] * a + np.sin(deltas)[..., None] * (
+                np.cos(phis)[..., None] * e1 + np.sin(phis)[..., None] * e2
+            )
+            grid, scalar = self._objectives(r, *(n[..., k].reshape(-1) for k in range(3)))
+            assert max(grid.max(), scalar.max()) <= 1e-14
+
+    def test_array_form_matches_g(self, oracle_states):
+        rng = np.random.default_rng(8)
+        for rho in oracle_states:
+            r = _bloch_data(rho.matrix)
+            n = rng.standard_normal((3, 16))
+            n /= np.linalg.norm(n, axis=0)
+            grid, scalar = self._objectives(r, *n)
+            assert np.abs(grid - scalar).max() <= 1e-15
+
+
 class TestDiscord:
     def test_classical_classical_state(self):
         rho = DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), dims=(2, 2))
@@ -406,6 +466,16 @@ class TestWoottersEof:
         x = 0.5 * (1.0 + np.sqrt(1.0 - 0.25**2))
         expected = -x * np.log(x) - (1 - x) * np.log(1 - x)
         assert_allclose(wootters_eof(rho), expected, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_locally_rotated_bell_states(self):
+        """Round-off can put the concurrence of a pure maximally entangled
+        state just above 1."""
+        rng = np.random.default_rng(3)
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        for _ in range(200):
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            assert_allclose(wootters_eof(pure_state(u @ bell, dims=(2, 2))), LN2, atol=1e-12)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="4x4"):

@@ -29,10 +29,10 @@ from qthermo.cli import (
 from qthermo.dissipation import KET_EE, KET_EG, KET_GG, PSI_MINUS
 from qthermo.io import (
     CSV_CHUNK_ROWS,
-    fmt,
     read_hamiltonian,
     read_state,
     trajectory_header,
+    write_csv,
     write_hamiltonian,
     write_reports,
     write_state,
@@ -103,6 +103,11 @@ class TestTrajectoryCsv:
         assert float(last[-1]) == float(f"{traj.min_eigenvalues[-1]:.12g}")
 
 
+def fmt(x) -> str:
+    """The 12-significant-digit rendering of every CSV value."""
+    return f"{float(x):.12g}"
+
+
 def _reference_write_trajectory_csv(path, trajectory):
     """The row-at-a-time writer that the chunked one replaced."""
     with open(path, "w") as fh:
@@ -167,6 +172,17 @@ class TestTrajectoryCsvBytes:
         assert rows[1].split(",")[3] == "-0"
         assert rows[2].split(",")[7] == "1e-300"
         assert rows[3].split(",")[-1] == "-2"
+
+
+def test_write_csv_renders_every_value_as_fmt(tmp_path):
+    values = [0.0, -0.0, 1.0, -2.5, 1.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308,
+              np.inf, -np.inf, np.nan, 123456789012345.0, np.float64(0.1), 3, True]
+    path = tmp_path / "table.csv"
+    write_csv(path, ["x", "y"], [{"y": v, "x": -v} for v in values])
+    expected = "x,y\n" + "".join(f"{fmt(-v)},{fmt(v)}\n" for v in values)
+    assert path.read_text() == expected
+    write_csv(path, ["x"], [])
+    assert path.read_text() == "x\n"
 
 
 class TestRunConfig:
@@ -327,6 +343,19 @@ class TestMainExitCodes:
     def test_sweep_success(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert main(["--c-step", "0.5", "--out", out, "sweep"]) == 0
+
+    def test_repeated_calls_share_no_state(self, tmp_path, capsys):
+        """One parser serves every call in a process; no flag of one call may
+        reach the next."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--c-step", "0.5", "--out", str(a), "sweep"]) == 0
+        assert main(["--out", str(b), "sweep"]) == 0
+        assert len(a.read_text().splitlines()) == 1 + 3
+        assert len(b.read_text().splitlines()) == 1 + 101
+        capsys.readouterr()
+        assert main(["--count", "x", "verify"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+        assert main(["--c-step", "0.5", "--out", str(a), "sweep"]) == 0
 
     def test_invalid_state_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
