@@ -38,9 +38,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian positive semi-definite matrix from ``eigh``,
-    with negative round-off eigenvalues clipped to zero."""
-    w, v = np.linalg.eigh(m)
+    """Square root of a finite Hermitian positive semi-definite matrix from
+    ``_eigh``, with negative round-off eigenvalues clipped to zero."""
+    w, v = _eigh(m)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
 
@@ -57,15 +57,40 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
 
     The LAPACK gufunc behind ``np.linalg.eigvalsh``, called without the
     wrapper's type, shape and error-state handling, so it returns the same
-    bits at under half the per-call cost.  Only for inputs already known to
-    be finite and Hermitian; a non-converged solve leaves NaN, which raises
-    like the wrapper.  ``_umath_linalg`` is a private numpy module.
+    bits at under half the per-call cost; ``_eigh``, ``_singular_values`` and
+    ``_real_svd`` do the same for ``eigh`` and ``svd``.  For inputs known to
+    be finite only: a non-converged solve leaves NaN, which raises like the
+    wrapper.  ``_umath_linalg`` is a private numpy module.
     """
     w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
     lowest = w[0] if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
     if math.isnan(lowest):
         raise LinAlgError("Eigenvalues did not converge")
     return w
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a finite Hermitian complex matrix (lower triangle)."""
+    w, v = _umath_linalg.eigh_lo(m, signature="D->dD")
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd`` of a finite complex matrix with ``compute_uv=False``."""
+    s = _umath_linalg.svd(m, signature="D->d")
+    if math.isnan(s[0]):
+        raise LinAlgError("SVD did not converge")
+    return s
+
+
+def _real_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd`` of a finite real matrix: square u, s descending, vh."""
+    u, s, vh = _umath_linalg.svd_f(m, signature="d->ddd")
+    if math.isnan(s[0]):
+        raise LinAlgError("SVD did not converge")
+    return u, s, vh
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -216,7 +241,9 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     recovers the Schmidt matrix.
     """
     m = as_matrix(rho)
-    w, v = np.linalg.eigh(m)
+    if not np.isfinite(m).all():  # _eigh takes finite inputs only
+        raise LinAlgError("Eigenvalues did not converge")
+    w, v = _eigh(m)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
     keep = w > RANK_CUTOFF

@@ -29,6 +29,8 @@ from .core import (
     _partial_trace,
     _psd_sqrt,
     _read_only,
+    _real_svd,
+    _singular_values,
     as_matrix,
     marginal_entropy,
     mutual_information,
@@ -344,7 +346,7 @@ def _newton_chi(m: np.ndarray) -> tuple[float, int]:
     direction of a, and z); returns chi and the largest iteration count."""
     r = _bloch_data(m)
     _, (a1, *_), (a2, *_), (a3, *_) = r
-    starts = [tuple(col) for col in np.linalg.svd(np.array([row[1:] for row in r[1:]]))[0].T.tolist()]
+    starts = [tuple(col) for col in _real_svd(np.array([row[1:] for row in r[1:]]))[0].T.tolist()]
     a_len = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     if a_len > _TINY_BRANCH:
         starts.append((a1 / a_len, a2 / a_len, a3 / a_len))
@@ -450,8 +452,10 @@ def wootters_eof(rho_2qubit) -> float:
     m = as_matrix(rho_2qubit)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got {m.shape}")
+    if not np.isfinite(m).all():  # the kernels take finite inputs only
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     sqrt_rho = _psd_sqrt(m)
-    lam = np.linalg.svd(sqrt_rho.T @ SPIN_FLIP @ sqrt_rho, compute_uv=False).tolist()
+    lam = _singular_values(sqrt_rho.T @ SPIN_FLIP @ sqrt_rho).tolist()
     concurrence = lam[0] - lam[1] - lam[2] - lam[3]
     if concurrence <= 0.0:
         return 0.0

@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _psd_sqrt, dagger
+from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _eigh, _psd_sqrt, dagger
 from .measurement import Povm, local_povm
 from .thermo import Hamiltonian
 
 
 def _ginibre(rng, rows, cols) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1.0j * rng.standard_normal((rows, cols))
+    re, im = rng.standard_normal((2, rows, cols))  # the real block is drawn first
+    return re + 1.0j * im
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary from the QR decomposition of a Ginibre matrix."""
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
+    """Haar unitary from the QR of a Ginibre draw (Mezzadri, Notices AMS 54, 592
+    (2007)), by np.linalg.qr's gufuncs in place: R stays in the draw's triangle."""
+    a = _ginibre(rng, dim, dim)
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    phases = a.diagonal() / np.abs(a.diagonal())
     return q * phases.conj()
 
 
@@ -37,7 +41,7 @@ def random_rank2_two_qubit(rng) -> DensityMatrix:
     [0.1, 0.9], so the rank stays numerically clean."""
     u = random_unitary(4, rng)
     w = rng.uniform(0.1, 0.9)
-    m = w * np.outer(u[:, 0], u[:, 0].conj()) + (1.0 - w) * np.outer(u[:, 1], u[:, 1].conj())
+    m = w * (u[:, 0, None] * u[:, 0].conj()) + (1.0 - w) * (u[:, 1, None] * u[:, 1].conj())
     return DensityMatrix(m, dims=(2, 2))
 
 
@@ -66,7 +70,7 @@ def random_x_state(rng) -> DensityMatrix:
 def random_projective_povm(dim: int, rng) -> Povm:
     """Rank-one projectors onto the columns of a random unitary."""
     u = random_unitary(dim, rng)
-    return Povm([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
+    return Povm([u[:, k, None] * u[:, k].conj() for k in range(dim)])
 
 
 def random_two_outcome_projective(dim: int, rng) -> Povm:
@@ -94,12 +98,10 @@ def random_local_projective_povm(rng, side: str | None = None) -> Povm:
 def random_general_povm(dim: int, rng, n_outcomes: int = 3) -> Povm:
     """Efficient POVM with Hermitian PSD operators built from random positive
     blocks normalized through S^{-1/2}."""
-    blocks = []
-    for _ in range(n_outcomes):
-        g = _ginibre(rng, dim, dim)
-        blocks.append(g @ dagger(g))
+    ginibres = [_ginibre(rng, dim, dim) for _ in range(n_outcomes)]
+    blocks = [g @ dagger(g) for g in ginibres]
     total = sum(blocks)
-    w, v = np.linalg.eigh(total)
+    w, v = _eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
     return Povm([_psd_sqrt(inv_sqrt @ b @ inv_sqrt) for b in blocks])
 

@@ -15,6 +15,7 @@ from .core import (
     DensityMatrix,
     ENTROPY_CUTOFF,
     HERMITICITY_TOL,
+    _eigh,
     _kron,
     _read_only,
     as_matrix,
@@ -44,7 +45,7 @@ class Hamiltonian:
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
         self.matrix = _read_only(m)
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        eigenvalues, eigenvectors = _eigh(m)
         self.eigenvalues = _read_only(eigenvalues)
         self.eigenvectors = _read_only(eigenvectors)
 
@@ -135,7 +136,7 @@ def ergotropy_double_sum(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Equivalent double-sum form
     sum_ij r_j eps_i (|<r_j|eps_i>|^2 - delta_ij)
     with populations r descending and energies eps ascending."""
-    r, u = np.linalg.eigh(rho.matrix)
+    r, u = _eigh(rho.matrix)
     order = np.argsort(r)[::-1]
     r, u = r[order], u[:, order]
     e = h.eigenvalues

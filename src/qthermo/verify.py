@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     _kron,
+    _spectrum,
     marginal_entropy,
     partial_trace,
     purify,
@@ -483,7 +484,7 @@ def suite_trajectory_invariants(rng, n):
         traj = evolve(rho0, params, dt=0.005, t_max=4.0)
         c0 = effective_c(rho0)
         # the suite's own spectra, independent of evolve's min_eigenvalues
-        lowest = np.linalg.eigvalsh(traj.states)[:, 0]
+        lowest = _spectrum(traj.states)[:, 0]
         trace_dev = np.abs(np.trace(traj.states, axis1=1, axis2=2).real - 1.0)
         worst = max(float(trace_dev.max()) / 1e-9, max(0.0, -float(lowest.min())) / 1e-6)
         for state in traj.states:

@@ -4,15 +4,17 @@ Each reference below is the earlier inline form of a kernel: the kron-sum
 total Hamiltonian that ``thermo_report`` built on every call, the spectrum
 recomputed by every entropy and ergotropy, the bisection that evaluated
 entropy and energy together, the (theta, phi) grid that ``chi_A_max`` built
-on every call, and ``np.linalg.eigvalsh``, whose LAPACK gufunc
-``core._spectrum`` calls directly.  The current kernels reuse work
-(``Hamiltonian.doubled``, the spectrum kept by ``DensityMatrix``, the level
-gaps, the memoized root solve, the cached grid) or skip wrapper overhead but
-must do the same floating-point operations, so results are compared with
-``==``, not a tolerance.  The same holds for the states the library derives
-without re-validation (marginals, post-measurement states, channel outputs,
-analytic steady states): each equals the validated construction of its
-matrix.
+on every call, the Ginibre draw that took its real and imaginary blocks in
+two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
+LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
+``core._real_svd`` and ``random_unitary`` call directly.  The current
+kernels reuse work (``Hamiltonian.doubled``, the spectrum kept by
+``DensityMatrix``, the level gaps, the memoized root solve, the cached grid)
+or skip wrapper overhead but must do the same floating-point operations, so
+results are compared with ``==``, not a tolerance.  The same holds for the
+states the library derives without re-validation (marginals,
+post-measurement states, channel outputs, analytic steady states): each
+equals the validated construction of its matrix.
 """
 
 import itertools
@@ -45,15 +47,18 @@ from qthermo import core
 from qthermo.cli import sweep_row
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
+    SPIN_FLIP,
     SearchGrid,
     _bloch_data,
     _branch_entropy_grid,
     _branches,
     _entropy_b,
     _g,
+    wootters_eof,
 )
 from qthermo.dissipation import local_qubit_hamiltonian
 from qthermo.random_states import (
+    _ginibre,
     random_hamiltonian,
     random_projective_povm,
     random_rank2_two_qubit,
@@ -383,3 +388,94 @@ def test_derived_states_match_their_validated_construction(states):
         assert _same_bits(s._spectrum, validated._spectrum)
         assert s.dims == validated.dims
         assert not s.matrix.flags.writeable and not s._spectrum.flags.writeable
+
+
+def _ginibre_draws():
+    rng = np.random.default_rng(19)
+    return [_ginibre(rng, dim, dim) for dim in (2, 4) for _ in range(50)]
+
+
+def test_eigh_kernel_matches_numpy(states):
+    """On the states, on their PSD square roots, and on Hermitian Ginibre
+    products of dims 2 and 4 (the blocks random_general_povm sums)."""
+    roots = [core._psd_sqrt(rho.matrix) for rho in states]
+    products = [g @ g.conj().T for g in _ginibre_draws()]
+    for m in [rho.matrix for rho in states] + roots + products:
+        for kernel, reference in zip(core._eigh(m), np.linalg.eigh(m)):
+            assert _same_bits(kernel, reference)
+
+
+def test_singular_values_kernel_matches_numpy(states):
+    """On the spin-flipped products that wootters_eof builds from _psd_sqrt,
+    and on complex Ginibre draws of dims 2 and 4."""
+    flipped = []
+    for rho in states:
+        root = core._psd_sqrt(rho.matrix)
+        flipped.append(root.T @ SPIN_FLIP @ root)
+    for m in flipped + _ginibre_draws():
+        assert _same_bits(core._singular_values(m), np.linalg.svd(m, compute_uv=False))
+
+
+def test_real_svd_kernel_matches_numpy(states):
+    """On the 3x3 correlation blocks T of the states (the start directions
+    of the chi ascent) and on real Gaussian matrices of dims 2 and 4."""
+    blocks = [np.array([row[1:] for row in _bloch_data(rho.matrix)[1:]]) for rho in states]
+    rng = np.random.default_rng(23)
+    gaussian = [rng.standard_normal((dim, dim)) for dim in (2, 4) for _ in range(50)]
+    for m in blocks + gaussian:
+        for kernel, reference in zip(core._real_svd(m), np.linalg.svd(m)):
+            assert _same_bits(kernel, reference)
+
+
+@pytest.mark.parametrize(
+    "gufunc, kernel, arg",
+    [
+        ("eigh_lo", core._eigh, np.eye(2, dtype=complex)),
+        ("svd", core._singular_values, np.eye(2, dtype=complex)),
+        ("svd_f", core._real_svd, np.eye(3)),
+    ],
+)
+def test_kernels_raise_on_nonconvergence(monkeypatch, gufunc, kernel, arg):
+    """LAPACK fills every output of a failed solve with NaN; each kernel
+    raises as the numpy wrapper would."""
+    solve = getattr(core._umath_linalg, gufunc)
+
+    def fails(m, signature):
+        out = solve(m, signature=signature)
+        return tuple(np.full_like(x, np.nan) for x in out) if isinstance(out, tuple) else out * np.nan
+
+    monkeypatch.setattr(core._umath_linalg, gufunc, fails)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        kernel(arg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (2, 1), (1, 2), (3, 0)])
+def test_unchecked_matrices_with_a_non_finite_entry_raise(bad, entry):
+    """wootters_eof and purify take any matrix, not only validated states;
+    a non-finite entry anywhere raises LinAlgError, not a RuntimeWarning from
+    the kernels."""
+    m = np.eye(4, dtype=complex) / 4.0
+    m[entry] = bad
+    for f in (wootters_eof, core.purify):
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            f(m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim, rank", [(2, 2), (4, 4), (4, 1), (4, 3)])
+def test_one_draw_ginibre_keeps_the_two_draw_stream(seed, dim, rank):
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = two.standard_normal((dim, rank)) + 1.0j * two.standard_normal((dim, rank))
+    assert _same_bits(_ginibre(one, dim, rank), expected)
+    assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_random_unitary_matches_the_numpy_qr_form(dim):
+    ours, theirs = np.random.default_rng(dim), np.random.default_rng(dim)
+    for _ in range(50):
+        q, r = np.linalg.qr(_ginibre(theirs, dim, dim))
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        assert _same_bits(random_unitary(dim, ours), q * phases.conj())

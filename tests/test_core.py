@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,40 @@ def test_psd_sqrt_squares_back_with_negative_round_off_clipped(rng):
     root = _psd_sqrt(m)
     assert np.abs(root - root.conj().T).max() < 1e-15
     assert np.abs(root @ root - m).max() < 1e-15
+
+
+def _np_linalg_calls(source: str):
+    """(enclosing top-level function, name) of every ``np.linalg.<name>(...)``
+    call in a module's source."""
+    calls = []
+    for node in ast.parse(source).body:
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func).startswith("np.linalg."):
+                calls.append((scope, call.func.attr))
+    return calls
+
+
+_UNCHECKED_SPECTRA = ("von_neumann_entropy", "trace_distance")
+
+
+def test_trusted_decompositions_bypass_the_numpy_wrappers():
+    """Every eigh, QR and SVD goes through the direct LAPACK kernels (core._eigh,
+    core._singular_values, core._real_svd, random_unitary's gufunc calls);
+    np.linalg.eigvalsh is left only to the two public functions that take an
+    unchecked matrix and are not hot."""
+    calls = {
+        p.name: _np_linalg_calls(p.read_text()) for p in (ROOT / "src" / "qthermo").glob("*.py")
+    }
+    assert "core.py" in calls and "random_states.py" in calls
+    wrappers = [
+        (name, scope, f)
+        for name, found in calls.items()
+        for scope, f in found
+        if f in ("eigh", "qr", "svd") or (f == "eigvalsh" and scope not in _UNCHECKED_SPECTRA)
+    ]
+    assert wrappers == []
+    assert ("von_neumann_entropy", "eigvalsh") in calls["core.py"]
 
 
 def test_each_kernel_is_written_once():

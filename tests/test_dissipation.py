@@ -46,6 +46,7 @@ from qthermo.dissipation import (
     _superoperator,
 )
 from qthermo.random_states import random_two_qubit_state, random_x_state
+from qthermo.thermo import ENTROPY_MATCH_TOL
 
 BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
 
@@ -58,6 +59,33 @@ def _shannon(probabilities) -> float:
 
 def _binary_entropy(p: float) -> float:
     return _shannon([p, 1.0 - p])
+
+
+def _doubled_thermal(beta: float, omega: float) -> tuple[list[float], float]:
+    """Populations of exp(-beta H)/Z on the doubled qubit levels {0, omega,
+    omega, 2 omega}, a product of two qubit Gibbs states, and its energy."""
+    q = 1.0 / (1.0 + math.exp(beta * omega)) if beta * omega < 700.0 else 0.0
+    return [(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q], 2.0 * omega * q
+
+
+def _reference_matched_beta(target: float, omega: float) -> float:
+    """beta* with S(exp(-beta* H)/Z) = target on the doubled levels, by a
+    bisection run until the bracket cannot shrink further."""
+
+    def entropy(beta):
+        return _shannon(_doubled_thermal(beta, omega)[0])
+
+    lo, hi = 0.0, 1.0
+    while entropy(hi) > target:
+        hi *= 2.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if entropy(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -421,7 +449,20 @@ class TestSteadyStateFamilyClosedForm:
         - (1 - p_e) h(q_g), MI = 2 h(p_e) - S, <H_B> = omega p_e,
         F_B = -ln(1 + e^{-beta omega})/beta and rhs_ineq1 = chi_B
         + beta (omega p_e - E) + ln(1 + e^{-beta omega}), with beta the local
-        inverse temperature and E the closed-form ergotropy."""
+        inverse temperature and E the closed-form ergotropy.
+
+        The bound ergotropy is the passive energy (the spectrum sorted onto
+        {0, omega, omega, 2 omega}) less the energy of the thermal state of
+        the same entropy.  Its beta* is a root with no closed form, so it
+        comes from a reference bisection.  The library's bisection stops once
+        the entropy is within ENTROPY_MATCH_TOL of the target, and at a
+        thermal state dE = dS / beta, so its thermal energy is within
+        ENTROPY_MATCH_TOL / beta* of the root's to first order; twice that
+        covers the second order, plus the 1e-12 of round-off of the other
+        columns (a pure spectrum takes the ground state, with no root).  The
+        global ergotropy E + bound carries the same tolerance, and rhs_ineq2
+        = chi_B + beta (omega p_e - E - bound) + ln(1 + e^{-beta omega}) and
+        slack2 = rhs_ineq2 - I_g carry beta times it."""
         params = ModelParams(beta_e=beta_e)
         omega = params.omega
         x = math.exp(-beta_e * omega)
@@ -448,6 +489,25 @@ class TestSteadyStateFamilyClosedForm:
             }
             for column, value in closed.items():
                 assert abs(row[column] - value) <= 1e-12, (column, c)
+            spectrum = [1.0 - c, c * x * x / z, c * x / z, c / z]
+            levels = [0.0, omega, omega, 2.0 * omega]
+            passive = sum(p * e for p, e in zip(sorted(spectrum, reverse=True), levels))
+            target = _shannon(spectrum)
+            if target < ENTROPY_CUTOFF:
+                bound, bound_tol = passive, 1e-12
+            else:
+                beta_star = _reference_matched_beta(target, omega)
+                bound = passive - _doubled_thermal(beta_star, omega)[1]
+                bound_tol = 2.0 * ENTROPY_MATCH_TOL / beta_star + 1e-12
+            rhs2 = chi_b + beta * (omega * p_e - work - bound) + log_z
+            matched = {
+                "bound_ergotropy": (bound, bound_tol),
+                "global_ergotropy": (work + bound, bound_tol),
+                "rhs_ineq2": (rhs2, beta * bound_tol + 1e-12),
+                "slack2": (rhs2 - (s - cond), beta * bound_tol + 2e-12),
+            }
+            for column, (value, tol) in matched.items():
+                assert abs(row[column] - value) <= tol, (column, c)
             if beta == 0.0:
                 assert row["free_energy_B"] == -math.inf, c
             else:
