@@ -55,12 +55,11 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a finite Hermitian complex matrix, or one row
     of them per matrix of an ``(n, d, d)`` stack.
 
-    The LAPACK gufunc behind ``np.linalg.eigvalsh``, called without the
-    wrapper's type, shape and error-state handling, so it returns the same
-    bits at under half the per-call cost; ``_eigh``, ``_singular_values`` and
-    ``_real_svd`` do the same for ``eigh`` and ``svd``.  For inputs known to
-    be finite only: a non-converged solve leaves NaN, which raises like the
-    wrapper.  ``_umath_linalg`` is a private numpy module.
+    The LAPACK gufunc behind ``np.linalg.eigvalsh`` (private ``_umath_linalg``,
+    numpy >= 2) without the wrapper's dispatch: the same bits at under half the
+    cost.  ``_eigh``, ``_qr``, ``_real_svd`` and ``_singular_values`` do the
+    same, for finite inputs only.  A failed solve sets the invalid flag, which
+    the caller's ``np.errstate`` handles (by default a warning) before LinAlgError.
     """
     w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
     lowest = w[0] if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
@@ -91,6 +90,12 @@ def _real_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if math.isnan(s[0]):
         raise LinAlgError("SVD did not converge")
     return u, s, vh
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R's diagonal of ``np.linalg.qr`` of a finite square ``a``, overwriting ``a``."""
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:

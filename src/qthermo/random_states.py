@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _eigh, _psd_sqrt, dagger
+from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _eigh, _psd_sqrt, _qr, dagger
 from .measurement import Povm, local_povm
 from .thermo import Hamiltonian
 
@@ -17,12 +16,9 @@ def _ginibre(rng, rows, cols) -> np.ndarray:
 
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar unitary from the QR of a Ginibre draw (Mezzadri, Notices AMS 54, 592
-    (2007)), by np.linalg.qr's gufuncs in place: R stays in the draw's triangle."""
-    a = _ginibre(rng, dim, dim)
-    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
-    phases = a.diagonal() / np.abs(a.diagonal())
-    return q * phases.conj()
+    (2007)), with the phases of R's diagonal divided out of Q's columns."""
+    q, r_diagonal = _qr(_ginibre(rng, dim, dim))
+    return q * (r_diagonal / np.abs(r_diagonal)).conj()
 
 
 def random_density_matrix(dim: int, rng, rank: int | None = None, dims=None) -> DensityMatrix:
@@ -98,8 +94,7 @@ def random_local_projective_povm(rng, side: str | None = None) -> Povm:
 def random_general_povm(dim: int, rng, n_outcomes: int = 3) -> Povm:
     """Efficient POVM with Hermitian PSD operators built from random positive
     blocks normalized through S^{-1/2}."""
-    ginibres = [_ginibre(rng, dim, dim) for _ in range(n_outcomes)]
-    blocks = [g @ dagger(g) for g in ginibres]
+    blocks = [g @ dagger(g) for g in (_ginibre(rng, dim, dim) for _ in range(n_outcomes))]
     total = sum(blocks)
     w, v = _eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ dagger(v)

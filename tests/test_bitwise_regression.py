@@ -430,22 +430,22 @@ def test_real_svd_kernel_matches_numpy(states):
 @pytest.mark.parametrize(
     "gufunc, kernel, arg",
     [
-        ("eigh_lo", core._eigh, np.eye(2, dtype=complex)),
-        ("svd", core._singular_values, np.eye(2, dtype=complex)),
-        ("svd_f", core._real_svd, np.eye(3)),
+        ("eigvalsh_lo", core._spectrum, np.full((4, 4), np.nan + 0j)),
+        ("eigh_lo", core._eigh, np.full((4, 4), np.nan + 0j)),
+        ("svd", core._singular_values, np.full((4, 4), np.nan + 0j)),
+        ("svd_f", core._real_svd, np.full((3, 3), np.nan)),
     ],
 )
-def test_kernels_raise_on_nonconvergence(monkeypatch, gufunc, kernel, arg):
-    """LAPACK fills every output of a failed solve with NaN; each kernel
-    raises as the numpy wrapper would."""
-    solve = getattr(core._umath_linalg, gufunc)
-
-    def fails(m, signature):
-        out = solve(m, signature=signature)
-        return tuple(np.full_like(x, np.nan) for x in out) if isinstance(out, tuple) else out * np.nan
-
-    monkeypatch.setattr(core._umath_linalg, gufunc, fails)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+def test_kernels_raise_on_nonconvergence(gufunc, kernel, arg):
+    """A NaN entry makes the LAPACK solve fail for real: it fills the outputs
+    with NaN and sets numpy's invalid flag. The kernels run under the caller's
+    np.errstate, not the wrapper's, so the flag warns (or raises under
+    invalid='raise') first; then each kernel raises LinAlgError as the
+    wrapper does."""
+    with pytest.warns(RuntimeWarning, match=f"invalid value encountered in {gufunc}"):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            kernel(arg)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match=gufunc):
         kernel(arg)
 
 
@@ -473,9 +473,14 @@ def test_one_draw_ginibre_keeps_the_two_draw_stream(seed, dim, rank):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_random_unitary_matches_the_numpy_qr_form(dim):
+    """core._qr gives np.linalg.qr's Q and diagonal of R, and random_unitary
+    the Haar form built from them, bit for bit."""
     ours, theirs = np.random.default_rng(dim), np.random.default_rng(dim)
     for _ in range(50):
-        q, r = np.linalg.qr(_ginibre(theirs, dim, dim))
+        g = _ginibre(theirs, dim, dim)
+        q, r = np.linalg.qr(g)
+        kernel_q, r_diagonal = core._qr(g.copy())
+        assert _same_bits(kernel_q, q) and _same_bits(r_diagonal, np.diag(r))
         phases = np.diag(r).copy()
         phases /= np.abs(phases)
         assert _same_bits(random_unitary(dim, ours), q * phases.conj())
