@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     _kron,
+    _partial_trace,
     _read_only,
     _spectrum,
     as_matrix,
@@ -26,6 +27,7 @@ from .thermo import Hamiltonian
 
 COMPLETENESS_TOL = 1e-9
 PROB_CUTOFF = 1e-12
+LOCAL_FORM_TOL = 1e-9
 
 
 class Povm:
@@ -35,7 +37,8 @@ class Povm:
     stacked copy), so the checked completeness cannot change afterwards.
     Construction rejects non-finite entries, then an empty list, then
     operators of different dimensions, then a completeness deviation beyond
-    1e-9."""
+    1e-9.  Whether the operators act on B alone is worked out once per
+    bipartite split (``_first_nonlocal_operator``)."""
 
     def __init__(self, operators):
         mats = [as_matrix(m) for m in operators]
@@ -62,10 +65,26 @@ class Povm:
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max |sum M^dag M - I| = {dev:.3e}")
         self.operators = tuple(_read_only(stack))
+        self._nonlocal_by_dims = {}
 
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
+
+    def _first_nonlocal_operator(self, dims: tuple[int, int]) -> int | None:
+        """Index of the first operator that is not I_A (x) K, to 1e-9, on the
+        split ``dims = (d_A, d_B)``, or None when all are.  The verdict is
+        kept per split: the operators are read-only."""
+        if dims not in self._nonlocal_by_dims:
+            d_a = dims[0]
+            first = None
+            for k, m in enumerate(self.operators):
+                local = _partial_trace(m, dims, "B") / d_a
+                if np.abs(m - _kron(np.eye(d_a), local)).max() > LOCAL_FORM_TOL:
+                    first = k
+                    break
+            self._nonlocal_by_dims[dims] = first
+        return self._nonlocal_by_dims[dims]
 
     def __len__(self) -> int:
         return len(self.operators)

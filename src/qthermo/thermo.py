@@ -34,7 +34,15 @@ LEVEL_ROUNDOFF = 64 * float(np.finfo(float).eps)
 class Hamiltonian:
     """Hermitian operator with its one spectral decomposition: ``eigenvalues``
     ascending, ``eigenvectors`` the matching orthonormal columns.  ``matrix``
-    is a read-only copy of the input, and both spectral arrays are read-only."""
+    is a read-only copy of the input, and both spectral arrays are read-only.
+
+    The constants that the thermodynamic functions derive from the spectrum
+    are computed on first use and kept, as floats, tuples of floats or
+    read-only arrays, so none can be changed or go stale: ``levels`` (the
+    eigenvalues as floats, so ``levels[0]`` is the ground level), ``spread``,
+    ``gaps`` (each level minus the ground level), ``log_dim`` = ln d,
+    ``eigenvectors_dagger`` = V^dag, and the centred, scaled levels and the
+    round-off floor of ``local_inverse_temperature``."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix).copy()
@@ -58,6 +66,53 @@ class Hamiltonian:
         """H (x) I + I (x) H: two non-interacting copies, built once."""
         eye = np.eye(self.dim)
         return Hamiltonian(_kron(self.matrix, eye) + _kron(eye, self.matrix))
+
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        return tuple(self.eigenvalues.tolist())
+
+    @cached_property
+    def spread(self) -> float:
+        return self.levels[-1] - self.levels[0]
+
+    @cached_property
+    def gaps(self) -> tuple[float, ...]:
+        ground = self.levels[0]
+        return tuple(level - ground for level in self.levels)
+
+    @cached_property
+    def log_dim(self) -> float:
+        return float(np.log(self.dim))
+
+    @cached_property
+    def eigenvectors_dagger(self) -> np.ndarray:
+        return _read_only(dagger(self.eigenvectors))
+
+    @cached_property
+    def _fit_levels(self) -> tuple[float, int | None, tuple[float, ...], float]:
+        """The mean level and, unless all levels are equal up to the round-off
+        of the eigendecomposition (then ``k`` is None), the deviations from it
+        scaled by 2^-k with 2^k near the spread, which is exact and keeps
+        their squares from under- or overflowing at any energy scale, and the
+        sum of those squares."""
+        levels = self.levels
+        mean = sum(levels) / len(levels)
+        lowest, highest = levels[0], levels[-1]
+        if highest - lowest <= LEVEL_ROUNDOFF * max(abs(lowest), abs(highest)):
+            return mean, None, (), 0.0
+        k = math.frexp(highest - lowest)[1]
+        de = tuple(math.ldexp(e - mean, -k) for e in levels)
+        return mean, k, de, sum(d * d for d in de)
+
+    @cached_property
+    def _population_floor(self) -> float:
+        """Round-off of a population after the basis change V^dag rho V, per
+        unit of max |rho_ij|: 0 when V is a permutation (every entry 0 or of
+        modulus 1), whose rotation is exact, else 4 d eps."""
+        v = self.eigenvectors
+        if ((v == 0.0) | (np.abs(v) == 1.0)).all():
+            return 0.0
+        return 4 * self.dim * float(np.finfo(float).eps)
 
     def __repr__(self) -> str:
         return f"Hamiltonian(dim={self.dim})"
@@ -89,21 +144,20 @@ def thermal_state(h: Hamiltonian, beta: float) -> DensityMatrix:
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    e = h.eigenvalues
-    v = h.eigenvectors
+    gaps = h.eigenvalues - h.levels[0]
     if np.isinf(beta):
-        ground = (e - e.min() < 1e-12).astype(float)
+        ground = (gaps < 1e-12).astype(float)
         p = ground / ground.sum()
     else:
-        w = np.exp(-beta * (e - e.min()))
+        w = np.exp(-beta * gaps)
         p = w / w.sum()
-    return DensityMatrix((v * p) @ dagger(v))
+    return DensityMatrix((h.eigenvectors * p) @ h.eigenvectors_dagger)
 
 
 def log_partition(h: Hamiltonian, beta: float) -> float:
     """ln Z(beta) = ln sum_i exp(-beta eps_i), computed stably."""
-    e = h.eigenvalues
-    return float(-beta * e.min() + np.log(np.exp(-beta * (e - e.min())).sum()))
+    ground = h.levels[0]
+    return float(-beta * ground + np.log(np.exp(-beta * (h.eigenvalues - ground)).sum()))
 
 
 def average_energy(rho, h: Hamiltonian) -> float:
@@ -115,21 +169,17 @@ def passive_state(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     ascending; commutes with H and shares the spectrum of ``rho``."""
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
-    populations = np.sort(rho.eigenvalues())[::-1]
-    v = h.eigenvectors
-    return DensityMatrix((v * populations) @ dagger(v), dims=rho.dims)
-
-
-def _passive_energy(state_eigenvalues: np.ndarray, energies: np.ndarray) -> float:
-    return float(np.sort(state_eigenvalues)[::-1] @ np.sort(energies))
+    populations = rho.eigenvalues()[::-1]  # the spectrum is ascending
+    return DensityMatrix((h.eigenvectors * populations) @ h.eigenvectors_dagger, dims=rho.dims)
 
 
 def ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Maximum work extractable by unitary, cyclic operations:
-    tr{H (rho - P_rho)}."""
+    tr{H (rho - P_rho)}, with the passive energy from the descending
+    populations against the ascending levels."""
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
-    return average_energy(rho, h) - _passive_energy(rho.eigenvalues(), h.eigenvalues)
+    return average_energy(rho, h) - float(rho.eigenvalues()[::-1] @ h.eigenvalues)
 
 
 def ergotropy_double_sum(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -140,30 +190,13 @@ def ergotropy_double_sum(rho: DensityMatrix, h: Hamiltonian) -> float:
     order = np.argsort(r)[::-1]
     r, u = r[order], u[:, order]
     e = h.eigenvalues
-    v = h.eigenvectors
-    overlaps = np.abs(dagger(v) @ u) ** 2  # overlaps[i, j] = |<eps_i|r_j>|^2
+    overlaps = np.abs(h.eigenvectors_dagger @ u) ** 2  # overlaps[i, j] = |<eps_i|r_j>|^2
     return float(np.einsum("j,i,ij->", r, e, overlaps) - r @ e)
 
 
-def _thermal_entropy_energy(energies: list[float], beta: float) -> tuple[float, float]:
-    """Entropy and mean energy of exp(-beta H)/Z from the levels of H, on
-    Python floats; populations below 1e-12 contribute no entropy."""
-    e_min = min(energies)
-    w = [math.exp(-beta * (e - e_min)) for e in energies]
-    z = sum(w)
-    entropy = 0.0
-    energy = 0.0
-    for w_i, e in zip(w, energies):
-        p = w_i / z
-        if p >= ENTROPY_CUTOFF:
-            entropy -= p * math.log(p)
-        energy += p * e
-    return entropy, energy
-
-
-def _thermal_entropy(gaps: list[float], beta: float) -> float:
-    """The entropy of _thermal_entropy_energy, by the same arithmetic, from
-    the precomputed gaps e - min(e)."""
+def _thermal_entropy(gaps: tuple[float, ...], beta: float) -> float:
+    """Entropy of exp(-beta H)/Z from the gaps e - min(e) of H, on Python
+    floats; populations below 1e-12 contribute no entropy."""
     w = [math.exp(-beta * g) for g in gaps]
     z = sum(w)
     entropy = 0.0
@@ -174,19 +207,31 @@ def _thermal_entropy(gaps: list[float], beta: float) -> float:
     return entropy
 
 
+def _thermal_energy(h: Hamiltonian, beta: float) -> float:
+    """Mean energy of exp(-beta H)/Z on Python floats, from the populations
+    that ``_thermal_entropy`` computes."""
+    w = [math.exp(-beta * g) for g in h.gaps]
+    z = sum(w)
+    energy = 0.0
+    for w_i, e in zip(w, h.levels):
+        p = w_i / z
+        energy += p * e
+    return energy
+
+
 @lru_cache(maxsize=1)
-def _entropy_matched_beta(levels: tuple[float, ...], target: float) -> float:
-    """beta* with S(thermal(beta*)) = ``target`` for the energy ``levels``, by
-    bisection with bracket auto-expansion (upper bound doubled until the
-    entropy falls below the target, capped at 1e6).
+def _entropy_matched_beta(h: Hamiltonian, target: float) -> float:
+    """beta* with S(thermal(beta*)) = ``target`` for ``h``, by bisection with
+    bracket auto-expansion (upper bound doubled until the entropy falls below
+    the target, capped at 1e6).
 
     The cache holds the last solve only: callers that evaluate one state
     several times in a row (the sweep's relation checks) solve once, and
-    nothing is carried across states.
+    nothing is carried across states.  The key is the Hamiltonian object,
+    whose spectrum cannot change.
     """
-    e_min = min(levels)
-    gaps = [level - e_min for level in levels]
-    lo, hi = 0.0, 50.0 * len(levels) / (max(levels) - e_min)
+    gaps = h.gaps
+    lo, hi = 0.0, 50.0 * h.dim / h.spread
     while hi < BETA_CAP and _thermal_entropy(gaps, hi) > target:
         hi = min(hi * 2.0, BETA_CAP)
     beta_star = hi
@@ -210,37 +255,33 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
-    e = h.eigenvalues
-    spread = float(e.max() - e.min())
-    state_eigs = rho.eigenvalues()
-    passive_e = _passive_energy(state_eigs, e)
-    if spread < 1e-12:
+    if h.spread < 1e-12:
         return 0.0
+    state_eigs = rho.eigenvalues()
+    passive_e = float(state_eigs[::-1] @ h.eigenvalues)
     target = entropy_of_eigenvalues(state_eigs)
-    if target > np.log(h.dim) + 1e-9:
+    if target > h.log_dim + 1e-9:
         raise ValueError(f"spectrum entropy {target:.12g} exceeds ln(d)")
     if target < ENTROPY_CUTOFF:
         # pure state: the entropy-matched thermal state is the ground projector
-        return passive_e - float(e.min())
-    levels = e.tolist()
-    beta_star = _entropy_matched_beta(tuple(levels), target)
-    return passive_e - _thermal_entropy_energy(levels, beta_star)[1]
+        return passive_e - h.levels[0]
+    return passive_e - _thermal_energy(h, _entropy_matched_beta(h, target))
 
 
 def local_inverse_temperature(rho_local, h: Hamiltonian):
     """Least-squares line through ln(populations) against -energies in the
     energy eigenbasis, in closed form: beta = -sum (e_i - <e>)(l_i - <l>) /
     sum (e_i - <e>)^2 with l = ln p.  Returns beta, or None when the state is
-    not thermal for ``h`` (coherences or fit residual beyond 1e-8, or a
-    population that is not positive).  A degenerate spectrum (all levels
-    equal, up to the round-off of the eigendecomposition) fits beta = 0, which
-    is thermal only for uniform populations.
+    not thermal for ``h``: coherences or fit residual beyond 1e-8, or a
+    population at or below the round-off of the basis change (0 when the
+    eigenvectors are a permutation, else 4 d eps max |rho_ij|).  A degenerate
+    spectrum (all levels equal, up to the round-off of the eigendecomposition)
+    fits beta = 0, which is thermal only for uniform populations.
     """
     m = as_matrix(rho_local)
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
-    v = h.eigenvectors
-    in_basis = (dagger(v) @ m @ v).tolist()
+    in_basis = (h.eigenvectors_dagger @ m @ h.eigenvectors).tolist()
     coherence = max(
         (abs(x) for i, row in enumerate(in_basis) for j, x in enumerate(row) if i != j),
         default=0.0,
@@ -248,22 +289,17 @@ def local_inverse_temperature(rho_local, h: Hamiltonian):
     if coherence > THERMAL_FIT_TOL:
         return None
     populations = [row[i].real for i, row in enumerate(in_basis)]
-    if min(populations) <= 0.0:
+    floor = h._population_floor and h._population_floor * float(np.abs(m).max())
+    if min(populations) <= floor:
         return None
     log_p = [math.log(p) for p in populations]
-    energies = h.eigenvalues.tolist()  # ascending
-    n = len(energies)
-    e_mean = sum(energies) / n
-    l_mean = sum(log_p) / n
-    lowest, highest = energies[0], energies[-1]
-    if highest - lowest <= LEVEL_ROUNDOFF * max(abs(lowest), abs(highest)):
+    energies = h.levels
+    e_mean, k, de, de_squared = h._fit_levels
+    l_mean = sum(log_p) / len(log_p)
+    if k is None:
         beta = 0.0
     else:
-        # deviations scaled by a power of two near 1/spread, which is exact and
-        # keeps their squares from under- or overflowing at any energy scale
-        k = math.frexp(highest - lowest)[1]
-        de = [math.ldexp(e - e_mean, -k) for e in energies]
-        slope = sum(d * (l_mean - l) for d, l in zip(de, log_p)) / sum(d * d for d in de)
+        slope = sum(d * (l_mean - l) for d, l in zip(de, log_p)) / de_squared
         beta = math.ldexp(slope, -k)
     intercept = l_mean + beta * e_mean
     if max(abs(l - (intercept - beta * e)) for l, e in zip(log_p, energies)) > THERMAL_FIT_TOL:

@@ -415,8 +415,7 @@ def suite_thermal_roundtrip(rng, n):
     # draw keeps beta * spectral spread small enough to resolve every level
     for _ in range(n):
         h = random_hamiltonian(4, rng)
-        spread = float(h.eigenvalues.max() - h.eigenvalues.min())
-        beta = rng.uniform(0.05, 14.0 / spread)
+        beta = rng.uniform(0.05, 14.0 / h.spread)
         fitted = local_inverse_temperature(thermal_state(h, beta), h)
         yield np.inf if fitted is None else fitted - beta
 

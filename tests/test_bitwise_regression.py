@@ -8,9 +8,10 @@ on every call, the Ginibre draw that took its real and imaginary blocks in
 two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
 ``core._real_svd`` and ``random_unitary`` call directly.  The current
-kernels reuse work (``Hamiltonian.doubled``, the spectrum kept by
-``DensityMatrix``, the level gaps, the memoized root solve, the cached grid)
-or skip wrapper overhead but must do the same floating-point operations, so
+kernels reuse work (``Hamiltonian.doubled`` and the spectral constants each
+``Hamiltonian`` keeps, the spectrum kept by ``DensityMatrix``, the memoized
+root solve, the local-form verdict each ``Povm`` keeps, the cached grid) or
+skip wrapper overhead but must do the same floating-point operations, so
 results are compared with ``==``, not a tolerance.  The same holds for the
 states the library derives without re-validation (marginals,
 post-measurement states, channel outputs, analytic steady states): each
@@ -19,6 +20,7 @@ equals the validated construction of its matrix.
 
 import itertools
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -28,11 +30,15 @@ from qthermo import (
     DensityMatrix,
     Hamiltonian,
     ModelParams,
+    Povm,
     analytic_steady_state,
     average_energy,
     bound_ergotropy,
     chi_A_max,
+    chi_from_local_measurement,
     ergotropy,
+    local_information_gain,
+    local_inverse_temperature,
     local_povm,
     log_partition,
     measure,
@@ -40,6 +46,7 @@ from qthermo import (
     passive_state,
     projective_energy_povm,
     standard_reports,
+    thermal_state,
     thermo_report,
     von_neumann_entropy,
 )
@@ -111,6 +118,43 @@ def _total_hamiltonians():
     return random + degenerate + [Hamiltonian(1.5 * np.eye(4, dtype=complex))]
 
 
+def _hamiltonians(dim):
+    """Per dimension: two random Hamiltonians, a diagonal one (permutation
+    eigenvectors), a degenerate spectrum as a diagonal and rotated (for a
+    qubit, a multiple of I up to eigh round-off), an exact multiple of I,
+    and the first random one scaled by 1e-200 and by 1e200."""
+    rng = np.random.default_rng(100 + dim)
+    random = [random_hamiltonian(dim, rng) for _ in range(2)]
+    degenerate = {2: [1.0, 1.0], 3: [0.0, 1.0, 1.0], 4: [2.0, 1.0, 1.0, 0.0]}[dim]
+    u = random_unitary(dim, rng)
+    return random + [
+        Hamiltonian(np.diag(np.arange(dim, 0.0, -1.0)).astype(complex)),
+        Hamiltonian(np.diag(degenerate).astype(complex)),
+        Hamiltonian((u * np.array(degenerate)) @ u.conj().T),
+        Hamiltonian(1.5 * np.eye(dim, dtype=complex)),
+        Hamiltonian(1e-200 * random[0].matrix),
+        Hamiltonian(1e200 * random[0].matrix),
+    ]
+
+
+def _states_of_dim(states, dim):
+    """The corpus itself (dim 4), its marginals on A and B in turn (dim 2),
+    and its normalized leading 3x3 blocks (dim 3)."""
+    if dim == 4:
+        return states
+    if dim == 2:
+        return [partial_trace(rho, "A" if k % 2 else "B") for k, rho in enumerate(states)]
+    blocks = [rho.matrix[:3, :3] for rho in states]
+    return [DensityMatrix(b / b.trace().real) for b in blocks]
+
+
+def _betas(h):
+    """Inverse temperatures from hot to cold on the scale of the spectrum."""
+    spread = float(h.eigenvalues[-1] - h.eigenvalues[0])
+    unit = 1.0 / spread if spread > 0.0 else 1.0
+    return [0.0, 0.3 * unit, 1.7 * unit, 9.0 * unit]
+
+
 # -- the earlier inline forms -------------------------------------------------
 
 
@@ -171,6 +215,71 @@ def _bound_ergotropy(rho, h):
         else:
             hi = mid
     return passive_e - _thermal_entropy_energy(levels, beta_star)[1]
+
+
+def _log_partition(h, beta):
+    e = h.eigenvalues
+    return float(-beta * e.min() + np.log(np.exp(-beta * (e - e.min())).sum()))
+
+
+def _thermal_matrix(h, beta):
+    e = h.eigenvalues
+    v = h.eigenvectors
+    if np.isinf(beta):
+        ground = (e - e.min() < 1e-12).astype(float)
+        p = ground / ground.sum()
+    else:
+        w = np.exp(-beta * (e - e.min()))
+        p = w / w.sum()
+    return (v * p) @ core.dagger(v)
+
+
+def _passive_matrix(rho, h):
+    v = h.eigenvectors
+    return (v * np.sort(_spectrum(rho))[::-1]) @ core.dagger(v)
+
+
+def _local_inverse_temperature(m, h):
+    """The earlier fit, with the population floor of the basis change."""
+    v = h.eigenvectors
+    in_basis = (core.dagger(v) @ m @ v).tolist()
+    coherence = max(
+        (abs(x) for i, row in enumerate(in_basis) for j, x in enumerate(row) if i != j),
+        default=0.0,
+    )
+    if coherence > 1e-8:
+        return None
+    populations = [row[i].real for i, row in enumerate(in_basis)]
+    exact = ((v == 0.0) | (np.abs(v) == 1.0)).all()
+    floor = 0.0 if exact else 4 * h.dim * np.finfo(float).eps * np.abs(m).max()
+    if min(populations) <= floor:
+        return None
+    log_p = [math.log(p) for p in populations]
+    energies = h.eigenvalues.tolist()
+    n = len(energies)
+    e_mean = sum(energies) / n
+    l_mean = sum(log_p) / n
+    lowest, highest = energies[0], energies[-1]
+    if highest - lowest <= 64 * np.finfo(float).eps * max(abs(lowest), abs(highest)):
+        beta = 0.0
+    else:
+        k = math.frexp(highest - lowest)[1]
+        de = [math.ldexp(e - e_mean, -k) for e in energies]
+        slope = sum(d * (l_mean - l) for d, l in zip(de, log_p)) / sum(d * d for d in de)
+        beta = math.ldexp(slope, -k)
+    intercept = l_mean + beta * e_mean
+    if max(abs(l - (intercept - beta * e)) for l, e in zip(log_p, energies)) > 1e-8:
+        return None
+    return beta
+
+
+def _chi_from_local_measurement(rho, povm):
+    d_a, d_b = rho.dims
+    for k, m in enumerate(povm.operators):
+        local = core._partial_trace(m, (d_a, d_b), "B") / d_a
+        if np.abs(m - _kron(np.eye(d_a), local)).max() > 1e-9:
+            raise ValueError(f"operator {k} is not of the form I_A (x) K")
+    return local_information_gain(measure(rho, povm), "A")
 
 
 def _thermo_report(rho, h_b, beta):
@@ -289,6 +398,54 @@ def test_memoized_root_matches_the_earlier_bisection_in_any_call_order(states):
     rho = states[0]
     for h in (H_SWEEP, hamiltonians[0], H_SWEEP, H_SWEEP, hamiltonians[0]):
         assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_hamiltonian_constants_give_the_inline_results(states, dim):
+    """Every function that reads the constants a Hamiltonian keeps returns
+    the earlier inline result, on Hamiltonians of each dimension including
+    degenerate and 1e+-200-scaled ones.  Each state meets one Hamiltonian in
+    turn; the fit also sees thermal states, and thermal states with one
+    population zeroed (refused by the round-off floor where V rotates)."""
+    hamiltonians = _hamiltonians(dim)
+    for h in hamiltonians:
+        betas = _betas(h)
+        for beta in betas + [np.inf]:
+            assert _same_bits(thermal_state(h, beta).matrix, _thermal_matrix(h, beta))
+        for beta in betas:
+            assert log_partition(h, beta) == _log_partition(h, beta)
+            p = np.exp(-beta * (h.eigenvalues - h.eigenvalues[0]))
+            zeroed = p.copy()
+            zeroed[-1] = 0.0
+            for q in (p, zeroed):
+                m = (h.eigenvectors * (q / q.sum())) @ h.eigenvectors.conj().T
+                assert local_inverse_temperature(m, h) == _local_inverse_temperature(m, h)
+    for k, rho in enumerate(_states_of_dim(states, dim)):
+        h = hamiltonians[k % len(hamiltonians)]
+        assert ergotropy(rho, h) == _ergotropy(rho, h)
+        assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
+        assert _same_bits(passive_state(rho, h).matrix, _passive_matrix(rho, h))
+        assert local_inverse_temperature(rho, h) == _local_inverse_temperature(rho.matrix, h)
+
+
+def test_chi_from_local_measurement_matches_the_inline_check(states):
+    """Local POVMs give the earlier value on every state, and a non-local
+    one raises the earlier error on every call, not only the first."""
+    rng = np.random.default_rng(29)
+    local = [
+        projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2)),
+        projective_energy_povm(random_hamiltonian(2, rng), (2, 2)),
+        local_povm(Povm([np.eye(2)]), random_projective_povm(2, rng)),
+    ]
+    nonlocal_povm = random_projective_povm(4, rng)
+    for rho in states:
+        for povm in local:
+            assert chi_from_local_measurement(rho, povm) == _chi_from_local_measurement(rho, povm)
+    for rho in states[::17]:
+        with pytest.raises(ValueError) as expected:
+            _chi_from_local_measurement(rho, nonlocal_povm)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            chi_from_local_measurement(rho, nonlocal_povm)
 
 
 def test_thermo_report_matches_the_inline_kron_sum(states):

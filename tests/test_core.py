@@ -392,3 +392,48 @@ def test_each_kernel_is_written_once():
     assert "core.py" in sources
     assert [name for name, s in sources.items() if "np.kron(" in s] == []
     assert sum(s.count("np.sqrt(np.clip(") for s in sources.values()) <= 1
+
+
+def _reduces_a_spectrum(fn: ast.FunctionDef) -> list[str]:
+    """Calls in ``fn`` that reduce or sort an ``eigenvalues`` array, read as
+    an attribute (not ``rho.eigenvalues()``) or through a name bound to one."""
+    spectra = {
+        target.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "eigenvalues"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def is_spectrum(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "eigenvalues") or (
+            isinstance(node, ast.Name) and node.id in spectra
+        )
+
+    found = []
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in ("min", "max", "tolist"):
+            if is_spectrum(f.value):
+                found.append(ast.unparse(node))
+        elif ast.unparse(f) == "np.sort" and node.args and is_spectrum(node.args[0]):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_thermo_reads_the_spectral_constants_once():
+    """Outside Hamiltonian, no function in thermo.py reduces or sorts a
+    Hamiltonian's eigenvalues (.min(, .max(, .tolist(, np.sort(): the levels,
+    their minimum, spread and gaps are constants each Hamiltonian works out
+    once, and the spectrum is already ascending."""
+    tree = ast.parse((ROOT / "src" / "qthermo" / "thermo.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert {"log_partition", "bound_ergotropy", "local_inverse_temperature"} <= {
+        fn.name for fn in functions
+    }
+    offenders = {fn.name: _reduces_a_spectrum(fn) for fn in functions}
+    assert {name: calls for name, calls in offenders.items() if calls} == {}

@@ -171,12 +171,30 @@ class TestChiFromLocalMeasurement:
         assert_allclose(chi_from_local_measurement(rho, povm), LN2, atol=1e-12)
 
     def test_rejects_non_local_form(self, bell_state):
+        """On every call: the verdict is kept per POVM, and a kept failure
+        still raises."""
         from qthermo import Povm
 
         eye = np.eye(4, dtype=complex)
         povm = Povm([np.outer(eye[:, k], eye[:, k]) for k in range(4)])
-        with pytest.raises(ValueError, match="I_A"):
-            chi_from_local_measurement(bell_state, povm)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="operator 0 is not of the form I_A"):
+                chi_from_local_measurement(bell_state, povm)
+
+    def test_local_form_is_judged_per_split(self, qubit_h):
+        """I_2 (x) |e_k><e_k| is local on B for the split (2, 2) and for
+        (1, 4), where A is trivial, but not for (4, 1).  Each split keeps its
+        own verdict, in any order of calls."""
+        povm = projective_energy_povm(qubit_h, (2, 2))
+        m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        split = {dims: DensityMatrix(m, dims=dims) for dims in ((2, 2), (1, 4), (4, 1))}
+        for dims in ((2, 2), (4, 1), (1, 4), (4, 1), (2, 2), (1, 4)):
+            if dims == (4, 1):
+                with pytest.raises(ValueError, match="operator 0 is not of the form I_A"):
+                    chi_from_local_measurement(split[dims], povm)
+            else:
+                chi = chi_from_local_measurement(split[dims], povm)
+                assert chi == local_information_gain(measure(split[dims], povm), "A")
 
     def test_matches_local_information_gain(self, rng, qubit_h):
         rho = _random_state(rng)

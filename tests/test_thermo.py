@@ -18,6 +18,7 @@ from qthermo import (
     ergotropy_double_sum,
     local_beta,
     local_inverse_temperature,
+    log_partition,
     mutual_information,
     passive_state,
     pure_state,
@@ -101,6 +102,52 @@ class TestHamiltonian:
         assert_allclose(h.matrix, np.diag([1.0, 0.0]), atol=0)
         assert_allclose(h.eigenvalues, [0.0, 1.0], atol=0)
         assert_allclose(h.doubled.eigenvalues, [0.0, 1.0, 1.0, 2.0], atol=0)
+
+
+    def test_derived_constants_are_kept_and_immutable(self):
+        """The spectral constants are worked out once, as floats, tuples of
+        floats or read-only arrays, and agree with the spectrum."""
+        h = Hamiltonian(np.array([[1.0, 0.5j], [-0.5j, -2.0]]))
+        e = h.eigenvalues
+        assert h.levels == tuple(e.tolist()) and h.levels is h.levels
+        assert h.gaps == tuple(float(x) for x in e - e.min())
+        assert h.spread == float(e.max() - e.min()) and h.log_dim == float(np.log(2))
+        assert _same_array(h.eigenvectors_dagger, h.eigenvectors.conj().T)
+        mean, k, de, de_squared = h._fit_levels
+        assert isinstance(de, tuple) and de_squared == sum(d * d for d in de)
+        assert all(type(x) is float for x in h.levels + h.gaps + de + (mean, de_squared))
+        with pytest.raises(ValueError, match="read-only"):
+            h.eigenvectors_dagger[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            h.levels[0] = 5.0
+
+    def test_repeated_calls_give_the_same_results(self, rng):
+        """The kept constants do not drift: each function returns the same
+        result on repeated calls, interleaved with calls on another
+        Hamiltonian of the same dimension."""
+        rho = _random_state(rng)
+        hamiltonians = [_random_h(rng), Hamiltonian(np.diag([3.0, 1.0, 1.0, 0.0]).astype(complex))]
+        thermal = thermal_state(hamiltonians[0], 0.8)
+
+        def results(h):
+            return (
+                log_partition(h, 0.8),
+                thermal_state(h, 0.8).matrix.tobytes(),
+                ergotropy(rho, h),
+                passive_state(rho, h).matrix.tobytes(),
+                bound_ergotropy(rho, h),
+                local_inverse_temperature(thermal, h),
+            )
+
+        first = [results(h) for h in hamiltonians]
+        for _ in range(2):
+            assert [results(h) for h in hamiltonians] == first
+            assert [results(h) for h in reversed(hamiltonians)] == first[::-1]
+        assert first[0][-1] == pytest.approx(0.8, rel=1e-12)
+
+
+def _same_array(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestThermalState:
@@ -239,16 +286,26 @@ class TestBoundErgotropy:
             assert abs(bound_ergotropy(rho, h) - _reference_bound_ergotropy(rho, h)) <= 1e-12
 
 
+def _population_floor(m, h) -> float:
+    """The round-off of a population after the basis change: 0 when the
+    eigenvectors are a permutation (entries 0 or of modulus 1), else
+    4 d eps max|m_ij|."""
+    v = h.eigenvectors
+    if ((v == 0.0) | (np.abs(v) == 1.0)).all():
+        return 0.0
+    return 4 * h.dim * np.finfo(float).eps * np.abs(m).max()
+
+
 def _lstsq_fit(m, h):
     """The earlier fit: a design matrix and np.linalg.lstsq for the line
-    ln p = c - beta e, with the same coherence, positivity and residual
+    ln p = c - beta e, with the same coherence, population-floor and residual
     checks."""
     v = h.eigenvectors
     in_basis = v.conj().T @ m @ v
     if np.abs(in_basis - np.diag(np.diag(in_basis))).max() > 1e-8:
         return None
     populations = np.diag(in_basis).real
-    if populations.min() <= 0.0:
+    if populations.min() <= _population_floor(m, h):
         return None
     log_p = np.log(populations)
     design = np.stack([-h.eigenvalues, np.ones(h.dim)], axis=1)
@@ -353,6 +410,31 @@ class TestLocalInverseTemperature:
         rho = thermal_state(qubit_h, 0.7)
         fitted = local_inverse_temperature(rho, Hamiltonian(scale * qubit_h.matrix))
         assert fitted * scale == pytest.approx(local_inverse_temperature(rho, qubit_h), rel=1e-15)
+
+    def test_a_population_at_the_rotation_roundoff_is_zero(self):
+        """The ground state of a random qubit Hamiltonian: its excited
+        population comes out of the basis change as ~1e-17, not 0, and used
+        to fit beta = 18.4.  It is not thermal at any finite beta."""
+        h = random_hamiltonian(2, np.random.default_rng(5))
+        ground = h.eigenvectors[:, [0]] @ h.eigenvectors[:, [0]].conj().T
+        populations = np.diag(h.eigenvectors.conj().T @ ground @ h.eigenvectors).real
+        assert 0.0 < populations.min() <= _population_floor(ground, h)
+        assert local_inverse_temperature(ground, h) is None
+
+    @pytest.mark.parametrize("beta", [30.0, 700.0])
+    def test_permutation_eigenvectors_have_no_floor(self, qubit_h, beta):
+        """diag(1, 0) rotates exactly, so a population of e^-700 still fits."""
+        assert _population_floor(np.eye(2), qubit_h) == 0.0
+        rho = thermal_state(qubit_h, beta)
+        assert local_inverse_temperature(rho, qubit_h) == pytest.approx(beta, rel=1e-12)
+
+    def test_zeroed_populations_are_not_thermal(self):
+        """Every fit case with a population set to 0 is refused: 16 of the
+        qubit ones used to fit a finite beta from the round-off left by the
+        basis change."""
+        for k, (m, h) in enumerate(_fit_cases()):
+            if k % 150 % 6 == 3:
+                assert local_inverse_temperature(m, h) is None
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_degenerate_spectrum_is_infinite_temperature(self, dim):
