@@ -112,7 +112,7 @@ class TestHamiltonian:
         assert h.levels == tuple(e.tolist()) and h.levels is h.levels
         assert h.gaps == tuple(float(x) for x in e - e.min())
         assert h.spread == float(e.max() - e.min()) and h.log_dim == float(np.log(2))
-        assert _same_array(h.eigenvectors_dagger, h.eigenvectors.conj().T)
+        assert_allclose(h.eigenvectors_dagger, h.eigenvectors.conj().T, rtol=0, atol=0)
         mean, k, de, de_squared = h._fit_levels
         assert isinstance(de, tuple) and de_squared == sum(d * d for d in de)
         assert all(type(x) is float for x in h.levels + h.gaps + de + (mean, de_squared))
@@ -144,10 +144,6 @@ class TestHamiltonian:
             assert [results(h) for h in hamiltonians] == first
             assert [results(h) for h in reversed(hamiltonians)] == first[::-1]
         assert first[0][-1] == pytest.approx(0.8, rel=1e-12)
-
-
-def _same_array(a, b) -> bool:
-    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestThermalState:
@@ -413,8 +409,9 @@ class TestLocalInverseTemperature:
 
     def test_a_population_at_the_rotation_roundoff_is_zero(self):
         """The ground state of a random qubit Hamiltonian: its excited
-        population comes out of the basis change as ~1e-17, not 0, and used
-        to fit beta = 18.4.  It is not thermal at any finite beta."""
+        population comes out of the basis change as ~1e-17, not 0, and a line
+        through it would give beta = 18.4.  It is not thermal at any finite
+        beta."""
         h = random_hamiltonian(2, np.random.default_rng(5))
         ground = h.eigenvectors[:, [0]] @ h.eigenvectors[:, [0]].conj().T
         populations = np.diag(h.eigenvectors.conj().T @ ground @ h.eigenvectors).real
@@ -429,9 +426,9 @@ class TestLocalInverseTemperature:
         assert local_inverse_temperature(rho, qubit_h) == pytest.approx(beta, rel=1e-12)
 
     def test_zeroed_populations_are_not_thermal(self):
-        """Every fit case with a population set to 0 is refused: 16 of the
-        qubit ones used to fit a finite beta from the round-off left by the
-        basis change."""
+        """Every fit case with a population set to 0 is refused, including
+        the 16 qubit ones whose zero comes out of the basis change as a
+        positive round-off that a line would fit with a finite beta."""
         for k, (m, h) in enumerate(_fit_cases()):
             if k % 150 % 6 == 3:
                 assert local_inverse_temperature(m, h) is None
