@@ -183,20 +183,25 @@ def pure_state(vector, dims=None) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), dims=dims)
 
 
+_NO_DIMS = "state carries no bipartite dims; cannot take a marginal"
+
+
 def _partial_trace(matrix: np.ndarray, dims, keep: str) -> np.ndarray:
+    """The marginal of a matrix, or of each matrix of an ``(n, d, d)`` stack."""
     d_a, d_b = dims
-    r = matrix.reshape(d_a, d_b, d_a, d_b)
+    split = (d_a, d_b, d_a, d_b)
+    r = matrix.reshape(split if matrix.ndim == 2 else (-1, *split))
     if keep == "A":
-        return np.einsum("ibjb->ij", r)
+        return np.einsum("...ibjb->...ij", r)
     if keep == "B":
-        return np.einsum("aiaj->ij", r)
+        return np.einsum("...aiaj->...ij", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Marginal state on subsystem ``keep`` ("A" or "B") of a bipartite state."""
     if rho.dims is None:
-        raise ValueError("state carries no bipartite dims; cannot take a marginal")
+        raise ValueError(_NO_DIMS)
     m = _partial_trace(rho.matrix, rho.dims, keep)
     return DensityMatrix(m, spectrum=_spectrum(m))
 
@@ -228,8 +233,16 @@ def marginal_entropy(rho: DensityMatrix, side: str) -> float:
     """S(rho_side) in nats, from the raw partial trace (the marginal is not
     re-validated as a DensityMatrix)."""
     if rho.dims is None:
-        raise ValueError("state carries no bipartite dims; cannot take a marginal")
+        raise ValueError(_NO_DIMS)
     return entropy_of_eigenvalues(_spectrum(_partial_trace(rho.matrix, rho.dims, side)))
+
+
+def _marginal_entropies(matrices: np.ndarray, dims, side: str) -> list[float]:
+    """``marginal_entropy`` of each matrix of an ``(n, d, d)`` stack of
+    states on the split ``dims``: one partial trace and one spectrum call."""
+    if dims is None:
+        raise ValueError(_NO_DIMS)
+    return [entropy_of_eigenvalues(w) for w in _spectrum(_partial_trace(matrices, dims, side))]
 
 
 def mutual_information(rho: DensityMatrix) -> float:

@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _eigh, _psd_sqrt, _qr, dagger
-from .measurement import Povm, local_povm
+from .core import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    DensityMatrix,
+    _eigh,
+    _psd_sqrt,
+    _qr,
+    _read_only,
+    dagger,
+)
+from .measurement import Povm, _product_povm
 from .thermo import Hamiltonian
+
+# the one operator of the trivial measurement on a qubit
+_QUBIT_IDENTITY = (_read_only(np.eye(2, dtype=complex)),)
 
 
 def _ginibre(rng, rows, cols) -> np.ndarray:
@@ -63,10 +76,14 @@ def random_x_state(rng) -> DensityMatrix:
     return DensityMatrix(m, dims=(2, 2))
 
 
+def _projectors(u: np.ndarray) -> list[np.ndarray]:
+    """Rank-one projectors onto the columns of ``u``."""
+    return [u[:, k, None] * u[:, k].conj() for k in range(u.shape[1])]
+
+
 def random_projective_povm(dim: int, rng) -> Povm:
     """Rank-one projectors onto the columns of a random unitary."""
-    u = random_unitary(dim, rng)
-    return Povm([u[:, k, None] * u[:, k].conj() for k in range(dim)])
+    return Povm(_projectors(random_unitary(dim, rng)))
 
 
 def random_two_outcome_projective(dim: int, rng) -> Povm:
@@ -79,31 +96,35 @@ def random_two_outcome_projective(dim: int, rng) -> Povm:
 def random_local_projective_povm(rng, side: str | None = None) -> Povm:
     """Product of single-qubit projective measurements on two qubits.
 
-    ``side`` restricts the measurement to one qubit (identity on the other).
+    ``side`` restricts the measurement to one qubit (identity on the other);
+    both bases are drawn either way.
     """
-    trivial = Povm([np.eye(2, dtype=complex)])
-    basis_a = random_projective_povm(2, rng)
-    basis_b = random_projective_povm(2, rng)
+    basis_a = _projectors(random_unitary(2, rng))
+    basis_b = _projectors(random_unitary(2, rng))
     if side == "A":
-        return local_povm(basis_a, trivial)
+        return _product_povm(basis_a, _QUBIT_IDENTITY)
     if side == "B":
-        return local_povm(trivial, basis_b)
-    return local_povm(basis_a, basis_b)
+        return _product_povm(_QUBIT_IDENTITY, basis_b)
+    return _product_povm(basis_a, basis_b)
+
+
+def _general_povm_operators(dim: int, rng, n_outcomes: int) -> list[np.ndarray]:
+    blocks = [g @ dagger(g) for g in (_ginibre(rng, dim, dim) for _ in range(n_outcomes))]
+    total = sum(blocks)
+    w, v = _eigh(total)
+    inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
+    return [_psd_sqrt(inv_sqrt @ b @ inv_sqrt) for b in blocks]
 
 
 def random_general_povm(dim: int, rng, n_outcomes: int = 3) -> Povm:
     """Efficient POVM with Hermitian PSD operators built from random positive
     blocks normalized through S^{-1/2}."""
-    blocks = [g @ dagger(g) for g in (_ginibre(rng, dim, dim) for _ in range(n_outcomes))]
-    total = sum(blocks)
-    w, v = _eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-    return Povm([_psd_sqrt(inv_sqrt @ b @ inv_sqrt) for b in blocks])
+    return Povm(_general_povm_operators(dim, rng, n_outcomes))
 
 
 def random_local_general_povm(rng) -> Povm:
     """Product of two independent two-outcome general qubit POVMs."""
-    return local_povm(random_general_povm(2, rng, 2), random_general_povm(2, rng, 2))
+    return _product_povm(_general_povm_operators(2, rng, 2), _general_povm_operators(2, rng, 2))
 
 
 def random_unsharp_on_b(rng) -> Povm:
@@ -112,5 +133,4 @@ def random_unsharp_on_b(rng) -> Povm:
     n /= np.linalg.norm(n)
     pauli = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     ops = [_psd_sqrt(0.5 * (np.eye(2) + sign * pauli)) for sign in (1.0, -1.0)]
-    trivial = Povm([np.eye(2, dtype=complex)])
-    return local_povm(trivial, Povm(ops))
+    return _product_povm(_QUBIT_IDENTITY, ops)

@@ -47,17 +47,18 @@ from .dissipation import (
     max_non_x_magnitude,
 )
 from .measurement import (
-    Povm,
+    _product_povm,
     correlations_lost,
     entropy_cost,
     holevo_of_measurement,
     information_gain,
     local_information_gain,
-    local_povm,
     measure,
+    measure_many,
     projective_energy_povm,
 )
 from .random_states import (
+    _projectors,
     random_density_matrix,
     random_general_povm,
     random_hamiltonian,
@@ -161,6 +162,20 @@ def _local_projective(rng, k: int):
     return random_local_projective_povm(rng, side=side)
 
 
+def _local_or_general(rng, k: int):
+    return random_local_general_povm(rng) if k % 2 else _local_projective(rng, k)
+
+
+def _measured(rng, n: int, draw_povm) -> list:
+    """Draw n (state, POVM) pairs, each state before its POVM ``draw_povm(rng,
+    k)``, the order of a per-pair loop; then measure them in one stacked call."""
+    states, povms = [], []
+    for k in range(n):
+        states.append(random_two_qubit_state(rng))
+        povms.append(draw_povm(rng, k))
+    return measure_many(states, povms)
+
+
 _QUBIT_H = local_qubit_hamiltonian(1.0)
 _ENERGY_POVM_B = projective_energy_povm(_QUBIT_H, (2, 2))
 # every ordering of four energy levels, for the exhaustive passive check
@@ -208,19 +223,14 @@ def suite_purify_roundtrip(rng, n):
 
 @_suite("dimension_bound", "slack", 1e-9)
 def suite_dimension_bound(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _mixed_povm(rng, k))
-        rhs = np.log(4.0) - mutual_information(rho)
+    for record in _measured(rng, n, _mixed_povm):
+        rhs = np.log(4.0) - mutual_information(record.pre_state)
         yield rhs - information_gain(record)
 
 
 @_suite("gain_decomposition", "residual", 1e-9)
 def suite_gain_decomposition(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        povm = random_local_general_povm(rng) if k % 2 else _local_projective(rng, k)
-        record = measure(rho, povm)
+    for record in _measured(rng, n, _local_or_general):
         lost = correlations_lost(record)
         lhs = information_gain(record)
         rhs = (
@@ -233,17 +243,13 @@ def suite_gain_decomposition(rng, n):
 
 @_suite("correlations_lost_nonneg", "slack", 1e-9)
 def suite_correlations_lost(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _local_projective(rng, k))
+    for record in _measured(rng, n, _local_projective):
         yield correlations_lost(record)
 
 
 @_suite("gain_subadditivity", "slack", 1e-9)
 def suite_gain_subadditivity(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _local_projective(rng, k))
+    for record in _measured(rng, n, _local_projective):
         lhs = information_gain(record)
         rhs = local_information_gain(record, "A") + local_information_gain(record, "B")
         yield rhs - lhs
@@ -251,16 +257,13 @@ def suite_gain_subadditivity(rng, n):
 
 @_suite("gain_nonneg_rank_one", "slack", 1e-9)
 def suite_gain_nonnegative(rng, n):
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
-        yield information_gain(measure(rho, random_projective_povm(4, rng)))
+    for record in _measured(rng, n, lambda rng, k: random_projective_povm(4, rng)):
+        yield information_gain(record)
 
 
 @_suite("holevo_closure", "residual", 1e-9)
 def suite_holevo_closure(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _mixed_povm(rng, k))
+    for record in _measured(rng, n, _mixed_povm):
         yield (
             holevo_of_measurement(record)
             - information_gain(record)
@@ -270,31 +273,27 @@ def suite_holevo_closure(rng, n):
 
 @_suite("delta_projective", "slack", 1e-9)
 def suite_entropy_cost_projective(rng, n):
-    for k in range(n):
-        rho = random_two_qubit_state(rng)
-        yield entropy_cost(measure(rho, _projective_povm(rng, k)))
+    for record in _measured(rng, n, _projective_povm):
+        yield entropy_cost(record)
 
 
 @_suite("coherence_gap", "residual", 1e-9)
 def suite_coherence_gap(rng, n):
+    # known product bases, so the coherence basis matches the projectors
+    states, bases = [], []
     for _ in range(n):
-        rho = random_two_qubit_state(rng)
-        # known product bases, so the coherence basis matches the projectors
-        u_a = random_unitary(2, rng)
-        u_b = random_unitary(2, rng)
-        proj_a = Povm([np.outer(u_a[:, i], u_a[:, i].conj()) for i in range(2)])
-        proj_b = Povm([np.outer(u_b[:, i], u_b[:, i].conj()) for i in range(2)])
-        record = measure(rho, local_povm(proj_a, proj_b))
+        states.append(random_two_qubit_state(rng))
+        bases.append((random_unitary(2, rng), random_unitary(2, rng)))
+    povms = [_product_povm(_projectors(u_a), _projectors(u_b)) for u_a, u_b in bases]
+    for record, (u_a, u_b) in zip(measure_many(states, povms), bases):
         gap = holevo_of_measurement(record) - information_gain(record)
-        coherence = relative_entropy_of_coherence(rho.matrix, _kron(u_a, u_b))
+        coherence = relative_entropy_of_coherence(record.pre_state.matrix, _kron(u_a, u_b))
         yield gap - coherence
 
 
 @_suite("energy_measurement_structure", "residual", 1e-9)
 def suite_energy_measurement_structure(rng, n):
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _ENERGY_POVM_B)
+    for record in _measured(rng, n, lambda rng, k: _ENERGY_POVM_B):
         for p, s in zip(record.probabilities, record.post_states):
             if s is None:
                 continue

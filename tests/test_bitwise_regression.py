@@ -7,15 +7,19 @@ entropy and energy together, the (theta, phi) grid that ``chi_A_max`` built
 on every call, the Ginibre draw that took its real and imaginary blocks in
 two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
-``core._real_svd`` and ``random_unitary`` call directly.  The current
-kernels reuse work (``Hamiltonian.doubled`` and the spectral constants each
-``Hamiltonian`` keeps, the spectrum kept by ``DensityMatrix``, the memoized
-root solve, the local-form verdict each ``Povm`` keeps, the cached grid) or
-skip wrapper overhead but must do the same floating-point operations, so
-results are compared with ``==``, not a tolerance.  The same holds for the
-states the library derives without re-validation (marginals,
-post-measurement states, channel outputs, analytic steady states): each
-equals the validated construction of its matrix.
+``core._real_svd`` and ``random_unitary`` call directly.  Further down: the
+per-pair ``measure`` with its per-state marginal entropies, which
+``measure_many`` stacks; the product POVMs built from validated factor
+POVMs; and the verify suites that measured each pair as it was drawn.  The
+current kernels reuse work (``Hamiltonian.doubled`` and the spectral
+constants each ``Hamiltonian`` keeps, the spectrum kept by
+``DensityMatrix``, the memoized root solve, the local-form verdict each
+``Povm`` keeps, the cached grid, the stacked measurement) or skip wrapper
+overhead but must do the same floating-point operations, so results are
+compared with ``==``, not a tolerance.  The same holds for the states the
+library derives without re-validation (marginals, post-measurement states,
+channel outputs, analytic steady states): each equals the validated
+construction of its matrix.
 """
 
 import itertools
@@ -29,6 +33,7 @@ import pytest
 from qthermo import (
     DensityMatrix,
     Hamiltonian,
+    MeasurementRecord,
     ModelParams,
     Povm,
     analytic_steady_state,
@@ -36,21 +41,27 @@ from qthermo import (
     bound_ergotropy,
     chi_A_max,
     chi_from_local_measurement,
+    correlations_lost,
+    entropy_cost,
     ergotropy,
+    holevo_of_measurement,
+    information_gain,
     local_information_gain,
     local_inverse_temperature,
     local_povm,
     log_partition,
     measure,
+    measure_many,
     partial_trace,
     passive_state,
     projective_energy_povm,
+    relative_entropy_of_coherence,
     standard_reports,
     thermal_state,
     thermo_report,
     von_neumann_entropy,
 )
-from qthermo import core
+from qthermo import core, verify
 from qthermo.cli import sweep_row
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
@@ -64,15 +75,23 @@ from qthermo.correlations import (
     wootters_eof,
 )
 from qthermo.dissipation import local_qubit_hamiltonian
+from qthermo.measurement import PROB_CUTOFF
 from qthermo.random_states import (
     _ginibre,
+    _projectors,
+    random_general_povm,
     random_hamiltonian,
+    random_local_general_povm,
+    random_local_projective_povm,
     random_projective_povm,
     random_rank2_two_qubit,
+    random_two_outcome_projective,
     random_two_qubit_state,
     random_x_state,
     random_unitary,
+    random_unsharp_on_b,
 )
+from qthermo.verify import SUITES, SuiteResult
 
 STATES_PER_FAMILY = 170
 # the total Hamiltonian of the sweep: two qubits of frequency 1
@@ -530,7 +549,9 @@ def _derived_states(rho, povms):
 
 def test_derived_states_match_their_validated_construction(states):
     """Every derived state has the matrix, spectrum and dims of the validated
-    construction of its matrix, and both arrays refuse writes."""
+    construction of its matrix, and both arrays refuse writes: also the
+    post-measurement states and channel outputs of one stacked call that
+    mixes outcome counts."""
     rng = np.random.default_rng(3)
     povms = (
         projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2)),
@@ -539,6 +560,10 @@ def test_derived_states_match_their_validated_construction(states):
     )
     steady = [analytic_steady_state(c, ModelParams()) for c in np.linspace(0.0, 1.0, 21)]
     derived = steady + [s for rho in states for s in _derived_states(rho, povms)]
+    stacked = measure_many(states, [povms[k % 3] for k in range(len(states))])
+    for record in stacked:
+        derived.extend(s for s in record.post_states if s is not None)
+        derived.append(record.channel_output)
     for s in derived:
         validated = DensityMatrix(s.matrix, s.dims)
         assert _same_bits(s.matrix, validated.matrix)
@@ -641,3 +666,405 @@ def test_random_unitary_matches_the_numpy_qr_form(dim):
         phases = np.diag(r).copy()
         phases /= np.abs(phases)
         assert _same_bits(random_unitary(dim, ours), q * phases.conj())
+
+
+# -- the stacked measurement --------------------------------------------------
+
+
+def _measure(rho, povm):
+    """The earlier per-pair measure: probabilities, the kept outcomes, and
+    the stack of their post-measurement states plus the channel output."""
+    if povm.dim != rho.dim:
+        raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
+    unnormalized = [m @ rho.matrix @ core.dagger(m) for m in povm.operators]
+    probs = np.array([float(u.trace().real) for u in unnormalized])
+    if probs.min() < -PROB_CUTOFF:
+        raise ValueError(f"negative outcome probability {probs.min():.3e}")
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities sum to {total:.12g}")
+    kept = [n for n, p in enumerate(probs) if p >= PROB_CUTOFF]
+    stack = np.array([unnormalized[n] / probs[n] for n in kept] + [sum(unnormalized)])
+    return probs, kept, stack
+
+
+def _local_information_gain(record, side):
+    avg = record.average(lambda s: core.marginal_entropy(s, side))
+    return core.marginal_entropy(record.pre_state, side) - avg
+
+
+def _correlations_lost(record):
+    return core.mutual_information(record.pre_state) - record.average(core.mutual_information)
+
+
+_ENERGY_POVM = projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2))
+
+# every family of POVM the verify suites measure
+POVM_FAMILIES = {
+    "projective": lambda rng: random_projective_povm(4, rng),
+    "two_outcome": lambda rng: random_two_outcome_projective(4, rng),
+    "local_projective": lambda rng: random_local_projective_povm(rng),
+    "local_projective_A": lambda rng: random_local_projective_povm(rng, side="A"),
+    "local_projective_B": lambda rng: random_local_projective_povm(rng, side="B"),
+    "local_general": random_local_general_povm,
+    "general_3": lambda rng: random_general_povm(4, rng, 3),
+    "unsharp_on_b": random_unsharp_on_b,
+    "energy": lambda rng: _ENERGY_POVM,
+}
+
+
+def _eigenbasis_povm(rho):
+    """Projectors onto the eigenvectors of ``rho``: on a rank-2 state two of
+    the four outcomes fall below PROB_CUTOFF."""
+    return Povm(_projectors(np.linalg.eigh(rho.matrix)[1]))
+
+
+def _assert_matches_the_per_pair_measure(record, rho, povm):
+    probs, kept, stack = _measure(rho, povm)
+    assert record.pre_state is rho
+    assert _same_bits(record.probabilities, probs)
+    assert [n for n, s in enumerate(record.post_states) if s is not None] == kept
+    derived = [record.post_states[n] for n in kept] + [record.channel_output]
+    for state, m in zip(derived, stack):
+        assert _same_bits(state.matrix, m)
+        assert _same_bits(state._spectrum, np.linalg.eigvalsh(m))
+        assert state.dims == rho.dims
+
+
+def _mixed_batch(states):
+    """The corpus, each state with a POVM of the families in turn (outcome
+    counts 1 to 4 in one batch), plus the rank-2 states measured in their
+    eigenbasis, which drops outcomes below the cutoff."""
+    rng = np.random.default_rng(31)
+    families = list(POVM_FAMILIES.values())
+    povms = [families[k % len(families)](rng) for k in range(len(states))]
+    rank2 = states[STATES_PER_FAMILY : 2 * STATES_PER_FAMILY : 10]
+    return states + rank2, povms + [_eigenbasis_povm(rho) for rho in rank2]
+
+
+def test_stacked_measure_matches_the_per_pair_measure(states):
+    """One stacked call over every family at once, and one per family, give
+    the earlier per-pair arithmetic bit for bit, as does the one-pair call."""
+    batch_states, povms = _mixed_batch(states)
+    records = measure_many(batch_states, povms)
+    assert len(records) == len(batch_states)
+    dropped = sum(s is None for r in records for s in r.post_states)
+    assert dropped >= 2 * len(states[STATES_PER_FAMILY : 2 * STATES_PER_FAMILY : 10])
+    for record, rho, povm in zip(records, batch_states, povms):
+        _assert_matches_the_per_pair_measure(record, rho, povm)
+        _assert_matches_the_per_pair_measure(measure(rho, povm), rho, povm)
+    rng = np.random.default_rng(37)
+    for name, family in POVM_FAMILIES.items():
+        povms = [family(rng) for _ in states]
+        for record, rho, povm in zip(measure_many(states, povms), states, povms):
+            _assert_matches_the_per_pair_measure(record, rho, povm)
+
+
+def test_stacked_marginal_gains_match_the_inline_expressions(states):
+    """local_information_gain and correlations_lost read the marginal
+    entropies of a record's whole stack; each equals the earlier per-state
+    expression, in any call order, and so does a record built by hand."""
+    batch_states, povms = _mixed_batch(states)
+    records = measure_many(batch_states, povms)
+    for k, record in enumerate(records):
+        sides = ("A", "B") if k % 2 else ("B", "A")
+        if k % 3 == 0:
+            assert correlations_lost(record) == _correlations_lost(record)
+        for side in sides:
+            assert local_information_gain(record, side) == _local_information_gain(record, side)
+        assert correlations_lost(record) == _correlations_lost(record)
+    for record in records[::7]:
+        by_hand = MeasurementRecord(
+            record.probabilities, record.post_states, record.pre_state, record.channel_output
+        )
+        assert correlations_lost(by_hand) == _correlations_lost(record)
+        assert local_information_gain(by_hand, "A") == _local_information_gain(record, "A")
+
+
+def _over_complete_pair():
+    """|+><+| on two qubits and the one-outcome POVM sqrt(I + a J), J all
+    ones, a = 0.9e-9: completeness holds to 1e-9 per entry, yet the one
+    probability is 1 + 4a."""
+    plus = DensityMatrix(np.full((4, 4), 0.25, dtype=complex), dims=(2, 2))
+    return plus, Povm([core._psd_sqrt(np.eye(4) + 0.9e-9 * np.ones((4, 4)))])
+
+
+def _negative_pair():
+    """A state whose smallest eigenvalue, -5e-10, passes validation, under
+    the computational POVM: one probability is -5e-10."""
+    rho = DensityMatrix(np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex), dims=(2, 2))
+    eye = np.eye(4, dtype=complex)
+    return rho, Povm([np.outer(eye[k], eye[k]) for k in range(4)])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_stacked_errors_name_the_first_failing_pair(states, order):
+    """A dimension mismatch, a negative probability and a sum off 1 each
+    raise the per-pair error; in a batch the first failing pair in input
+    order raises, whatever stack it falls in."""
+    rng = np.random.default_rng(41)
+    bad = [(states[0], Povm([np.eye(2)])), _negative_pair(), _over_complete_pair()]
+    messages = []
+    for rho, povm in bad:
+        with pytest.raises(ValueError) as expected:
+            _measure(rho, povm)
+        messages.append(str(expected.value))
+    with pytest.raises(ValueError, match=re.escape(messages[0])):
+        measure(*bad[0])
+    assert "dimension 2 != state dimension 4" in messages[0]
+    assert messages[1] == "negative outcome probability -5.000e-10"
+    assert messages[2].startswith("outcome probabilities sum to 1.0000000036")
+    good = [(rho, random_projective_povm(4, rng)) for rho in states[1:6]]
+    pairs = good[:2] + [bad[i] for i in order] + good[2:]
+    with pytest.raises(ValueError, match=re.escape(messages[order[0]])):
+        measure_many([rho for rho, _ in pairs], [povm for _, povm in pairs])
+    with pytest.raises(ValueError, match="2 states but 1 POVMs"):
+        measure_many(states[:2], [good[0][1]])
+
+
+def test_stacked_marginals_without_dims_raise_the_per_state_error(states):
+    """A state without dims measures, but its marginal gains raise the
+    per-state error; the records with dims in the same batch are unaffected."""
+    flat = DensityMatrix(states[0].matrix)
+    with pytest.raises(ValueError) as expected:
+        _local_information_gain(measure(flat, _ENERGY_POVM), "A")
+    assert str(expected.value).startswith("state carries no bipartite dims")
+    records = measure_many([states[1], flat, states[2]], [_ENERGY_POVM] * 3)
+    for f in (lambda r: local_information_gain(r, "A"), correlations_lost):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            f(records[1])
+    assert local_information_gain(records[0], "B") == _local_information_gain(records[0], "B")
+    assert correlations_lost(records[2]) == _correlations_lost(records[2])
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+        local_information_gain(records[0], "C")
+
+
+# -- product POVMs, validated once --------------------------------------------
+
+# The earlier builders validated each factor as a Povm of its own, then the
+# product of their operators through local_povm.
+
+
+def _local_povm(povm_a, povm_b):
+    return Povm([np.kron(m_a, m_b) for m_a in povm_a.operators for m_b in povm_b.operators])
+
+
+def _validated_projective_povm(dim, rng):
+    u = random_unitary(dim, rng)
+    return Povm([u[:, k, None] * u[:, k].conj() for k in range(dim)])
+
+
+def _validated_local_projective_povm(rng, side=None):
+    trivial = Povm([np.eye(2, dtype=complex)])
+    basis_a = _validated_projective_povm(2, rng)
+    basis_b = _validated_projective_povm(2, rng)
+    if side == "A":
+        return _local_povm(basis_a, trivial)
+    if side == "B":
+        return _local_povm(trivial, basis_b)
+    return _local_povm(basis_a, basis_b)
+
+
+def _validated_general_povm(dim, rng, n_outcomes):
+    blocks = [g @ core.dagger(g) for g in (_ginibre(rng, dim, dim) for _ in range(n_outcomes))]
+    w, v = np.linalg.eigh(sum(blocks))
+    inv_sqrt = (v / np.sqrt(w)) @ core.dagger(v)
+    return Povm([core._psd_sqrt(inv_sqrt @ b @ inv_sqrt) for b in blocks])
+
+
+def _validated_local_general_povm(rng):
+    return _local_povm(_validated_general_povm(2, rng, 2), _validated_general_povm(2, rng, 2))
+
+
+def _validated_unsharp_on_b(rng):
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    pauli = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    ops = [core._psd_sqrt(0.5 * (np.eye(2) + sign * pauli)) for sign in (1.0, -1.0)]
+    return _local_povm(Povm([np.eye(2, dtype=complex)]), Povm(ops))
+
+
+@pytest.mark.parametrize(
+    "ours, validated",
+    [
+        (lambda rng: random_local_projective_povm(rng), _validated_local_projective_povm),
+        (
+            lambda rng: random_local_projective_povm(rng, side="A"),
+            lambda rng: _validated_local_projective_povm(rng, side="A"),
+        ),
+        (
+            lambda rng: random_local_projective_povm(rng, side="B"),
+            lambda rng: _validated_local_projective_povm(rng, side="B"),
+        ),
+        (random_local_general_povm, _validated_local_general_povm),
+        (random_unsharp_on_b, _validated_unsharp_on_b),
+        (lambda rng: random_projective_povm(4, rng), lambda rng: _validated_projective_povm(4, rng)),
+        (
+            lambda rng: random_general_povm(4, rng, 3),
+            lambda rng: _validated_general_povm(4, rng, 3),
+        ),
+    ],
+)
+def test_product_povms_match_the_validated_factor_builders(ours, validated):
+    """The same operators, bit for bit, from the same draws: the generator's
+    next draw agrees too, also after the unused basis of a one-sided draw."""
+    rng_ours, rng_validated = np.random.default_rng(43), np.random.default_rng(43)
+    for _ in range(60):
+        povm, expected = ours(rng_ours), validated(rng_validated)
+        assert _same_bits(np.array(povm.operators), np.array(expected.operators))
+        assert rng_ours.bit_generator.state == rng_validated.bit_generator.state
+    assert rng_ours.standard_normal() == rng_validated.standard_normal()
+
+
+# -- the verify suites, drawn first and measured once -------------------------
+
+
+def _mixed_povm(rng, k):
+    kind = k % 5
+    if kind == 0:
+        return _validated_projective_povm(4, rng)
+    if kind == 1:
+        return _validated_local_projective_povm(rng)
+    if kind == 2:
+        return _validated_general_povm(4, rng, 3)
+    if kind == 3:
+        return _validated_local_general_povm(rng)
+    return _validated_unsharp_on_b(rng)
+
+
+def _projective_povm(rng, k):
+    kind = k % 3
+    if kind == 0:
+        return _validated_projective_povm(4, rng)
+    if kind == 1:
+        return random_two_outcome_projective(4, rng)
+    return _validated_local_projective_povm(rng)
+
+
+def _local_projective(rng, k):
+    return _validated_local_projective_povm(rng, side=(None, "A", "B")[k % 3])
+
+
+def _per_pair(rng, n, draw_povm, seen):
+    """Each state measured as it is drawn, before the next draw; ``seen``
+    collects the pairs."""
+    for k in range(n):
+        rho = random_two_qubit_state(rng)
+        povm = draw_povm(rng, k)
+        seen.append((rho, povm))
+        yield measure(rho, povm)
+
+
+def _ref_dimension_bound(rng, n, seen):
+    for record in _per_pair(rng, n, _mixed_povm, seen):
+        rhs = np.log(4.0) - core.mutual_information(record.pre_state)
+        yield rhs - information_gain(record)
+
+
+def _ref_gain_decomposition(rng, n, seen):
+    def draw(rng, k):
+        return _validated_local_general_povm(rng) if k % 2 else _local_projective(rng, k)
+
+    for record in _per_pair(rng, n, draw, seen):
+        lost = _correlations_lost(record)
+        lhs = information_gain(record)
+        rhs = _local_information_gain(record, "A") + _local_information_gain(record, "B") - lost
+        yield lhs - rhs
+
+
+def _ref_correlations_lost(rng, n, seen):
+    for record in _per_pair(rng, n, _local_projective, seen):
+        yield _correlations_lost(record)
+
+
+def _ref_gain_subadditivity(rng, n, seen):
+    for record in _per_pair(rng, n, _local_projective, seen):
+        lhs = information_gain(record)
+        rhs = _local_information_gain(record, "A") + _local_information_gain(record, "B")
+        yield rhs - lhs
+
+
+def _ref_gain_nonneg_rank_one(rng, n, seen):
+    for record in _per_pair(rng, n, lambda rng, k: _validated_projective_povm(4, rng), seen):
+        yield information_gain(record)
+
+
+def _ref_holevo_closure(rng, n, seen):
+    for record in _per_pair(rng, n, _mixed_povm, seen):
+        yield holevo_of_measurement(record) - information_gain(record) - entropy_cost(record)
+
+
+def _ref_delta_projective(rng, n, seen):
+    for record in _per_pair(rng, n, _projective_povm, seen):
+        yield entropy_cost(record)
+
+
+def _ref_coherence_gap(rng, n, seen):
+    for _ in range(n):
+        rho = random_two_qubit_state(rng)
+        u_a = random_unitary(2, rng)
+        u_b = random_unitary(2, rng)
+        proj_a = Povm([np.outer(u_a[:, i], u_a[:, i].conj()) for i in range(2)])
+        proj_b = Povm([np.outer(u_b[:, i], u_b[:, i].conj()) for i in range(2)])
+        povm = _local_povm(proj_a, proj_b)
+        seen.append((rho, povm))
+        record = measure(rho, povm)
+        gap = holevo_of_measurement(record) - information_gain(record)
+        yield gap - relative_entropy_of_coherence(rho.matrix, np.kron(u_a, u_b))
+
+
+def _ref_energy_measurement_structure(rng, n, seen):
+    for record in _per_pair(rng, n, lambda rng, k: _ENERGY_POVM, seen):
+        for s in record.post_states:
+            if s is not None:
+                yield core.marginal_entropy(s, "B")
+                yield core.mutual_information(s)
+
+
+REFERENCE_SUITES = {
+    "dimension_bound": _ref_dimension_bound,
+    "gain_decomposition": _ref_gain_decomposition,
+    "correlations_lost_nonneg": _ref_correlations_lost,
+    "gain_subadditivity": _ref_gain_subadditivity,
+    "gain_nonneg_rank_one": _ref_gain_nonneg_rank_one,
+    "holevo_closure": _ref_holevo_closure,
+    "delta_projective": _ref_delta_projective,
+    "coherence_gap": _ref_coherence_gap,
+    "energy_measurement_structure": _ref_energy_measurement_structure,
+}
+
+
+@pytest.mark.parametrize("seed", [5, 2027])
+@pytest.mark.parametrize("name", list(REFERENCE_SUITES))
+def test_stacked_suites_match_the_per_pair_loop(name, seed, monkeypatch):
+    """Each suite that draws all its pairs first and measures them once
+    measures the per-pair loop's states and POVMs (coherence_gap's product
+    bases included), in its order, gives its SuiteResult and leaves the
+    generator where the loop does."""
+    index, run = next((i, run) for i, (n, run, _) in enumerate(SUITES) if n == name)
+    stacked = []
+
+    def spy(states, povms):
+        stacked.extend(zip(states, povms))
+        return measure_many(states, povms)
+
+    monkeypatch.setattr(verify, "measure_many", spy)
+    rng, rng_ref = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
+    result = run(rng, 20)
+    seen = []
+    values = np.asarray(list(REFERENCE_SUITES[name](rng_ref, 20, seen)), dtype=float)
+    assert len(stacked) == len(seen) == 20
+    for (rho, povm), (rho_ref, povm_ref) in zip(stacked, seen):
+        assert _same_bits(rho.matrix, rho_ref.matrix)
+        assert _same_bits(np.array(povm.operators), np.array(povm_ref.operators))
+    if result.kind == "slack":
+        failures, worst = (values < -result.tolerance).sum(), values.min()
+    else:
+        values = np.abs(values)
+        failures, worst = (values > result.tolerance).sum(), values.max()
+    expected = SuiteResult(
+        name, values.size, int(failures), float(worst), result.tolerance, result.kind
+    )
+    assert result == expected
+    assert rng.bit_generator.state == rng_ref.bit_generator.state

@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -575,6 +577,26 @@ class TestLocalBeta:
         x = np.exp(-beta_e)
         expected = beta_e + np.log(2.0 + x) - np.log1p(2.0 * x)
         assert_allclose(local_beta(1.0, ModelParams(beta_e=beta_e)), expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("c", [0.25, 1.0])
+    @pytest.mark.parametrize("omega", [1e-4, 1e-6, 1e-9, 1e-12, 1e-300])
+    def test_small_beta_e_omega(self, omega, c):
+        """As beta_e omega -> 0 the ratio num/den tends to 1, and its log lost
+        digits: 5e-11 relative at omega = 1e-6, and 2.2e284 in place of about
+        13.3 at 1e-300.  Against the same ratio in 400-digit decimals, and
+        against the limit 4 c beta_e / 3, whose relative distance to the true
+        value is below beta_e omega."""
+        beta_e = 10.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            x = (-Decimal(beta_e) * Decimal(omega)).exp()
+            cd = Decimal(c)
+            ratio = ((1 + cd) + x + (1 - cd) * x * x) / ((1 - cd) + x + (1 + cd) * x * x)
+            expected = float(ratio.ln() / Decimal(omega))
+        beta = local_beta(c, ModelParams(omega=omega, beta_e=beta_e))
+        assert abs(beta - expected) <= 1e-15 * expected
+        limit = 4.0 * c * beta_e / 3.0
+        assert abs(beta - limit) <= max(beta_e * omega, 1e-15) * limit
 
 
 class TestAnalyticErgotropy:
