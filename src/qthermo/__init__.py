@@ -25,6 +25,7 @@ from .measurement import (
 )
 from .correlations import (
     CorrelationBreakdown,
+    PropertyFailure,
     breakdown,
     chi_A_max,
     chi_from_local_measurement,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DensityMatrix, trace_distance
-from .correlations import breakdown
+from .correlations import PropertyFailure, breakdown
 from .dissipation import (
     ModelParams,
     analytic_steady_state,
@@ -97,6 +97,8 @@ class RunConfig:
             _check_config_value(f.name, f.type, getattr(self, f.name))
         if self.verify_count < 1:
             raise ValueError(f"count must be at least 1, got {self.verify_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     except NotLocallyThermalError as err:
         print(json.dumps({"error": "not_locally_thermal", "message": str(err)}))
         return 2
+    except PropertyFailure as err:
+        print(json.dumps({"error": "property_failure", "message": str(err)}))
+        return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(json.dumps({"error": "invalid_input", "message": str(err)}))
         return 2

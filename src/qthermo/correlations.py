@@ -50,6 +50,11 @@ SPLIT_TOL = 2e-6
 SPIN_FLIP = _read_only(_kron(SIGMA_Y, SIGMA_Y))
 
 
+class PropertyFailure(ValueError):
+    """An identity that holds for every valid input is violated beyond its
+    tolerance: a fault of the computation, not of the input."""
+
+
 @dataclass(frozen=True)
 class SearchGrid:
     """Resolution of the reference grid search for ``chi_A_max``: coarse grid
@@ -480,7 +485,7 @@ def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
     quantum_gain = eof - discord
     residual = gain - (chi_b + quantum_gain)
     if abs(residual) > SPLIT_TOL:
-        raise ValueError(f"gain split identity violated: residual {residual:.3e}")
+        raise PropertyFailure(f"gain split identity violated: residual {residual:.3e}")
     return CorrelationBreakdown(
         mutual_information=mi,
         chi_B=chi_b,

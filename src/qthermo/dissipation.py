@@ -30,8 +30,6 @@ PSI_PLUS = (KET_GE + KET_EG) / np.sqrt(2.0)
 PSI_MINUS = (KET_GE - KET_EG) / np.sqrt(2.0)
 
 FIXED_POINT_TOL = 1e-12
-# below this beta_e * omega, local_beta takes its log1p form
-SMALL_BETA_OMEGA = 0.1
 STEP_POSITIVITY_TOL = 1e-6
 
 
@@ -265,28 +263,25 @@ def local_beta(c: float, params: ModelParams) -> float:
     (1/omega) ln[((1 + c) + x + (1 - c) x^2) / ((1 - c) + x + (1 + c) x^2)]
 
     with x = exp(-beta_e omega), free of the cancellation in the equivalent
-    cosh/sinh form.  Below beta_e omega = 0.1 the ratio is 1 + O(beta_e
-    omega), and its log would lose digits; there num - den = -2c
-    expm1(-2 beta_e omega) exactly, and beta = log1p((num - den) / den) /
-    omega, which tends to 4 c beta_e / 3.  At c = 1 the ratio is about 2/x,
-    which overflows once beta_e omega > ln(DBL_MAX / 2) ~ 709.09; there the
-    marginals are the ground state (beta = inf), and this raises ValueError.
+    cosh/sinh form.  Numerator minus denominator is -2c expm1(-2 beta_e
+    omega) exactly, so beta = log1p((num - den) / den) / omega, which keeps
+    every digit where the ratio is near 1 (limit 4 c beta_e / 3 as beta_e
+    omega -> 0).  At c = 1, (num - den) / den is about 2/x, which overflows
+    once beta_e omega > ln(DBL_MAX / 2) ~ 709.09; there the marginals are the
+    ground state (beta = inf), and this raises ValueError.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"c must lie in [0, 1], got {c}")
     arg = params.beta_e * params.omega
     x = math.exp(-arg)
     den = (1.0 - c) + x + (1.0 + c) * x * x
-    if arg < SMALL_BETA_OMEGA:
-        return math.log1p(-2.0 * c * math.expm1(-2.0 * arg) / den) / params.omega
-    num = (1.0 + c) + x + (1.0 - c) * x * x
-    ratio = num / den if den > 0.0 else math.inf
-    if not math.isfinite(ratio):
+    excess = -2.0 * c * math.expm1(-2.0 * arg) / den if den > 0.0 else math.inf
+    if not math.isfinite(excess):
         raise ValueError(
             f"local temperature is zero at beta_e * omega = {arg:g}, c = {c:g}: "
             "the qubit marginals are in the ground state"
         )
-    return math.log(ratio) / params.omega
+    return math.log1p(excess) / params.omega
 
 
 def analytic_ergotropy_low_temperature(c: float) -> float:

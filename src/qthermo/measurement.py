@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -93,44 +94,21 @@ class Povm:
         return len(self.operators)
 
 
-class _Stack:
-    """The states of one stacked measurement, as rows of one array: the
-    ``pairs`` pre-states, then every outcome's post-measurement state of each
-    pair in order (zero for a dropped outcome, whose row is never read).
-    Their marginal entropies are worked out per side on first use, with one
-    partial trace and one spectrum call.  The records share the array and
-    point here; the stack holds no reference to them."""
-
-    __slots__ = ("rows", "pairs", "dims", "_entropies")
-
-    def __init__(self, rows: np.ndarray, pairs: int, dims):
-        self.rows = rows
-        self.pairs = pairs
-        self.dims = dims
-        self._entropies: dict[str, list[float]] = {}
-
-    def marginal_entropies(self, side: str) -> list[float]:
-        if side not in self._entropies:
-            self._entropies[side] = _marginal_entropies(self.rows, self.dims, side)
-        return self._entropies[side]
-
-
 @dataclass
 class MeasurementRecord:
     """Outcome statistics of one POVM applied to one state.
 
     ``post_states`` holds None for outcomes with probability below 1e-12;
-    those outcomes are excluded from every entropy average.  A record from
-    ``measure`` or ``measure_many`` shares its states with the other records
-    of its stack (``_stack``), as pair ``_index`` there.
+    those outcomes are excluded from every entropy average.  The marginal
+    entropies that ``local_information_gain`` and ``correlations_lost`` read
+    are kept per side once worked out (``_entropies``).
     """
 
     probabilities: np.ndarray
     post_states: list
     pre_state: DensityMatrix
     channel_output: DensityMatrix
-    _stack: _Stack | None = field(default=None, repr=False, compare=False)
-    _index: int = field(default=0, repr=False, compare=False)
+    _entropies: dict = field(default_factory=dict, repr=False, compare=False)
 
     def average(self, f) -> float:
         """Outcome-weighted average sum_n p_n f(rho_n) over the outcomes that
@@ -144,130 +122,63 @@ class MeasurementRecord:
 
     def _marginal_entropies(self, side: str) -> tuple[float, list]:
         """S(rho_side) of the pre-state, and of each outcome's post-state
-        (None where dropped), read from the record's stack."""
-        if self._stack is None:  # a record built by hand: a stack of its own
-            zero = np.zeros_like(self.pre_state.matrix)
-            post = [zero if s is None else s.matrix for s in self.post_states]
-            self._stack = _Stack(np.array([self.pre_state.matrix, *post]), 1, self.pre_state.dims)
-        entropies = self._stack.marginal_entropies(side)
-        row = self._stack.pairs + self._index * len(self.post_states)  # of outcome 0
-        post = [None if s is None else entropies[row + m] for m, s in enumerate(self.post_states)]
-        return entropies[self._index], post
+        (None where dropped).  Worked out per side on first use, with one
+        partial trace and one spectrum call, and kept."""
+        if side not in self._entropies:
+            kept = [s.matrix for s in self.post_states if s is not None]
+            matrices = np.array([self.pre_state.matrix, *kept])
+            self._entropies[side] = _marginal_entropies(matrices, self.pre_state.dims, side)
+        pre, *kept = self._entropies[side]
+        kept = iter(kept)
+        return pre, [None if s is None else next(kept) for s in self.post_states]
 
 
 def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     """Apply the POVM: p_n = tr(M_n rho M_n^dag), rho_n = M_n rho M_n^dag / p_n.
     The one-pair call of ``measure_many``."""
-    return _measure_pairs([rho], [povm])[0]
+    return measure_many([rho], [povm])[0]
 
 
 def measure_many(states, povms) -> list[MeasurementRecord]:
     """``measure`` of each (state, POVM) pair, in input order.
 
-    Pairs with the same dimension, outcome count and dims form one stack:
-    one M rho M^dag product and one spectrum call for all their
-    post-measurement states and channel outputs, with the float operations
-    of a single pair.  The pairs are checked in input order, and the first
-    that fails raises ``measure``'s error: a dimension mismatch, a
-    probability below -1e-12, or probabilities that do not sum to 1 within
-    1e-9.
+    Each pair is checked as it is measured, and the first that fails raises:
+    a dimension mismatch, a probability below -1e-12, or probabilities that
+    do not sum to 1 within 1e-9.  The post-measurement states and channel
+    outputs derive from validated inputs: no re-validation, and one spectrum
+    call per state dimension for all of them.
     """
     states, povms = list(states), list(povms)
     if len(states) != len(povms):
         raise ValueError(f"{len(states)} states but {len(povms)} POVMs")
-    return _measure_pairs(states, povms)
-
-
-def _measure_pairs(states: list, povms: list) -> list[MeasurementRecord]:
-    groups: dict[tuple, list[int]] = {}
-    failed = False
-    for i, (rho, povm) in enumerate(zip(states, povms)):
-        if povm.dim == rho.dim:
-            groups.setdefault((rho.dim, len(povm), rho.dims), []).append(i)
-        else:
-            failed = True
-    # per group: its rows (see _records), the products M rho M^dag, the clipped
-    # and the raw probabilities
-    measured = []
-    for (d, k, _), members in groups.items():
-        n = len(members)
-        rows = np.zeros((n * (k + 2), d, d), dtype=complex)
-        for j, i in enumerate(members):
-            rows[j] = states[i].matrix
-        products = _products(rows[:n], [povms[i] for i in members])
-        raw = products.trace(axis1=2, axis2=3).real
-        probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
-        measured.append((rows, products, probs, raw))
-        totals = np.add.reduce(probs, axis=1).tolist()
-        failed = failed or raw.min() < -PROB_CUTOFF or any(abs(t - 1.0) > 1e-9 for t in totals)
-    if failed:
-        _raise_first_failure(states, povms, groups, measured)
-    records = [None] * len(states)
-    for ((_, _, dims), members), (rows, products, probs, _) in zip(groups.items(), measured):
-        group = _records([states[i] for i in members], rows, products, probs, dims)
-        for i, record in zip(members, group):
-            records[i] = record
-    return records
-
-
-def _raise_first_failure(states, povms, groups, measured):
-    """Raise the error of the first pair, in input order, that fails a check."""
-    pairs = {}  # pair -> its raw and clipped probabilities
-    for members, (_, _, probs, raw) in zip(groups.values(), measured):
-        pairs.update((i, (raw[j], probs[j])) for j, i in enumerate(members))
-    for i, (rho, povm) in enumerate(zip(states, povms)):
-        if i not in pairs:
+    derived = {}  # per dimension: each pair's kept post-states, then its channel output
+    measured = []  # per pair: its probabilities, kept outcomes and first row in derived
+    for rho, povm in zip(states, povms):
+        if povm.dim != rho.dim:
             raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
-        raw, probs = pairs[i]
+        products = povm._stack @ rho.matrix @ povm._dagger
+        raw = products.trace(axis1=1, axis2=2).real
         if raw.min() < -PROB_CUTOFF:
             raise ValueError(f"negative outcome probability {raw.min():.3e}")
+        probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
-
-
-def _products(pre: np.ndarray, povms: list) -> np.ndarray:
-    """M_n rho M_n^dag of each pair and outcome, as one (pairs, outcomes, d, d) stack."""
-    first = povms[0]
-    if all(p is first for p in povms):  # one POVM for all: broadcast it
-        ops, dag = first._stack, first._dagger
-    else:
-        ops = np.array([p._stack for p in povms])
-        dag = np.array([p._dagger for p in povms])
-    return ops @ pre[:, None] @ dag
-
-
-def _records(states, rows, products, probs, dims) -> list[MeasurementRecord]:
-    """The records of one stack of checked pairs.  ``rows`` holds the n
-    pre-states and room for the n k post-measurement states and the n channel
-    outputs, which derive from validated inputs: one stacked spectrum and no
-    re-validation."""
-    n, k, d = products.shape[:3]
-    kept = probs >= PROB_CUTOFF
-    # M rho M^dag / p for every outcome (zero for a dropped one), then each
-    # pair's sum(unnormalized): from 0, over the outcomes in order
-    posts = rows[n : n + n * k].reshape(n, k, d, d)
-    np.divide(products, probs[:, :, None, None], out=posts, where=kept[:, :, None, None])
-    channels = rows[n + n * k :]
-    for outcome in range(k):
-        channels += products[:, outcome]
-    derived = _read_only(rows)[n:]
-    spectra = _spectrum(derived)
-    stack = _Stack(rows[: n + n * k], n, dims)
-
-    def state(row):
-        return DensityMatrix(derived[row], dims, spectrum=spectra[row])
-
-    return [
-        MeasurementRecord(
-            probabilities=probs[j],
-            post_states=[state(j * k + m) if keep else None for m, keep in enumerate(outcomes)],
-            pre_state=rho,
-            channel_output=state(n * k + j),
-            _stack=stack,
-            _index=j,
-        )
-        for j, (rho, outcomes) in enumerate(zip(states, kept.tolist()))
-    ]
+        kept = probs >= PROB_CUTOFF
+        rows = derived.setdefault(rho.dim, [])
+        measured.append((rho, probs, kept.tolist(), len(rows)))
+        rows.extend(products[kept] / probs[kept, None, None])
+        # Python's sum from 0, over the outcomes in order: a -0.0 entry becomes 0.0
+        rows.append(sum(products))
+    for d, rows in derived.items():
+        rows = _read_only(np.array(rows))
+        derived[d] = rows, _spectrum(rows)
+    records = []
+    for rho, probs, kept, first in measured:
+        rows, spectra = derived[rho.dim]
+        made = (DensityMatrix(rows[r], rho.dims, spectrum=spectra[r]) for r in count(first))
+        posts = [next(made) if keep else None for keep in kept]
+        records.append(MeasurementRecord(probs, posts, rho, next(made)))
+    return records
 
 
 def information_gain(record: MeasurementRecord) -> float:
@@ -320,7 +231,7 @@ def _energy_povm(h: Hamiltonian, d_a: int) -> Povm:
 
 def local_information_gain(record: MeasurementRecord, side: str) -> float:
     """S(rho_side) - sum_n p_n S(rho_n^side), marginals via the partial trace
-    (taken once per side for the record's whole stack)."""
+    (taken once per side and record)."""
     pre, post = record._marginal_entropies(side)
     return pre - sum(p * s for p, s in zip(record.probabilities, post) if s is not None)
 

@@ -20,6 +20,7 @@ from .core import DensityMatrix, marginal_entropy, partial_trace
 from .correlations import (
     SPLIT_TOL,
     CorrelationBreakdown,
+    PropertyFailure,
     breakdown,
     chi_from_local_measurement,
 )
@@ -189,7 +190,7 @@ def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) ->
     if np.isfinite(energy_balance.slack):
         mismatch = abs(report.slack - beta * energy_balance.slack)
         if mismatch > 1e-9:
-            raise ValueError(
+            raise PropertyFailure(
                 f"trade-off and energy-balance residuals disagree by {mismatch:.3e}"
             )
     return report

@@ -168,7 +168,7 @@ def _local_or_general(rng, k: int):
 
 def _measured(rng, n: int, draw_povm) -> list:
     """Draw n (state, POVM) pairs, each state before its POVM ``draw_povm(rng,
-    k)``, the order of a per-pair loop; then measure them in one stacked call."""
+    k)``, the order of a per-pair loop; then measure them in one call."""
     states, povms = [], []
     for k in range(n):
         states.append(random_two_qubit_state(rng))

@@ -8,18 +8,18 @@ on every call, the Ginibre draw that took its real and imaginary blocks in
 two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
 ``core._real_svd`` and ``random_unitary`` call directly.  Further down: the
-per-pair ``measure`` with its per-state marginal entropies, which
-``measure_many`` stacks; the product POVMs built from validated factor
-POVMs; and the verify suites that measured each pair as it was drawn.  The
-current kernels reuse work (``Hamiltonian.doubled`` and the spectral
-constants each ``Hamiltonian`` keeps, the spectrum kept by
+per-pair ``measure`` with its per-state marginal entropies, whose spectra
+``measure_many`` takes in one call per batch; the product POVMs built from
+validated factor POVMs; and the verify suites that measured each pair as it
+was drawn.  The current kernels reuse work (``Hamiltonian.doubled`` and the
+spectral constants each ``Hamiltonian`` keeps, the spectrum kept by
 ``DensityMatrix``, the memoized root solve, the local-form verdict each
-``Povm`` keeps, the cached grid, the stacked measurement) or skip wrapper
-overhead but must do the same floating-point operations, so results are
-compared with ``==``, not a tolerance.  The same holds for the states the
-library derives without re-validation (marginals, post-measurement states,
-channel outputs, analytic steady states): each equals the validated
-construction of its matrix.
+``Povm`` keeps, the cached grid, the batched spectra of ``measure_many``) or
+skip wrapper overhead but must do the same floating-point operations, so
+results are compared with ``==``, not a tolerance.  The same holds for the
+states the library derives without re-validation (marginals,
+post-measurement states, channel outputs, analytic steady states): each
+equals the validated construction of its matrix.
 """
 
 import itertools
@@ -550,8 +550,8 @@ def _derived_states(rho, povms):
 def test_derived_states_match_their_validated_construction(states):
     """Every derived state has the matrix, spectrum and dims of the validated
     construction of its matrix, and both arrays refuse writes: also the
-    post-measurement states and channel outputs of one stacked call that
-    mixes outcome counts."""
+    post-measurement states and channel outputs of one ``measure_many`` call
+    that mixes outcome counts."""
     rng = np.random.default_rng(3)
     povms = (
         projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2)),
@@ -668,7 +668,7 @@ def test_random_unitary_matches_the_numpy_qr_form(dim):
         assert _same_bits(random_unitary(dim, ours), q * phases.conj())
 
 
-# -- the stacked measurement --------------------------------------------------
+# -- the batched measurement --------------------------------------------------
 
 
 def _measure(rho, povm):
@@ -732,21 +732,47 @@ def _assert_matches_the_per_pair_measure(record, rho, povm):
         assert state.dims == rho.dims
 
 
+# qubit POVMs for the dims-less qubit states of the mixed batch
+QUBIT_POVM_FAMILIES = (
+    lambda rng: random_projective_povm(2, rng),
+    lambda rng: random_two_outcome_projective(2, rng),
+    lambda rng: random_general_povm(2, rng, 3),
+)
+
+
 def _mixed_batch(states):
     """The corpus, each state with a POVM of the families in turn (outcome
     counts 1 to 4 in one batch), plus the rank-2 states measured in their
-    eigenbasis, which drops outcomes below the cutoff."""
+    eigenbasis, which drops outcomes below the cutoff.  Between them, every
+    tenth pair is a qubit marginal without dims under a qubit POVM, or a
+    corpus state on the split (4, 1) under a two-qubit POVM, so that the
+    batch mixes state dimensions and dims."""
     rng = np.random.default_rng(31)
     families = list(POVM_FAMILIES.values())
     povms = [families[k % len(families)](rng) for k in range(len(states))]
     rank2 = states[STATES_PER_FAMILY : 2 * STATES_PER_FAMILY : 10]
-    return states + rank2, povms + [_eigenbasis_povm(rho) for rho in rank2]
+    pairs = list(zip(states, povms)) + [(rho, _eigenbasis_povm(rho)) for rho in rank2]
+    mixed = []
+    for k, pair in enumerate(pairs):
+        mixed.append(pair)
+        if k % 10 == 3:
+            rho = states[(7 * k) % len(states)]
+            if k % 20 == 3:
+                qubit = QUBIT_POVM_FAMILIES[(k // 20) % len(QUBIT_POVM_FAMILIES)]
+                mixed.append((partial_trace(rho, "AB"[k % 2]), qubit(rng)))
+            else:
+                povm = families[k % len(families)](rng)
+                mixed.append((DensityMatrix(rho.matrix, dims=(4, 1)), povm))
+    return [rho for rho, _ in mixed], [povm for _, povm in mixed]
 
 
 def test_stacked_measure_matches_the_per_pair_measure(states):
-    """One stacked call over every family at once, and one per family, give
-    the earlier per-pair arithmetic bit for bit, as does the one-pair call."""
+    """One call over every family and state dimension at once, and one per
+    family, give the earlier per-pair arithmetic bit for bit, as does the
+    one-pair call."""
     batch_states, povms = _mixed_batch(states)
+    assert {rho.dim for rho in batch_states} == {2, 4}
+    assert {rho.dims for rho in batch_states} == {None, (2, 2), (4, 1)}
     records = measure_many(batch_states, povms)
     assert len(records) == len(batch_states)
     dropped = sum(s is None for r in records for s in r.post_states)
@@ -763,18 +789,24 @@ def test_stacked_measure_matches_the_per_pair_measure(states):
 
 def test_stacked_marginal_gains_match_the_inline_expressions(states):
     """local_information_gain and correlations_lost read the marginal
-    entropies of a record's whole stack; each equals the earlier per-state
-    expression, in any call order, and so does a record built by hand."""
+    entropies each record keeps; each equals the earlier per-state
+    expression, in any call order, and so does a record built by hand.  A
+    record of a state without dims raises the per-state error instead."""
     batch_states, povms = _mixed_batch(states)
     records = measure_many(batch_states, povms)
-    for k, record in enumerate(records):
+    with_dims = [r for r in records if r.pre_state.dims is not None]
+    for record in records:
+        if record.pre_state.dims is None:
+            with pytest.raises(ValueError, match="^state carries no bipartite dims"):
+                local_information_gain(record, "A")
+    for k, record in enumerate(with_dims):
         sides = ("A", "B") if k % 2 else ("B", "A")
         if k % 3 == 0:
             assert correlations_lost(record) == _correlations_lost(record)
         for side in sides:
             assert local_information_gain(record, side) == _local_information_gain(record, side)
         assert correlations_lost(record) == _correlations_lost(record)
-    for record in records[::7]:
+    for record in with_dims[::7]:
         by_hand = MeasurementRecord(
             record.probabilities, record.post_states, record.pre_state, record.channel_output
         )
@@ -802,7 +834,7 @@ def _negative_pair():
 def test_stacked_errors_name_the_first_failing_pair(states, order):
     """A dimension mismatch, a negative probability and a sum off 1 each
     raise the per-pair error; in a batch the first failing pair in input
-    order raises, whatever stack it falls in."""
+    order raises."""
     rng = np.random.default_rng(41)
     bad = [(states[0], Povm([np.eye(2)])), _negative_pair(), _over_complete_pair()]
     messages = []

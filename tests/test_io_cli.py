@@ -426,6 +426,8 @@ class TestMainExitCodes:
             ({"beta_e": "10"}, ["sweep"], "beta_e"),
             ({"c_step": None}, ["sweep"], "c_step"),
             ({"seed": True}, ["verify"], "seed"),
+            ({"seed": -1}, ["verify"], "seed"),
+            (None, ["--seed", "-1", "verify"], "seed"),
             ({"output_path": 3}, ["sweep"], "output_path"),
             ([1, 2], ["verify"], "JSON object"),
             (None, ["--beta-e", "inf", "sweep"], "beta_e"),
@@ -594,6 +596,34 @@ class TestMainExitCodes:
         lines = captured.out.strip().split("\n")
         assert len(lines) == 1 and captured.err == ""
         assert message in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("command", ["report", "verify", "sweep"])
+    def test_violated_identity_is_a_property_failure(
+        self, tmp_path, monkeypatch, capsys, qubit_h, command
+    ):
+        """A violated internal identity exits 1 as a property failure, not 2
+        as invalid input, and writes no output file."""
+        import qthermo.correlations as correlations
+
+        tau = thermal_state(qubit_h, 1.0)
+        state_path, h_path = tmp_path / "state.json", tmp_path / "h.json"
+        write_state(state_path, DensityMatrix(np.kron(tau.matrix, tau.matrix), dims=(2, 2)))
+        write_hamiltonian(h_path, qubit_h)
+        out = tmp_path / "out"
+        argv = {
+            "report": ["report", str(state_path), str(h_path)],
+            "verify": ["--count", "2", "verify"],
+            "sweep": ["--c-step", "0.5", "sweep"],
+        }[command]
+        monkeypatch.setattr(correlations, "SPLIT_TOL", -1.0)
+        assert main(["--out", str(out)] + argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "property_failure"
+        assert error["message"].startswith("gain split identity violated")
+        assert not out.exists() and captured.err == ""
 
     def test_verify_writes_non_finite_worst_as_string(self, tmp_path, monkeypatch, capsys):
         from qthermo.verify import SuiteResult
