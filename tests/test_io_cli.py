@@ -426,8 +426,6 @@ class TestMainExitCodes:
             ({"beta_e": "10"}, ["sweep"], "beta_e"),
             ({"c_step": None}, ["sweep"], "c_step"),
             ({"seed": True}, ["verify"], "seed"),
-            ({"seed": -1}, ["verify"], "seed"),
-            (None, ["--seed", "-1", "verify"], "seed"),
             ({"output_path": 3}, ["sweep"], "output_path"),
             ([1, 2], ["verify"], "JSON object"),
             (None, ["--beta-e", "inf", "sweep"], "beta_e"),
@@ -441,6 +439,9 @@ class TestMainExitCodes:
             (None, ["--bogus", "sweep"], "--bogus"),
             (None, [], "command"),
             (None, ["report", "state.json"], "hamiltonian"),
+            # appended last so that the cases above keep their parametrize ids
+            ({"seed": -1}, ["verify"], "seed"),
+            (None, ["--seed", "-1", "verify"], "seed"),
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, monkeypatch, capsys, config, flags, field):
