@@ -20,7 +20,6 @@ from .measurement import (
     local_information_gain,
     local_povm,
     measure,
-    measure_many,
     projective_energy_povm,
 )
 from .correlations import (

@@ -129,6 +129,8 @@ class Trajectory:
 
 # steps advanced per block of the integrator
 STEP_BLOCK = 16
+# steps a trajectory may store: 100 times the default run, 256 MB of states
+MAX_TRAJECTORY_STEPS = 1_000_000
 
 
 def _step_increments(lind: np.ndarray, dt: float) -> np.ndarray:
@@ -162,6 +164,8 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     checked once: the first state off unit trace (1e-10) or below the
     positivity floor of -1e-6 aborts with a step-size diagnostic.  Refused up
     front: dt or t_max <= 0, a non-finite t_max / dt, dt * gamma * (nbar + 1) > 0.01.
+    A run that would store more than MAX_TRAJECTORY_STEPS steps before it
+    stops raises when it gets there.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -194,6 +198,11 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
             guard = ~(np.abs(block).max(axis=1) <= 2.0)  # also true for NaN
             stops = np.flatnonzero(guard | (residuals < FIXED_POINT_TOL))
             size = stops[0] + 1 if stops.size else size
+            if last + size > MAX_TRAJECTORY_STEPS:
+                raise ValueError(
+                    f"t_max / dt = {steps:g} steps exceeds the cap of "
+                    f"{MAX_TRAJECTORY_STEPS} stored steps (no fixed point before it)"
+                )
             blocks.append(block[:size])
             last += size
             v = block[size - 1]

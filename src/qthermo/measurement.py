@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
@@ -37,7 +36,7 @@ class Povm:
     Construction rejects non-finite entries, then an empty list, then
     operators of different dimensions, then a completeness deviation beyond
     1e-9.  The stack and its conjugate transposes (``_stack``, ``_dagger``,
-    both read-only) feed ``measure_many``.  Whether the operators act on B
+    both read-only) feed ``measure``.  Whether the operators act on B
     alone is worked out once per bipartite split
     (``_first_nonlocal_operator``)."""
 
@@ -135,50 +134,28 @@ class MeasurementRecord:
 
 def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     """Apply the POVM: p_n = tr(M_n rho M_n^dag), rho_n = M_n rho M_n^dag / p_n.
-    The one-pair call of ``measure_many``."""
-    return measure_many([rho], [povm])[0]
 
-
-def measure_many(states, povms) -> list[MeasurementRecord]:
-    """``measure`` of each (state, POVM) pair, in input order.
-
-    Each pair is checked as it is measured, and the first that fails raises:
-    a dimension mismatch, a probability below -1e-12, or probabilities that
-    do not sum to 1 within 1e-9.  The post-measurement states and channel
-    outputs derive from validated inputs: no re-validation, and one spectrum
-    call per state dimension for all of them.
+    Raises on a dimension mismatch, a probability below -1e-12, or
+    probabilities that do not sum to 1 within 1e-9, checked in that order.
+    The post-measurement states and the channel output derive from validated
+    inputs: no re-validation, and one spectrum call for all of them.
     """
-    states, povms = list(states), list(povms)
-    if len(states) != len(povms):
-        raise ValueError(f"{len(states)} states but {len(povms)} POVMs")
-    derived = {}  # per dimension: each pair's kept post-states, then its channel output
-    measured = []  # per pair: its probabilities, kept outcomes and first row in derived
-    for rho, povm in zip(states, povms):
-        if povm.dim != rho.dim:
-            raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
-        products = povm._stack @ rho.matrix @ povm._dagger
-        raw = products.trace(axis1=1, axis2=2).real
-        if raw.min() < -PROB_CUTOFF:
-            raise ValueError(f"negative outcome probability {raw.min():.3e}")
-        probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
-        kept = probs >= PROB_CUTOFF
-        rows = derived.setdefault(rho.dim, [])
-        measured.append((rho, probs, kept.tolist(), len(rows)))
-        rows.extend(products[kept] / probs[kept, None, None])
-        # Python's sum from 0, over the outcomes in order: a -0.0 entry becomes 0.0
-        rows.append(sum(products))
-    for d, rows in derived.items():
-        rows = _read_only(np.array(rows))
-        derived[d] = rows, _spectrum(rows)
-    records = []
-    for rho, probs, kept, first in measured:
-        rows, spectra = derived[rho.dim]
-        made = (DensityMatrix(rows[r], rho.dims, spectrum=spectra[r]) for r in count(first))
-        posts = [next(made) if keep else None for keep in kept]
-        records.append(MeasurementRecord(probs, posts, rho, next(made)))
-    return records
+    if povm.dim != rho.dim:
+        raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
+    products = povm._stack @ rho.matrix @ povm._dagger
+    raw = products.trace(axis1=1, axis2=2).real
+    if raw.min() < -PROB_CUTOFF:
+        raise ValueError(f"negative outcome probability {raw.min():.3e}")
+    probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
+    kept = probs >= PROB_CUTOFF
+    # the kept post-states, then the channel output: Python's sum from 0,
+    # over the outcomes in order, so a -0.0 entry becomes 0.0
+    rows = _read_only(np.array([*(products[kept] / probs[kept, None, None]), sum(products)]))
+    made = (DensityMatrix(m, rho.dims, spectrum=w) for m, w in zip(rows, _spectrum(rows)))
+    posts = [next(made) if keep else None for keep in kept.tolist()]
+    return MeasurementRecord(probs, posts, rho, next(made))
 
 
 def information_gain(record: MeasurementRecord) -> float:

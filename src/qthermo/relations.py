@@ -159,7 +159,7 @@ def check_global_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: flo
 
 
 def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gain_term = float(np.divide(quantum_gain, rep.beta))
     lhs = rep.global_ergotropy + rep.free_energy + gain_term
     return _report("euler", lhs, rep.avg_energy, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND)

@@ -29,7 +29,6 @@ from .correlations import (
     SearchGrid,
     breakdown,
     chi_A_max,
-    chi_from_local_measurement,
     discord_A,
     eof_via_koashi_winter,
     mutual_information,
@@ -54,7 +53,6 @@ from .measurement import (
     information_gain,
     local_information_gain,
     measure,
-    measure_many,
     projective_energy_povm,
 )
 from .random_states import (
@@ -166,14 +164,12 @@ def _local_or_general(rng, k: int):
     return random_local_general_povm(rng) if k % 2 else _local_projective(rng, k)
 
 
-def _measured(rng, n: int, draw_povm) -> list:
+def _measured(rng, n: int, draw_povm):
     """Draw n (state, POVM) pairs, each state before its POVM ``draw_povm(rng,
-    k)``, the order of a per-pair loop; then measure them in one call."""
-    states, povms = [], []
+    k)``, and yield each pair's record."""
     for k in range(n):
-        states.append(random_two_qubit_state(rng))
-        povms.append(draw_povm(rng, k))
-    return measure_many(states, povms)
+        rho = random_two_qubit_state(rng)
+        yield measure(rho, draw_povm(rng, k))
 
 
 _QUBIT_H = local_qubit_hamiltonian(1.0)
@@ -280,14 +276,12 @@ def suite_entropy_cost_projective(rng, n):
 @_suite("coherence_gap", "residual", 1e-9)
 def suite_coherence_gap(rng, n):
     # known product bases, so the coherence basis matches the projectors
-    states, bases = [], []
     for _ in range(n):
-        states.append(random_two_qubit_state(rng))
-        bases.append((random_unitary(2, rng), random_unitary(2, rng)))
-    povms = [_product_povm(_projectors(u_a), _projectors(u_b)) for u_a, u_b in bases]
-    for record, (u_a, u_b) in zip(measure_many(states, povms), bases):
+        rho = random_two_qubit_state(rng)
+        u_a, u_b = random_unitary(2, rng), random_unitary(2, rng)
+        record = measure(rho, _product_povm(_projectors(u_a), _projectors(u_b)))
         gap = holevo_of_measurement(record) - information_gain(record)
-        coherence = relative_entropy_of_coherence(record.pre_state.matrix, _kron(u_a, u_b))
+        coherence = relative_entropy_of_coherence(rho.matrix, _kron(u_a, u_b))
         yield gap - coherence
 
 
@@ -303,10 +297,9 @@ def suite_energy_measurement_structure(rng, n):
 
 @_suite("local_gain_identity", "residual", 1e-9)
 def suite_local_gain_identity(rng, n):
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
-        record = measure(rho, _ENERGY_POVM_B)
-        chi_b = chi_from_local_measurement(rho, _ENERGY_POVM_B)
+    for record in _measured(rng, n, lambda rng, k: _ENERGY_POVM_B):
+        rho = record.pre_state
+        chi_b = local_information_gain(record, "A")
         s_b = marginal_entropy(rho, "B")
         yield information_gain(record) - (chi_b + s_b - mutual_information(rho))
 

@@ -8,13 +8,14 @@ on every call, the Ginibre draw that took its real and imaginary blocks in
 two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
 ``core._real_svd`` and ``random_unitary`` call directly.  Further down: the
-per-pair ``measure`` with its per-state marginal entropies, whose spectra
-``measure_many`` takes in one call per batch; the product POVMs built from
-validated factor POVMs; and the verify suites that measured each pair as it
-was drawn.  The current kernels reuse work (``Hamiltonian.doubled`` and the
-spectral constants each ``Hamiltonian`` keeps, the spectrum kept by
+earlier ``measure``, one product and one spectrum call per outcome, with its
+per-state marginal entropies; the product POVMs built from validated factor
+POVMs; and the verify suites with a reference measurement loop of their own.
+The current kernels reuse work (``Hamiltonian.doubled`` and the spectral
+constants each ``Hamiltonian`` keeps, the spectrum kept by
 ``DensityMatrix``, the memoized root solve, the local-form verdict each
-``Povm`` keeps, the cached grid, the batched spectra of ``measure_many``) or
+``Povm`` keeps, the cached grid, the one stacked product and spectrum call
+of ``measure``) or
 skip wrapper overhead but must do the same floating-point operations, so
 results are compared with ``==``, not a tolerance.  The same holds for the
 states the library derives without re-validation (marginals,
@@ -51,7 +52,6 @@ from qthermo import (
     local_povm,
     log_partition,
     measure,
-    measure_many,
     partial_trace,
     passive_state,
     projective_energy_povm,
@@ -549,9 +549,7 @@ def _derived_states(rho, povms):
 
 def test_derived_states_match_their_validated_construction(states):
     """Every derived state has the matrix, spectrum and dims of the validated
-    construction of its matrix, and both arrays refuse writes: also the
-    post-measurement states and channel outputs of one ``measure_many`` call
-    that mixes outcome counts."""
+    construction of its matrix, and both arrays refuse writes."""
     rng = np.random.default_rng(3)
     povms = (
         projective_energy_povm(local_qubit_hamiltonian(1.0), (2, 2)),
@@ -560,10 +558,6 @@ def test_derived_states_match_their_validated_construction(states):
     )
     steady = [analytic_steady_state(c, ModelParams()) for c in np.linspace(0.0, 1.0, 21)]
     derived = steady + [s for rho in states for s in _derived_states(rho, povms)]
-    stacked = measure_many(states, [povms[k % 3] for k in range(len(states))])
-    for record in stacked:
-        derived.extend(s for s in record.post_states if s is not None)
-        derived.append(record.channel_output)
     for s in derived:
         validated = DensityMatrix(s.matrix, s.dims)
         assert _same_bits(s.matrix, validated.matrix)
@@ -668,7 +662,7 @@ def test_random_unitary_matches_the_numpy_qr_form(dim):
         assert _same_bits(random_unitary(dim, ours), q * phases.conj())
 
 
-# -- the batched measurement --------------------------------------------------
+# -- the measurement ----------------------------------------------------------
 
 
 def _measure(rho, povm):
@@ -742,11 +736,11 @@ QUBIT_POVM_FAMILIES = (
 
 def _mixed_batch(states):
     """The corpus, each state with a POVM of the families in turn (outcome
-    counts 1 to 4 in one batch), plus the rank-2 states measured in their
-    eigenbasis, which drops outcomes below the cutoff.  Between them, every
-    tenth pair is a qubit marginal without dims under a qubit POVM, or a
-    corpus state on the split (4, 1) under a two-qubit POVM, so that the
-    batch mixes state dimensions and dims."""
+    counts 1 to 4), plus the rank-2 states measured in their eigenbasis,
+    which drops outcomes below the cutoff.  Between them, every tenth pair is
+    a qubit marginal without dims under a qubit POVM, or a corpus state on
+    the split (4, 1) under a two-qubit POVM, so that the pairs mix state
+    dimensions and dims."""
     rng = np.random.default_rng(31)
     families = list(POVM_FAMILIES.values())
     povms = [families[k % len(families)](rng) for k in range(len(states))]
@@ -767,24 +761,22 @@ def _mixed_batch(states):
 
 
 def test_stacked_measure_matches_the_per_pair_measure(states):
-    """One call over every family and state dimension at once, and one per
-    family, give the earlier per-pair arithmetic bit for bit, as does the
-    one-pair call."""
+    """Every pair of the mixed batch (all families, both state dimensions,
+    dropped outcomes), and every state under each family, gives the earlier
+    per-pair arithmetic bit for bit."""
     batch_states, povms = _mixed_batch(states)
     assert {rho.dim for rho in batch_states} == {2, 4}
     assert {rho.dims for rho in batch_states} == {None, (2, 2), (4, 1)}
-    records = measure_many(batch_states, povms)
-    assert len(records) == len(batch_states)
+    records = [measure(rho, povm) for rho, povm in zip(batch_states, povms)]
     dropped = sum(s is None for r in records for s in r.post_states)
     assert dropped >= 2 * len(states[STATES_PER_FAMILY : 2 * STATES_PER_FAMILY : 10])
     for record, rho, povm in zip(records, batch_states, povms):
         _assert_matches_the_per_pair_measure(record, rho, povm)
-        _assert_matches_the_per_pair_measure(measure(rho, povm), rho, povm)
     rng = np.random.default_rng(37)
     for name, family in POVM_FAMILIES.items():
-        povms = [family(rng) for _ in states]
-        for record, rho, povm in zip(measure_many(states, povms), states, povms):
-            _assert_matches_the_per_pair_measure(record, rho, povm)
+        for rho in states:
+            povm = family(rng)
+            _assert_matches_the_per_pair_measure(measure(rho, povm), rho, povm)
 
 
 def test_stacked_marginal_gains_match_the_inline_expressions(states):
@@ -793,7 +785,7 @@ def test_stacked_marginal_gains_match_the_inline_expressions(states):
     expression, in any call order, and so does a record built by hand.  A
     record of a state without dims raises the per-state error instead."""
     batch_states, povms = _mixed_batch(states)
-    records = measure_many(batch_states, povms)
+    records = [measure(rho, povm) for rho, povm in zip(batch_states, povms)]
     with_dims = [r for r in records if r.pre_state.dims is not None]
     for record in records:
         if record.pre_state.dims is None:
@@ -833,8 +825,8 @@ def _negative_pair():
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_stacked_errors_name_the_first_failing_pair(states, order):
     """A dimension mismatch, a negative probability and a sum off 1 each
-    raise the per-pair error; in a batch the first failing pair in input
-    order raises."""
+    raise the per-pair error; a loop of ``measure`` calls raises the first
+    failing pair's error, whatever the order of the failing pairs."""
     rng = np.random.default_rng(41)
     bad = [(states[0], Povm([np.eye(2)])), _negative_pair(), _over_complete_pair()]
     messages = []
@@ -850,19 +842,17 @@ def test_stacked_errors_name_the_first_failing_pair(states, order):
     good = [(rho, random_projective_povm(4, rng)) for rho in states[1:6]]
     pairs = good[:2] + [bad[i] for i in order] + good[2:]
     with pytest.raises(ValueError, match=re.escape(messages[order[0]])):
-        measure_many([rho for rho, _ in pairs], [povm for _, povm in pairs])
-    with pytest.raises(ValueError, match="2 states but 1 POVMs"):
-        measure_many(states[:2], [good[0][1]])
+        [measure(rho, povm) for rho, povm in pairs]
 
 
 def test_stacked_marginals_without_dims_raise_the_per_state_error(states):
     """A state without dims measures, but its marginal gains raise the
-    per-state error; the records with dims in the same batch are unaffected."""
+    per-state error; records of states with dims are unaffected."""
     flat = DensityMatrix(states[0].matrix)
     with pytest.raises(ValueError) as expected:
         _local_information_gain(measure(flat, _ENERGY_POVM), "A")
     assert str(expected.value).startswith("state carries no bipartite dims")
-    records = measure_many([states[1], flat, states[2]], [_ENERGY_POVM] * 3)
+    records = [measure(rho, _ENERGY_POVM) for rho in (states[1], flat, states[2])]
     for f in (lambda r: local_information_gain(r, "A"), correlations_lost):
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             f(records[1])
@@ -949,7 +939,7 @@ def test_product_povms_match_the_validated_factor_builders(ours, validated):
     assert rng_ours.standard_normal() == rng_validated.standard_normal()
 
 
-# -- the verify suites, drawn first and measured once -------------------------
+# -- the verify suites, measured pair by pair ---------------------------------
 
 
 def _mixed_povm(rng, k):
@@ -1054,6 +1044,15 @@ def _ref_energy_measurement_structure(rng, n, seen):
                 yield core.mutual_information(s)
 
 
+def _ref_local_gain_identity(rng, n, seen):
+    """chi_B measured a second time, through chi_from_local_measurement."""
+    for record in _per_pair(rng, n, lambda rng, k: _ENERGY_POVM, seen):
+        rho = record.pre_state
+        chi_b = chi_from_local_measurement(rho, _ENERGY_POVM)
+        s_b = core.marginal_entropy(rho, "B")
+        yield information_gain(record) - (chi_b + s_b - core.mutual_information(rho))
+
+
 REFERENCE_SUITES = {
     "dimension_bound": _ref_dimension_bound,
     "gain_decomposition": _ref_gain_decomposition,
@@ -1064,30 +1063,30 @@ REFERENCE_SUITES = {
     "delta_projective": _ref_delta_projective,
     "coherence_gap": _ref_coherence_gap,
     "energy_measurement_structure": _ref_energy_measurement_structure,
+    "local_gain_identity": _ref_local_gain_identity,
 }
 
 
 @pytest.mark.parametrize("seed", [5, 2027])
 @pytest.mark.parametrize("name", list(REFERENCE_SUITES))
 def test_stacked_suites_match_the_per_pair_loop(name, seed, monkeypatch):
-    """Each suite that draws all its pairs first and measures them once
-    measures the per-pair loop's states and POVMs (coherence_gap's product
-    bases included), in its order, gives its SuiteResult and leaves the
-    generator where the loop does."""
+    """Each measuring suite measures the reference loop's states and POVMs
+    (coherence_gap's product bases included), in its order, gives its
+    SuiteResult and leaves the generator where the loop does."""
     index, run = next((i, run) for i, (n, run, _) in enumerate(SUITES) if n == name)
-    stacked = []
+    measured = []
 
-    def spy(states, povms):
-        stacked.extend(zip(states, povms))
-        return measure_many(states, povms)
+    def spy(rho, povm):
+        measured.append((rho, povm))
+        return measure(rho, povm)
 
-    monkeypatch.setattr(verify, "measure_many", spy)
+    monkeypatch.setattr(verify, "measure", spy)
     rng, rng_ref = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
     result = run(rng, 20)
     seen = []
     values = np.asarray(list(REFERENCE_SUITES[name](rng_ref, 20, seen)), dtype=float)
-    assert len(stacked) == len(seen) == 20
-    for (rho, povm), (rho_ref, povm_ref) in zip(stacked, seen):
+    assert len(measured) == len(seen) == 20
+    for (rho, povm), (rho_ref, povm_ref) in zip(measured, seen):
         assert _same_bits(rho.matrix, rho_ref.matrix)
         assert _same_bits(np.array(povm.operators), np.array(povm_ref.operators))
     if result.kind == "slack":

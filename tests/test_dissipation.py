@@ -27,6 +27,7 @@ from qthermo import (
     thermal_state,
     trace_distance,
 )
+from qthermo import dissipation
 from qthermo.cli import sweep_row
 from qthermo.core import (
     ENTROPY_CUTOFF,
@@ -200,6 +201,21 @@ class TestEvolve:
         traj = evolve(random_x_state(rng), ModelParams(), dt=0.005, t_max=1e6)
         assert traj.stop_reason == "fixed_point"
         assert len(traj.states) < 10_000
+
+    def test_steps_past_the_cap_refused(self, monkeypatch):
+        # no step of dt = 1e-300 changes an entry of the Bell state, so no
+        # fixed point ever comes; a horizon of exactly the cap still runs
+        monkeypatch.setattr(dissipation, "MAX_TRAJECTORY_STEPS", 100)
+        bell = pure_state(BELL_PHI, dims=(2, 2))
+        with pytest.raises(
+            ValueError,
+            match=r"^t_max / dt = 1e\+300 steps exceeds the cap of 100 stored steps "
+            r"\(no fixed point before it\)$",
+        ):
+            evolve(bell, ModelParams(), dt=1e-300, t_max=1.0)
+        assert len(evolve(bell, ModelParams(), dt=0.005, t_max=0.5).states) == 101
+        with pytest.raises(ValueError, match="steps exceeds the cap of 100 stored steps"):
+            evolve(bell, ModelParams(), dt=0.005, t_max=0.505)
 
     @pytest.mark.parametrize(
         "dt, t_max, message",

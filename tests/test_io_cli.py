@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from qthermo import (
     pure_state,
     thermal_state,
 )
+from qthermo import dissipation
 from qthermo.cli import (
     RunConfig,
     _flag,
@@ -400,6 +402,23 @@ class TestMainExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid_input"
 
+    def test_steps_past_the_cap_refused(self, tmp_path, monkeypatch, capfd):
+        # t_max / dt = 1e300 is finite, but no step of dt = 1e-300 moves the
+        # state, so only the cap on stored steps ends the run
+        monkeypatch.setattr(dissipation, "MAX_TRAJECTORY_STEPS", 1000)
+        state_path = tmp_path / "bell.json"
+        write_state(state_path, pure_state(BELL_PHI, dims=(2, 2)))
+        out = tmp_path / "traj.csv"
+        argv = ["--dt", "1e-300", "--t-max", "1", "--out", str(out), "simulate", str(state_path)]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1 and captured.err == ""
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"].startswith("t_max / dt = 1e+300 steps exceeds the cap of 1000")
+        assert not out.exists()
+
     def test_zero_gamma_valid_with_explicit_horizon(self, tmp_path):
         state_path = tmp_path / "singlet.json"
         write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
@@ -488,6 +507,18 @@ class TestMainExitCodes:
         argv = flags + ["--c-step", "0.5", "--out", str(tmp_path / "s.csv"), "sweep"]
         assert main(argv) == 0
         assert capfd.readouterr().err == ""
+
+    def test_sweep_at_the_smallest_beta_is_quiet(self, tmp_path, capfd):
+        # at beta_e = 1e-308 the local beta of the c = 0.01 and 0.02 rows,
+        # about 4 c beta_e / 3, is subnormal, and the gain term Delta I / beta
+        # overflows to -inf, as at beta = 0; the pinned CSV carries those
+        # values
+        out = tmp_path / "s.csv"
+        grid = ["--c-stop", "0.02", "--c-step", "0.01"]
+        assert main(["--beta-e", "1e-308", *grid, "--out", str(out), "sweep"]) == 0
+        assert capfd.readouterr().err == ""
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "ba22e82fa90aee844a276a8b57408f3666fc94fd502d1976996ceea3dbf90cfc"
 
     @pytest.mark.parametrize(
         "beta_omega, code",
