@@ -72,6 +72,14 @@ SWEEP_COLUMNS = [
 
 MAX_C_GRID_POINTS = 100_001  # c_step 1e-5 on [0, 1]
 
+# where each command writes without --out
+DEFAULT_OUTPUTS = {
+    "sweep": "sweep.csv",
+    "simulate": "trajectory.csv",
+    "verify": "verify_report.json",
+    "report": "reports.json",
+}
+
 
 @dataclass
 class RunConfig:
@@ -215,7 +223,7 @@ def sweep_rows(config: RunConfig) -> list[dict]:
 
 def cmd_sweep(config: RunConfig) -> int:
     rows = sweep_rows(config)
-    out = config.output_path or "sweep.csv"
+    out = config.output_path or DEFAULT_OUTPUTS["sweep"]
     write_csv(out, SWEEP_COLUMNS, rows)
     saturated = [r["c"] for r in rows if abs(r["slack2"]) <= 0.02]
     threshold = min(saturated) if saturated else None
@@ -235,7 +243,7 @@ def cmd_simulate(config: RunConfig, rho0_path: str) -> int:
     final = DensityMatrix(trajectory.states[-1], dims=(2, 2))
     distance = trace_distance(final, analytic_steady_state(c, params))
 
-    out = Path(config.output_path or "trajectory.csv")
+    out = Path(config.output_path or DEFAULT_OUTPUTS["simulate"])
     write_trajectory_csv(out, trajectory)
     print(f"wrote {len(trajectory.states)} steps to {out}")
     print(
@@ -269,7 +277,7 @@ def cmd_verify(config: RunConfig) -> int:
             f"{r.name:32s} {status:4s} n={r.count:<5d} failures={r.failures:<3d} "
             f"worst={r.worst:.3e} tol={r.tolerance:g} ({r.kind})"
         )
-    out = config.output_path or "verify_report.json"
+    out = config.output_path or DEFAULT_OUTPUTS["verify"]
     write_json(out, [r.to_dict() for r in results])
     failed = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} suites passed; report: {out}")
@@ -288,7 +296,7 @@ def cmd_report(config: RunConfig, state_path: str, h_path: str) -> int:
     for r in reports:
         flag = "satisfied" if r.satisfied else "VIOLATED"
         print(f"{r.name:24s} lhs={r.lhs:.9g} rhs={r.rhs:.9g} slack={r.slack:.3e} {flag}")
-    out = config.output_path or "reports.json"
+    out = config.output_path or DEFAULT_OUTPUTS["report"]
     write_reports(out, reports)
     print(f"wrote {len(reports)} reports to {out}")
     return 0
@@ -336,11 +344,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be opened for writing before any work
+    is done: its directory must exist and the path must not be a directory."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {path}: directory {out.parent} does not exist")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, **overrides)
+        _check_output_path(config.output_path or DEFAULT_OUTPUTS[args.command])
         if args.command == "sweep":
             return cmd_sweep(config)
         if args.command == "simulate":

@@ -129,6 +129,8 @@ class Trajectory:
 
 # steps advanced per block of the integrator
 STEP_BLOCK = 16
+# blocks advanced between two checks of the stop rules
+CHECK_BLOCKS = 16
 # steps a trajectory may store: 100 times the default run, 256 MB of states
 MAX_TRAJECTORY_STEPS = 1_000_000
 
@@ -160,12 +162,15 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     precomputed increments P^k - I (see ``_step_increments``).  Every stored
     state is re-hermitized ((rho + rho^dag)/2).  Stops early at the first
     state with max|L v| < 1e-12, or at a state with an entry that no density
-    matrix has (non-finite, or above 2 in modulus).  The trajectory is then
-    checked once: the first state off unit trace (1e-10) or below the
-    positivity floor of -1e-6 aborts with a step-size diagnostic.  Refused up
-    front: dt or t_max <= 0, a non-finite t_max / dt, dt * gamma * (nbar + 1) > 0.01.
-    A run that would store more than MAX_TRAJECTORY_STEPS steps before it
-    stops raises when it gets there.
+    matrix has (non-finite, or above 2 in modulus).  The blocks are chained
+    one by one, and the two stop rules are checked once per CHECK_BLOCKS
+    blocks, over the stacked states; the run is then cut at the first
+    stopping state, so the result is the same as a check after every block.
+    The trajectory is then checked once: the first state off unit trace
+    (1e-10) or below the positivity floor of -1e-6 aborts with a step-size
+    diagnostic.  Refused up front: dt or t_max <= 0, a non-finite t_max / dt,
+    dt * gamma * (nbar + 1) > 0.01.  A run that would store more than
+    MAX_TRAJECTORY_STEPS steps before it stops raises when it gets there.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -182,8 +187,8 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     lind = _superoperator(params)
     horizon = int(round(steps))
     v = as_matrix(rho0).reshape(16)
-    # blocks are kept as made, so a horizon far past a fixed point allocates nothing
-    blocks = [v[None]]
+    # groups are kept as made, so a horizon far past a fixed point allocates nothing
+    groups = [v[None]]
     last = 0
     # a Hamiltonian scale far beyond 1/dt overflows within a step; the guard
     # below stops there and the check reports the non-finite state
@@ -191,11 +196,20 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
         incs = _step_increments(lind, dt).reshape(STEP_BLOCK * 16, 16)
         residual = float(np.abs(lind @ v).max())
         while last < horizon and not residual < FIXED_POINT_TOL:
-            size = min(STEP_BLOCK, horizon - last)
-            r = (v + (incs[: size * 16] @ v).reshape(size, 16)).reshape(size, 4, 4)
-            block = (0.5 * (r + r.conj().transpose(0, 2, 1))).reshape(size, 16)
-            residuals = np.abs(block @ lind.T).max(axis=1)
-            guard = ~(np.abs(block).max(axis=1) <= 2.0)  # also true for NaN
+            size = min(CHECK_BLOCKS * STEP_BLOCK, horizon - last)
+            group = np.empty((size, 16), dtype=complex)
+            for start in range(0, size, STEP_BLOCK):
+                n = min(STEP_BLOCK, size - start)
+                r = (v + (incs[: n * 16] @ v).reshape(n, 16)).reshape(n, 4, 4)
+                block = 0.5 * (r + r.conj().transpose(0, 2, 1))
+                group[start : start + n] = block.reshape(n, 16)
+                v = group[start + n - 1]
+            residuals = np.abs(group @ lind.T).max(axis=1)
+            if n == 1 and size > 1:
+                # numpy multiplies a lone row by the vector kernel, whose last
+                # bit can differ from the same row inside a stacked product
+                residuals[-1] = np.abs(group[-1:] @ lind.T).max()
+            guard = ~(np.abs(group).max(axis=1) <= 2.0)  # also true for NaN
             stops = np.flatnonzero(guard | (residuals < FIXED_POINT_TOL))
             size = stops[0] + 1 if stops.size else size
             if last + size > MAX_TRAJECTORY_STEPS:
@@ -203,13 +217,13 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
                     f"t_max / dt = {steps:g} steps exceeds the cap of "
                     f"{MAX_TRAJECTORY_STEPS} stored steps (no fixed point before it)"
                 )
-            blocks.append(block[:size])
+            groups.append(group[:size])
             last += size
-            v = block[size - 1]
+            v = group[size - 1]
             residual = float(residuals[size - 1])
             if guard[size - 1]:
                 break
-    states = np.concatenate(blocks).reshape(-1, 4, 4)
+    states = np.concatenate(groups).reshape(-1, 4, 4)
     times = dt * np.arange(len(states))
     # the spectrum kernel takes finite states only, and only the last one can
     # be non-finite

@@ -19,11 +19,19 @@ from .relations import RelationReport
 from .thermo import Hamiltonian
 
 
-def _write_rows(fh, rows, width: int) -> None:
-    """Write each row of ``width`` numbers as one CSV line, every value in the
-    12-significant-digit "%.12g" form."""
-    row_format = ",".join(["%.12g"] * width) + "\n"
-    fh.write("".join([row_format % tuple(row) for row in rows]))
+def _write_rows(fh, table: np.ndarray) -> None:
+    """Write each row of the float64 ``table`` as one CSV line, every value in
+    the 12-significant-digit "%.12g" form.  A column whose float64 bits are
+    the same in every row (so -0.0 and +0.0 differ) is formatted once, into
+    the row format itself; only the other columns are formatted row by row."""
+    if not len(table):
+        return
+    bits = table.view(np.int64)
+    constant = (bits == bits[0]).all(axis=0)
+    row_format = ",".join(
+        "%.12g" % x if same else "%.12g" for x, same in zip(table[0].tolist(), constant)
+    ) + "\n"
+    fh.write("".join([row_format % tuple(row) for row in table[:, ~constant].tolist()]))
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:
@@ -117,7 +125,11 @@ CSV_CHUNK_ROWS = 512
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
-    and the smallest eigenvalue (from the trajectory's own check)."""
+    and the smallest eigenvalue (from the trajectory's own check).  Written
+    CSV_CHUNK_ROWS rows at a time; a column that is constant by bits within a
+    chunk (the re-hermitized diagonal's zero imaginary parts, the zeros off an
+    X-shaped state's X) is formatted once for that chunk, with the same bytes
+    as row by row."""
     header = trajectory_header()
     states = trajectory.states
     with open(path, "w") as fh:
@@ -132,10 +144,11 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
             table[:, 2:33:2] = entries.imag
             table[:, 33] = np.trace(chunk, axis1=1, axis2=2).real
             table[:, 34] = trajectory.min_eigenvalues[rows]
-            _write_rows(fh, table.tolist(), len(header))
+            _write_rows(fh, table)
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        _write_rows(fh, [[row[c] for c in columns] for row in rows], len(columns))
+        table = np.array([[row[c] for c in columns] for row in rows], dtype=float)
+        _write_rows(fh, table.reshape(len(rows), len(columns)))

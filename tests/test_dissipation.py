@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import warnings
 from decimal import Decimal
 
@@ -33,6 +34,8 @@ from qthermo.core import (
     ENTROPY_CUTOFF,
     SIGMA_X,
     SIGMA_Z,
+    TRACE_TOL,
+    _spectrum,
     as_matrix,
     dagger,
     entropy_of_eigenvalues,
@@ -45,6 +48,8 @@ from qthermo.dissipation import (
     PSI_MINUS,
     PSI_PLUS,
     STEP_BLOCK,
+    STEP_POSITIVITY_TOL,
+    Trajectory,
     _step_increments,
     _superoperator,
 )
@@ -390,6 +395,120 @@ class TestStepMatrix:
         modes = inv @ rho0.matrix.reshape(16)
         exact = (np.exp(np.outer(traj.times, lam)) * modes) @ vecs.T
         assert np.abs(traj.states.reshape(-1, 16) - exact).max() < 1e-9
+
+
+def _reference_block_evolve(rho0, params, dt, t_max):
+    """``evolve`` as it was with the stop rules checked after every 16-step
+    block: the same increments, re-hermitization and chaining, and the same
+    check of the finished trajectory."""
+    lind = _superoperator(params)
+    horizon = int(round(t_max / dt))
+    v = as_matrix(rho0).reshape(16)
+    blocks = [v[None]]
+    last = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        incs = _step_increments(lind, dt).reshape(STEP_BLOCK * 16, 16)
+        residual = float(np.abs(lind @ v).max())
+        while last < horizon and not residual < FIXED_POINT_TOL:
+            size = min(STEP_BLOCK, horizon - last)
+            r = (v + (incs[: size * 16] @ v).reshape(size, 16)).reshape(size, 4, 4)
+            block = (0.5 * (r + r.conj().transpose(0, 2, 1))).reshape(size, 16)
+            residuals = np.abs(block @ lind.T).max(axis=1)
+            guard = ~(np.abs(block).max(axis=1) <= 2.0)
+            stops = np.flatnonzero(guard | (residuals < FIXED_POINT_TOL))
+            size = stops[0] + 1 if stops.size else size
+            if last + size > dissipation.MAX_TRAJECTORY_STEPS:
+                raise ValueError(
+                    f"t_max / dt = {t_max / dt:g} steps exceeds the cap of "
+                    f"{dissipation.MAX_TRAJECTORY_STEPS} stored steps (no fixed point before it)"
+                )
+            blocks.append(block[:size])
+            last += size
+            v = block[size - 1]
+            residual = float(residuals[size - 1])
+            if guard[size - 1]:
+                break
+    states = np.concatenate(blocks).reshape(-1, 4, 4)
+    times = dt * np.arange(len(states))
+    checked = states if np.isfinite(v).all() else states[:-1]
+    lowest = _spectrum(checked)[:, 0]
+    off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
+    bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
+    k = bad[0] if bad.size else len(checked)
+    if k == len(states):
+        stop = "fixed_point" if residual < FIXED_POINT_TOL else "horizon"
+        return Trajectory(times, states, lowest, stop, residual)
+    if k == len(checked):
+        err = "density matrix has non-finite entries"
+    elif off_trace[k]:
+        err = f"trace {np.trace(states[k]).real:.12g} differs from 1 beyond {TRACE_TOL}"
+    else:
+        err = f"negative eigenvalue {lowest[k]:.3e} below -{STEP_POSITIVITY_TOL:g}"
+    raise ValueError(
+        f"integration failed at t = {times[k]:.6g} with dt = {dt:g} "
+        f"(reduce the step size): {err}"
+    )
+
+
+def _assert_same_trajectory(traj, expected):
+    assert traj.times.tobytes() == expected.times.tobytes()
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert traj.min_eigenvalues.tobytes() == expected.min_eigenvalues.tobytes()
+    assert traj.stop_reason == expected.stop_reason
+    assert repr(traj.final_residual) == repr(expected.final_residual)
+
+
+def _raised(run):
+    with pytest.raises(ValueError) as info:
+        run()
+    return str(info.value)
+
+
+class TestStopChecks:
+    """``evolve`` checks its stop rules once per CHECK_BLOCKS blocks; the
+    trajectory and every error are those of a check after each block."""
+
+    @pytest.mark.parametrize("start", ["generic", "x"])
+    def test_full_horizon_matches_block_checks(self, start):
+        params = ModelParams()
+        rho0 = _trajectory_start(start)
+        expected = _reference_block_evolve(rho0, params, 0.005, 50.0)
+        assert expected.stop_reason == ("horizon" if start == "generic" else "fixed_point")
+        _assert_same_trajectory(evolve(rho0, params, dt=0.005, t_max=50.0), expected)
+
+    # 1 + 16 k steps end in a one-step block, whose residual numpy takes from
+    # the vector kernel; 4097 is 16 full groups and that one step
+    @pytest.mark.parametrize("steps", [1, 2, 17, 33, 49, 247, 273, 4097])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_horizons_match_block_checks(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(f=float(rng.uniform(0.0, 2.0)), beta_e=float(rng.uniform(0.5, 10.0)))
+        for rho0 in (random_two_qubit_state(rng), random_x_state(rng)):
+            expected = _reference_block_evolve(rho0, params, 0.005, 0.005 * steps)
+            traj = evolve(rho0, params, dt=0.005, t_max=0.005 * steps)
+            _assert_same_trajectory(traj, expected)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (ModelParams(f=600.0), "t = 0.05 .*: negative eigenvalue -8.925e-06 below -1e-06"),
+            (ModelParams(f=1e200), "t = 0.005 .*: density matrix has non-finite entries"),
+            (ModelParams(omega=1e200), "t = 0.005 .*: density matrix has non-finite entries"),
+        ],
+    )
+    def test_failures_match_block_checks(self, params, message):
+        bell = pure_state(BELL_PHI, dims=(2, 2))
+        expected = _raised(lambda: _reference_block_evolve(bell, params, 0.005, 50.0))
+        assert re.fullmatch(f"integration failed at {message}", expected)
+        assert _raised(lambda: evolve(bell, params, dt=0.005, t_max=50.0)) == expected
+
+    @pytest.mark.parametrize("cap", [100, 300, 4096])
+    def test_step_cap_matches_block_checks(self, monkeypatch, cap):
+        monkeypatch.setattr(dissipation, "MAX_TRAJECTORY_STEPS", cap)
+        bell = pure_state(BELL_PHI, dims=(2, 2))
+        expected = _raised(lambda: _reference_block_evolve(bell, ModelParams(), 1e-300, 1.0))
+        assert expected.startswith(f"t_max / dt = 1e+300 steps exceeds the cap of {cap} ")
+        assert _raised(lambda: evolve(bell, ModelParams(), dt=1e-300, t_max=1.0)) == expected
 
 
 def _chi_measuring_a(rho, axis):

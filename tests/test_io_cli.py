@@ -17,7 +17,9 @@ from qthermo import (
     thermal_state,
 )
 from qthermo import dissipation
+from qthermo import cli
 from qthermo.cli import (
+    DEFAULT_OUTPUTS,
     RunConfig,
     _flag,
     cmd_report,
@@ -176,6 +178,29 @@ class TestTrajectoryCsvBytes:
         assert rows[3].split(",")[-1] == "-2"
 
 
+    @pytest.mark.parametrize("n", [CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS + 7])
+    def test_constant_columns(self, tmp_path, rng, n):
+        traj = _first_rows(
+            evolve(random_two_qubit_state(rng), ModelParams(), dt=0.005, t_max=5.0), n
+        )
+        states = traj.states.copy()
+        states[:, 0, 1] = complex(0.0, -0.0)  # re all +0.0, im all -0.0
+        states[:, 0, 2] = 0.1 + 0.2j  # nonzero constants
+        states[:, 1, 3] = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)  # equal, not same bits
+        states[CSV_CHUNK_ROWS:, 2, 3] = 0.25  # constant in the second chunk only
+        traj = dataclasses.replace(traj, states=states)
+        self._assert_same_bytes(tmp_path, traj)
+        header = trajectory_header()
+        rows = [line.split(",") for line in (tmp_path / "actual.csv").read_text().splitlines()[1:]]
+        columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        assert set(columns["re_01"]) == {"0"}
+        assert set(columns["im_01"]) == {"-0"}
+        assert set(columns["re_02"]) == {"0.1"} and set(columns["im_02"]) == {"0.2"}
+        assert columns["re_13"][:4] == ["-0", "0", "0", "-0"]
+        assert set(columns["re_23"][CSV_CHUNK_ROWS:]) == {"0.25"}
+        assert len(set(columns["re_23"][:CSV_CHUNK_ROWS])) > 1
+
+
 def test_write_csv_renders_every_value_as_fmt(tmp_path):
     values = [0.0, -0.0, 1.0, -2.5, 1.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308,
               np.inf, -np.inf, np.nan, 123456789012345.0, np.float64(0.1), 3, True]
@@ -185,6 +210,15 @@ def test_write_csv_renders_every_value_as_fmt(tmp_path):
     assert path.read_text() == expected
     write_csv(path, ["x"], [])
     assert path.read_text() == "x\n"
+
+
+def test_write_csv_formats_constant_columns_by_bits(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [{"x": -0.0, "y": v, "z": 1.0 / 3.0} for v in (0.0, -0.0, 2.0)]
+    write_csv(path, ["x", "y", "z"], rows)
+    assert path.read_text() == "x,y,z\n" + "".join(
+        f"-0,{fmt(r['y'])},{fmt(1.0 / 3.0)}\n" for r in rows
+    )
 
 
 class TestRunConfig:
@@ -401,6 +435,37 @@ class TestMainExitCodes:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "verify", "report"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory", "default_is_directory"])
+    def test_unwritable_out_refused_before_work(self, tmp_path, monkeypatch, capsys, qubit_h,
+                                                command, where):
+        state_path, h_path = tmp_path / "state.json", tmp_path / "h.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        write_hamiltonian(h_path, qubit_h)
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda *a: pytest.fail("work was started"))
+        operands = {"simulate": [str(state_path)], "report": [str(state_path), str(h_path)]}
+        argv = [command, *operands.get(command, [])]
+        if where == "missing_dir":
+            out = tmp_path / "missing" / "out.txt"
+            argv = ["--out", str(out)] + argv
+            reason = f"directory {out.parent} does not exist"
+        elif where == "directory":
+            out = tmp_path
+            argv = ["--out", str(out)] + argv
+            reason = "is a directory"
+        else:
+            out = DEFAULT_OUTPUTS[command]
+            (tmp_path / out).mkdir()
+            monkeypatch.chdir(tmp_path)
+            reason = "is a directory"
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"].startswith(f"--out {out}")
+        assert error["message"].endswith(reason)
 
     def test_steps_past_the_cap_refused(self, tmp_path, monkeypatch, capfd):
         # t_max / dt = 1e300 is finite, but no step of dt = 1e-300 moves the
