@@ -263,7 +263,7 @@ def cmd_simulate(config: RunConfig, rho0_path: str) -> int:
             f"skipped {', '.join(THERMODYNAMIC_RELATIONS)}: "
             f"final state is not locally thermal ({err})"
         )
-    reports_path = out.with_name(out.stem + "_reports.json")
+    reports_path = _reports_path(out)
     write_reports(reports_path, reports)
     print(f"relation reports: {reports_path}")
     return 0
@@ -344,12 +344,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_path(path: str) -> None:
+def _reports_path(out: Path) -> Path:
+    """Where simulate writes its relation reports: beside the trajectory CSV."""
+    return out.with_name(out.stem + "_reports.json")
+
+
+def _check_output_path(path: str, command: str) -> None:
     """Refuse an output path that cannot be opened for writing before any work
-    is done: its directory must exist and the path must not be a directory."""
+    is done: its directory must exist, and neither the path nor, for
+    simulate, the reports file beside it may be a directory."""
     out = Path(path)
     if out.is_dir():
         raise ValueError(f"--out {path} is a directory")
+    if command == "simulate" and _reports_path(out).is_dir():
+        raise ValueError(f"--out {path}: its reports file {_reports_path(out)} is a directory")
     if not out.parent.is_dir():
         raise ValueError(f"--out {path}: directory {out.parent} does not exist")
 
@@ -359,7 +367,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
         config = load_config(args.config, **overrides)
-        _check_output_path(config.output_path or DEFAULT_OUTPUTS[args.command])
+        _check_output_path(config.output_path or DEFAULT_OUTPUTS[args.command], args.command)
         if args.command == "sweep":
             return cmd_sweep(config)
         if args.command == "simulate":

@@ -8,6 +8,7 @@ based.  Entropies are natural-log (nats) throughout.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -18,6 +19,7 @@ POSITIVITY_TOL = 1e-9
 ENTROPY_CUTOFF = 1e-12
 RANK_CUTOFF = 1e-10
 BASIS_TOL = 1e-9
+_ON_FIRST_READ = object()  # the spectrum argument of a marginal's DensityMatrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -118,14 +120,17 @@ class DensityMatrix:
     (marginals, post-measurement states, channel outputs, analytic steady
     states): the caller hands over a freshly computed complex matrix it does
     not keep, its ascending spectrum and ``dims`` in normal form.  Both
-    arrays are then stored read-only as they are, and no check runs.
+    arrays are then stored read-only as they are, and no check runs.  A
+    marginal passes ``_ON_FIRST_READ``: its spectrum, seldom read, is taken
+    on first read, once, and kept read-only.
     """
 
     def __init__(self, matrix, dims=None, *, spectrum=None):
         if spectrum is not None:
             self.matrix = _read_only(matrix)
             self.dims = dims
-            self._spectrum = _read_only(spectrum)
+            if spectrum is not _ON_FIRST_READ:
+                self._spectrum = _read_only(spectrum)
             return
         m = np.array(matrix, dtype=complex)
         if not np.isfinite(m).all():
@@ -160,6 +165,10 @@ class DensityMatrix:
         self.matrix = _read_only(m)
         self.dims = dims
         self._spectrum = _read_only(spectrum)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:  # a marginal's, from the module function
+        return _read_only(_spectrum(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -202,8 +211,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Marginal state on subsystem ``keep`` ("A" or "B") of a bipartite state."""
     if rho.dims is None:
         raise ValueError(_NO_DIMS)
-    m = _partial_trace(rho.matrix, rho.dims, keep)
-    return DensityMatrix(m, spectrum=_spectrum(m))
+    return DensityMatrix(_partial_trace(rho.matrix, rho.dims, keep), spectrum=_ON_FIRST_READ)
 
 
 def entropy_of_eigenvalues(values) -> float:
@@ -212,14 +220,33 @@ def entropy_of_eigenvalues(values) -> float:
     Values in [-1e-9, 0) are treated as integration round-off and clamped;
     anything more negative is an error.
     """
-    w = np.asarray(values, dtype=float)
-    lowest = float(w.min(initial=0.0))
-    if lowest < -POSITIVITY_TOL:
+    w = np.asarray(values, dtype=float).ravel().tolist()
+    lowest = min(w) if w else 0.0
+    # as numpy's min, a NaN anywhere passes the check; the cutoff then drops it
+    if lowest < -POSITIVITY_TOL and not any(map(math.isnan, w)):
         raise ValueError(f"eigenvalue {lowest:.3e} too negative for an entropy")
-    nz = w[w >= ENTROPY_CUTOFF]
-    if nz.size == 0:
+    kept = [p for p in w if p >= ENTROPY_CUTOFF]
+    if not kept:
         return 0.0
-    return float(-(nz * np.log(nz)).sum())
+    # np.log: its bits do not depend on the array's length; math.log's differ
+    return -_add_reduce([p * log_p for p, log_p in zip(kept, np.log(kept).tolist())])
+
+
+def _add_reduce(terms: list) -> float:
+    """The bits of ``np.add.reduce`` over the float64 ``terms``, on Python
+    floats: 0.0 plus numpy's pairwise sum, which halves above 128 terms, adds
+    eight strided running sums as a tree from 8, then folds in the rest."""
+    n, tail = len(terms), len(terms) - len(terms) % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
+    r = terms[:8]
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, terms[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if tail else -0.0
+    for term in terms[tail:]:
+        total += term
+    return 0.0 + total
 
 
 def von_neumann_entropy(rho) -> float:

@@ -23,7 +23,8 @@ def _write_rows(fh, table: np.ndarray) -> None:
     """Write each row of the float64 ``table`` as one CSV line, every value in
     the 12-significant-digit "%.12g" form.  A column whose float64 bits are
     the same in every row (so -0.0 and +0.0 differ) is formatted once, into
-    the row format itself; only the other columns are formatted row by row."""
+    the row format itself; the other columns are formatted by one ``%`` over
+    the row format repeated once per row."""
     if not len(table):
         return
     bits = table.view(np.int64)
@@ -31,7 +32,7 @@ def _write_rows(fh, table: np.ndarray) -> None:
     row_format = ",".join(
         "%.12g" % x if same else "%.12g" for x, same in zip(table[0].tolist(), constant)
     ) + "\n"
-    fh.write("".join([row_format % tuple(row) for row in table[:, ~constant].tolist()]))
+    fh.write((row_format * len(table)) % tuple(table[:, ~constant].ravel().tolist()))
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    _add_reduce,
     _kron,
     _marginal_entropies,
     _partial_trace,
@@ -144,15 +145,17 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
         raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
     products = povm._stack @ rho.matrix @ povm._dagger
     raw = products.trace(axis1=1, axis2=2).real
-    if raw.min() < -PROB_CUTOFF:
+    if min(raw.tolist()) < -PROB_CUTOFF:  # raw.min(): finite products have no NaN
         raise ValueError(f"negative outcome probability {raw.min():.3e}")
     probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
-    if abs(probs.sum() - 1.0) > 1e-9:
+    if abs(_add_reduce(probs.tolist()) - 1.0) > 1e-9:  # probs.sum(), on Python floats
         raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
     kept = probs >= PROB_CUTOFF
-    # the kept post-states, then the channel output: Python's sum from 0,
-    # over the outcomes in order, so a -0.0 entry becomes 0.0
-    rows = _read_only(np.array([*(products[kept] / probs[kept, None, None]), sum(products)]))
+    # the kept post-states, then the channel output: Python's sum(products) from 0.0
+    rows = np.empty((np.count_nonzero(kept) + 1, rho.dim, rho.dim), dtype=complex)
+    np.divide(products[kept], probs[kept][:, None, None], out=rows[:-1])
+    np.add.reduce(products, axis=0, initial=0.0, out=rows[-1])  # a -0.0 entry becomes 0.0
+    _read_only(rows)
     made = (DensityMatrix(m, rho.dims, spectrum=w) for m, w in zip(rows, _spectrum(rows)))
     posts = [next(made) if keep else None for keep in kept.tolist()]
     return MeasurementRecord(probs, posts, rho, next(made))

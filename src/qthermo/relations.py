@@ -110,8 +110,19 @@ def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian) -> float:
 
 
 def _require_locally_thermal(rho, h_b, beta) -> None:
+    """Raise unless the state is locally thermal at ``beta`` to 1e-6.  Where
+    round-off alone can move the fit that far (``h_b.beta_fit_roundoff``),
+    a mismatch says nothing about the state: that is a ValueError naming the
+    ill-conditioned fit, not NotLocallyThermalError."""
     fitted = common_local_beta(rho, h_b)
     if abs(fitted - beta) > BETA_MATCH_TOL:
+        if h_b.beta_fit_roundoff > BETA_MATCH_TOL:
+            raise ValueError(
+                f"temperature fit is ill-conditioned at omega = {h_b.spread:.3g} "
+                f"(beta * omega = {beta * h_b.spread:.3g}): round-off alone can move the "
+                f"fitted beta by {h_b.beta_fit_roundoff:.3g}, beyond the match tolerance "
+                f"{BETA_MATCH_TOL:g} (fitted {fitted:.9g}, expected {beta:.9g})"
+            )
         raise NotLocallyThermalError(
             f"state is locally thermal at beta = {fitted:.9g}, not {beta:.9g}"
         )

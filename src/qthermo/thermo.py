@@ -41,8 +41,9 @@ class Hamiltonian:
     read-only arrays, so none can be changed or go stale: ``levels`` (the
     eigenvalues as floats, so ``levels[0]`` is the ground level), ``spread``,
     ``gaps`` (each level minus the ground level), ``log_dim`` = ln d,
-    ``eigenvectors_dagger`` = V^dag, and the centred, scaled levels and the
-    round-off floor of ``local_inverse_temperature``."""
+    ``eigenvectors_dagger`` = V^dag, the centred, scaled levels and the
+    round-off floor of ``local_inverse_temperature``, and the round-off
+    bound of the beta it fits (``beta_fit_roundoff``)."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix).copy()
@@ -103,6 +104,24 @@ class Hamiltonian:
         k = math.frexp(highest - lowest)[1]
         de = tuple(math.ldexp(e - mean, -k) for e in levels)
         return mean, k, de, sum(d * d for d in de)
+
+    @cached_property
+    def beta_fit_roundoff(self) -> float:
+        """How far round-off in the populations alone can move the beta that
+        ``local_inverse_temperature`` fits against this spectrum.
+
+        The fit is beta = -sum_i D_i l_i / sum_i D_i^2, with D_i = e_i - <e>
+        (so sum_i D_i = 0) and l_i = ln p_i.  A population held as a float
+        is known to a relative error eps, which moves l_i by up to eps and so,
+        to first order, beta by up to eps sum_i |D_i| / sum_i D_i^2.  For a
+        qubit of gap omega, D = +-omega/2 and the bound is 2 eps / omega: 4.4e-7
+        at omega = 1e-9, 4.4e-6 at omega = 1e-10, 4.5e307 at the smallest
+        subnormal gap.  Zero for a degenerate spectrum, whose fit is beta = 0
+        by definition."""
+        _, k, de, de_squared = self._fit_levels
+        if k is None:
+            return 0.0
+        return math.ldexp(float(np.finfo(float).eps) * sum(map(abs, de)) / de_squared, -k)
 
     @cached_property
     def _population_floor(self) -> float:

@@ -9,7 +9,9 @@ two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
 ``core._real_svd`` and ``random_unitary`` call directly.  Further down: the
 earlier ``measure``, one product and one spectrum call per outcome, with its
-per-state marginal entropies; the product POVMs built from validated factor
+per-state marginal entropies; the entropy on numpy arrays and the ``measure``
+body that re-stacked its rows, which the Python-float entropy and the
+preallocated rows replaced; the product POVMs built from validated factor
 POVMs; and the verify suites with a reference measurement loop of their own.
 The current kernels reuse work (``Hamiltonian.doubled`` and the spectral
 constants each ``Hamiltonian`` keeps, the spectrum kept by
@@ -860,6 +862,184 @@ def test_stacked_marginals_without_dims_raise_the_per_state_error(states):
     assert correlations_lost(records[2]) == _correlations_lost(records[2])
     with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
         local_information_gain(records[0], "C")
+
+
+
+# -- the leaves on Python floats and preallocated rows ------------------------
+
+
+def _entropy_on_arrays(values):
+    """The earlier entropy_of_eigenvalues: check, cutoff and weighted sum on
+    numpy arrays."""
+    w = np.asarray(values, dtype=float)
+    lowest = float(w.min(initial=0.0))
+    if lowest < -core.POSITIVITY_TOL:
+        raise ValueError(f"eigenvalue {lowest:.3e} too negative for an entropy")
+    nz = w[w >= ENTROPY_CUTOFF]
+    if nz.size == 0:
+        return 0.0
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _outcome(f, values):
+    """The float64 bits f returns, or the type and message of its error."""
+    try:
+        return np.float64(f(values)).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _entropy_cases(states):
+    rng = np.random.default_rng(43)
+    below = np.nextafter(ENTROPY_CUTOFF, 0.0)
+    cases = [rho.eigenvalues() for rho in states]
+    for n in [*range(1, 9), 16]:
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(n))
+            cases.append(p)
+            cases.append(p * 10.0 ** rng.integers(-14, 1, n))
+    cases += [
+        [], [1.0], [0.0], [-0.0], [0.0, 1.0], [-0.0, 1.0], [1.0, -0.0, 0.0],
+        [ENTROPY_CUTOFF, 1.0 - ENTROPY_CUTOFF], [below, 1.0 - below], [ENTROPY_CUTOFF], [below],
+        [-1e-9, 0.5, 0.5 + 1e-9], [-5e-10, -1e-12, 0.25, 0.75], [-0.0, -1e-9, 1.0],
+        [-1.0000001e-9, 1.0], [0.5, -2e-9, 0.5], [-np.inf, 1.0], [np.inf, 0.5],
+        [np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.nan, -1.0, 1.0], [-1.0, 1.0, np.nan],
+        [np.nan], [np.nan] * 9, [0.1] * 8 + [np.nan] + [0.2] * 8,
+        np.array([[0.25, 0.25], [0.5, 0.0]]), np.array([[0.5, -2e-9], [0.5, 0.0]]),
+        np.array([[np.nan, -1.0], [0.5, 0.5]]), np.array(0.5), np.array(-1.0),
+        np.full(16, 1.0 / 16), np.full(300, 1.0 / 300), rng.dirichlet(np.ones(1000)),
+    ]
+    return cases
+
+
+def test_entropy_on_python_floats_matches_the_array_form(states):
+    """Every spectrum (lengths 1 to 8, 16 and longer, signed zeros, values at
+    and just below the cutoff, round-off in [-1e-9, 0), NaN in any position,
+    any shape) gives the array form's bits, sign included, or its error."""
+    cases = _entropy_cases(states)
+    outcomes = [_outcome(entropy_of_eigenvalues, w) for w in cases]
+    assert outcomes == [_outcome(_entropy_on_arrays, w) for w in cases]
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    assert (ValueError, "eigenvalue -2.000e-09 too negative for an entropy") in errors
+    assert (ValueError, "eigenvalue -inf too negative for an entropy") in errors
+    assert math.copysign(1.0, entropy_of_eigenvalues([1.0])) == -1.0  # a pure state gives -0.0
+    assert math.copysign(1.0, entropy_of_eigenvalues([0.0, -0.0])) == 1.0
+
+
+def _measure_restacked(rho, povm):
+    """The earlier measure body: the checks on numpy arrays, then the kept
+    post-states and Python's sum of the products, re-stacked by np.array,
+    then one spectrum call."""
+    if povm.dim != rho.dim:
+        raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
+    products = povm._stack @ rho.matrix @ povm._dagger
+    raw = products.trace(axis1=1, axis2=2).real
+    if raw.min() < -PROB_CUTOFF:
+        raise ValueError(f"negative outcome probability {raw.min():.3e}")
+    probs = np.maximum(raw, 0.0)
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
+    kept = probs >= PROB_CUTOFF
+    rows = np.array([*(products[kept] / probs[kept, None, None]), sum(products)])
+    return probs, kept.tolist(), rows, core._spectrum(rows)
+
+
+def _assert_matches_the_restacked_measure(record, rho, povm):
+    probs, kept, rows, spectra = _measure_restacked(rho, povm)
+    assert _same_bits(record.probabilities, probs)
+    assert [s is not None for s in record.post_states] == kept
+    derived = [s for s in record.post_states if s is not None] + [record.channel_output]
+    assert len(derived) == len(rows)
+    for state, m, w in zip(derived, rows, spectra):
+        assert _same_bits(state.matrix, m) and _same_bits(state._spectrum, w)
+        assert state.dims == rho.dims
+        assert not state.matrix.flags.writeable and not state._spectrum.flags.writeable
+
+
+class _PlantedProducts:
+    """Stands in for a Povm whose products M_n rho M_n^dag are a given stack:
+    matmul never returns -0.0, so this is how a -0.0 product reaches measure."""
+
+    def __init__(self, products):
+        self.products = products
+        self.dim = products.shape[-1]
+        self._stack = self
+        self._dagger = "dagger"
+
+    def __matmul__(self, other):
+        return self.products if other is self._dagger else self
+
+
+def _planted_pairs(states):
+    """Products of the energy measurement with -0.0 planted in entries that
+    are zero in every outcome, in one outcome only, or in all but one."""
+    rng = np.random.default_rng(47)
+    pairs = []
+    for rho in states[::10]:
+        povm = _ENERGY_POVM
+        products = povm._stack @ rho.matrix @ povm._dagger
+        planted = products.copy()
+        for m in planted:
+            zeros = m == 0
+            pick = zeros & (rng.random(m.shape) < 0.7)
+            m.real[pick] = -0.0
+            m.imag[zeros & (rng.random(m.shape) < 0.7)] = -0.0
+        pairs.append((rho, _PlantedProducts(planted)))
+    return pairs
+
+
+def test_measure_into_preallocated_rows_matches_the_restacked_body(states):
+    """The corpus under every POVM family, the mixed batch (dropped outcomes,
+    both state dimensions) and stacks with planted -0.0 products give the
+    earlier body's bits: a -0.0 entry of every product still sums to 0.0."""
+    rng = np.random.default_rng(53)
+    for name, family in POVM_FAMILIES.items():
+        for rho in states[::3]:
+            povm = family(rng)
+            _assert_matches_the_restacked_measure(measure(rho, povm), rho, povm)
+    batch_states, povms = _mixed_batch(states)
+    for rho, povm in zip(batch_states, povms):
+        _assert_matches_the_restacked_measure(measure(rho, povm), rho, povm)
+    planted = _planted_pairs(states)
+    signed_zeros = 0
+    for rho, povm in planted:
+        record = measure(rho, povm)
+        _assert_matches_the_restacked_measure(record, rho, povm)
+        every = (povm.products == 0) & np.signbit(povm.products.real)
+        signed_zeros += int(every.all(axis=0).sum())
+        assert not np.signbit(record.channel_output.matrix.real[every.all(axis=0)]).any()
+    assert signed_zeros > 0
+    eye = np.eye(8, dtype=complex)
+    eight = Povm([np.outer(eye[k], eye[k]) for k in range(8)])  # a pairwise sum of 8
+    rho = random_two_qubit_state(rng)
+    spread = DensityMatrix(np.kron(rho.matrix, np.diag([0.3, 0.7])), dims=(4, 2))
+    _assert_matches_the_restacked_measure(measure(spread, eight), spread, eight)
+    for rho, povm in [(states[0], Povm([np.eye(2)])), _negative_pair(), _over_complete_pair()]:
+        with pytest.raises(ValueError) as expected:
+            _measure_restacked(rho, povm)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            measure(rho, povm)
+
+
+def test_marginal_takes_its_spectrum_on_first_read(states, monkeypatch):
+    """partial_trace takes no spectrum; the first read takes one, later reads
+    none, and it equals the validated construction's spectrum."""
+    calls = []
+    spectrum = core._spectrum
+    monkeypatch.setattr(core, "_spectrum", lambda m: calls.append(m.shape) or spectrum(m))
+    for rho in states[::7]:
+        for side in "AB":
+            marginal = partial_trace(rho, side)
+            assert calls == []
+            first = marginal.eigenvalues()
+            assert calls == [(2, 2)]
+            assert von_neumann_entropy(marginal) == entropy_of_eigenvalues(first)
+            assert _same_bits(marginal.eigenvalues(), first)
+            assert calls == [(2, 2)]
+            validated = DensityMatrix(marginal.matrix, marginal.dims)
+            assert _same_bits(marginal._spectrum, validated._spectrum)
+            assert not marginal._spectrum.flags.writeable
+            calls.clear()
 
 
 # -- product POVMs, validated once --------------------------------------------

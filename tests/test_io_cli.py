@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,15 @@ def test_write_csv_formats_constant_columns_by_bits(tmp_path):
     assert path.read_text() == "x,y,z\n" + "".join(
         f"-0,{fmt(r['y'])},{fmt(1.0 / 3.0)}\n" for r in rows
     )
+
+
+def test_write_csv_all_constant_table(tmp_path):
+    """Every column constant by bits: the row format holds no placeholder."""
+    path = tmp_path / "table.csv"
+    write_csv(path, ["x", "y", "z"], [{"x": -0.0, "y": 0.5, "z": np.nan}] * 3)
+    assert path.read_text() == "x,y,z\n" + "-0,0.5,nan\n" * 3
+    write_csv(path, ["x"], [{"x": 1e-300}])
+    assert path.read_text() == "x\n1e-300\n"
 
 
 class TestRunConfig:
@@ -467,6 +477,34 @@ class TestMainExitCodes:
         assert error["message"].startswith(f"--out {out}")
         assert error["message"].endswith(reason)
 
+    @pytest.mark.parametrize("default_name", [False, True])
+    def test_simulate_reports_file_refused_before_work(self, tmp_path, monkeypatch, capsys,
+                                                       default_name):
+        """simulate also writes <stem>_reports.json beside its CSV: a
+        directory there is refused before the run, and no CSV is written."""
+        state_path = tmp_path / "rho0.json"
+        write_state(state_path, pure_state(PSI_MINUS, dims=(2, 2)))
+        work = tmp_path / "d"
+        work.mkdir()
+        argv = ["--t-max", "1", "simulate", str(state_path)]
+        if default_name:
+            monkeypatch.chdir(work)
+            out = DEFAULT_OUTPUTS["simulate"]
+            csv = work / out
+        else:
+            csv = work / "traj.csv"
+            out = str(csv)
+            argv = ["--out", out] + argv
+        reports = Path(out).with_name(Path(out).stem + "_reports.json")
+        (work / reports.name).mkdir()
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"] == f"--out {out}: its reports file {reports} is a directory"
+        assert not csv.exists()
+
     def test_steps_past_the_cap_refused(self, tmp_path, monkeypatch, capfd):
         # t_max / dt = 1e300 is finite, but no step of dt = 1e-300 moves the
         # state, so only the cap on stored steps ends the run
@@ -600,6 +638,32 @@ class TestMainExitCodes:
             assert len(lines) == 1
             message = json.loads(lines[0])["message"]
             assert f"beta_e * omega = {float(beta_omega):g}, c = 1" in message
+
+    @pytest.mark.parametrize("omega, bound", [("1e-12", "0.000444"), ("1e-300", "4.44e+284")])
+    def test_ill_conditioned_temperature_fit_is_invalid_input(self, tmp_path, capfd, omega, bound):
+        # the fit's round-off bound 2 eps / omega exceeds the 1e-6 match
+        # tolerance, and so does the mismatch: the fit cannot tell the state's
+        # temperature, which is no evidence that the state is not thermal
+        out = tmp_path / "s.csv"
+        assert main(["--omega", omega, "--c-step", "0.25", "--out", str(out), "sweep"]) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1 and captured.err == ""
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid_input"
+        assert error["message"].startswith(
+            f"temperature fit is ill-conditioned at omega = {float(omega):.3g} (beta * omega = "
+        )
+        assert f"round-off alone can move the fitted beta by {bound}," in error["message"]
+        assert not out.exists()
+
+    def test_small_omega_with_a_resolved_fit_keeps_its_csv(self, tmp_path, capfd):
+        # at omega = 1e-9 the round-off bound, 4.4e-7, is inside the tolerance
+        out = tmp_path / "s.csv"
+        assert main(["--omega", "1e-9", "--c-step", "0.25", "--out", str(out), "sweep"]) == 0
+        assert capfd.readouterr().err == ""
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "8b8ecf57bbe0db47641d2ab7f4911ee2b20fd2eb053ea27c1f7af25156491a9d"
 
     @pytest.mark.parametrize(
         "ket, flags, t",

@@ -121,6 +121,20 @@ class TestHamiltonian:
         with pytest.raises(TypeError):
             h.levels[0] = 5.0
 
+    def test_beta_fit_roundoff(self):
+        """eps sum|D_i| / sum D_i^2: 2 eps / omega for a qubit of gap omega,
+        finite down to the smallest subnormal gap, zero for equal levels."""
+        eps = np.finfo(float).eps
+        for omega in (1.0, 1e-9, 1e-10, 1e-300):
+            h = Hamiltonian(np.diag([omega, 0.0]).astype(complex))
+            assert h.beta_fit_roundoff == pytest.approx(2 * eps / omega, rel=1e-15)
+        levels = [0.0, 1.0, 1.0, 3.0]  # D = -5/4, -1/4, -1/4, 7/4
+        h = Hamiltonian(np.diag(levels).astype(complex))
+        assert h.beta_fit_roundoff == pytest.approx(eps * 3.5 / 4.75, rel=1e-15)
+        tiny = Hamiltonian(np.diag([5e-324, 0.0]).astype(complex))
+        assert 1e307 < tiny.beta_fit_roundoff < np.inf
+        assert Hamiltonian(np.eye(3)).beta_fit_roundoff == 0.0
+
     def test_repeated_calls_give_the_same_results(self, rng):
         """The kept constants do not drift: each function returns the same
         result on repeated calls, interleaved with calls on another
