@@ -20,6 +20,7 @@ ENTROPY_CUTOFF = 1e-12
 RANK_CUTOFF = 1e-10
 BASIS_TOL = 1e-9
 _ON_FIRST_READ = object()  # the spectrum argument of a marginal's DensityMatrix
+_NAN_SPECTRUM = "NaN eigenvalue in the spectrum: the entropy is undefined"
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -218,18 +219,23 @@ def entropy_of_eigenvalues(values) -> float:
     """Shannon entropy (nats) of a spectrum; values below 1e-12 contribute zero.
 
     Values in [-1e-9, 0) are treated as integration round-off and clamped;
-    anything more negative is an error.
+    anything more negative is an error, and so is a NaN anywhere.
     """
     w = np.asarray(values, dtype=float).ravel().tolist()
     lowest = min(w) if w else 0.0
-    # as numpy's min, a NaN anywhere passes the check; the cutoff then drops it
-    if lowest < -POSITIVITY_TOL and not any(map(math.isnan, w)):
+    if lowest < -POSITIVITY_TOL:
+        if any(map(math.isnan, w)):
+            raise ValueError(_NAN_SPECTRUM)
         raise ValueError(f"eigenvalue {lowest:.3e} too negative for an entropy")
-    kept = [p for p in w if p >= ENTROPY_CUTOFF]
+    # a NaN is not below the cutoff, so it is kept and makes the sum NaN
+    kept = [p for p in w if not p < ENTROPY_CUTOFF]
     if not kept:
         return 0.0
     # np.log: its bits do not depend on the array's length; math.log's differ
-    return -_add_reduce([p * log_p for p, log_p in zip(kept, np.log(kept).tolist())])
+    entropy = -_add_reduce([p * log_p for p, log_p in zip(kept, np.log(kept).tolist())])
+    if entropy != entropy:
+        raise ValueError(_NAN_SPECTRUM)
+    return entropy
 
 
 def _add_reduce(terms: list) -> float:

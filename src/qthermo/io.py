@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import DensityMatrix
-from .dissipation import Trajectory
-from .relations import RelationReport
 from .thermo import Hamiltonian
+
+if TYPE_CHECKING:  # annotations only: reading a state loads neither module
+    from .dissipation import Trajectory
+    from .relations import RelationReport
 
 
 def _write_rows(fh, table: np.ndarray) -> None:

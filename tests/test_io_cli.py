@@ -531,11 +531,12 @@ class TestMainExitCodes:
         assert main(["--gamma", "0", "--c-step", "0.5", "--out", sweep_out, "sweep"]) == 0
 
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from qthermo import verify
         from qthermo.verify import SuiteResult
-        import qthermo.cli as cli
 
         fake = [SuiteResult("demo", 5, 2, -1.0, 1e-9, "slack")]
-        monkeypatch.setattr(cli, "run_suites", lambda seed, n: fake)
+        # cli imports verify inside cmd_verify, so the fake goes on verify itself
+        monkeypatch.setattr(verify, "run_suites", lambda seed, n: fake)
         code = main(["--out", str(tmp_path / "v.json"), "verify"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
@@ -787,11 +788,12 @@ class TestMainExitCodes:
         assert not out.exists() and captured.err == ""
 
     def test_verify_writes_non_finite_worst_as_string(self, tmp_path, monkeypatch, capsys):
+        from qthermo import verify
         from qthermo.verify import SuiteResult
-        import qthermo.cli as cli
 
         fake = [SuiteResult("demo", 5, 5, np.inf, 1e-8, "residual")]
-        monkeypatch.setattr(cli, "run_suites", lambda seed, n: fake)
+        # cli imports verify inside cmd_verify, so the fake goes on verify itself
+        monkeypatch.setattr(verify, "run_suites", lambda seed, n: fake)
         out = tmp_path / "v.json"
         assert main(["--out", str(out), "verify"]) == 1
 
