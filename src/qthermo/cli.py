@@ -120,9 +120,10 @@ class RunConfig:
             raise ValueError("c_step must be positive")
         if not (0.0 <= self.c_start <= self.c_stop <= 1.0):
             raise ValueError("c grid must satisfy 0 <= start <= stop <= 1")
-        # capped before rounding: a tiny c_step makes the ratio overflow to inf
+        # every k with k c_step <= c_stop - c_start to a relative 1e-9; capped
+        # before the floor, as a tiny c_step makes the ratio overflow to inf
         span = min((self.c_stop - self.c_start) / self.c_step, MAX_C_GRID_POINTS)
-        count = int(round(span)) + 1
+        count = math.floor(span * (1.0 + 1e-9)) + 1
         if count > MAX_C_GRID_POINTS:
             raise ValueError(
                 f"c_step {self.c_step:g} gives more than {MAX_C_GRID_POINTS} grid points"
@@ -185,6 +186,8 @@ def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian) -> dict:
     rho = analytic_steady_state(c, params)
     beta = local_beta(c, params)
     corr = breakdown(rho, h_local)
+    # the same record as corr.record, measured again: bench/run.py
+    # (SWEEP_ROW_COUNTS) pins 7 measure and 4 projective_energy_povm per row
     record = measure(rho, projective_energy_povm(h_local, rho.dims))
     rep = thermo_report(rho, h_local, beta)
     bound1 = check_ergotropy_bound(rho, h_local, beta)

@@ -239,18 +239,13 @@ def entropy_of_eigenvalues(values) -> float:
 
 
 def _add_reduce(terms: list) -> float:
-    """The bits of ``np.add.reduce`` over the float64 ``terms``, on Python
-    floats: 0.0 plus numpy's pairwise sum, which halves above 128 terms, adds
-    eight strided running sums as a tree from 8, then folds in the rest."""
-    n, tail = len(terms), len(terms) - len(terms) % 8
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
-    r = terms[:8]
-    for i in range(8, tail, 8):
-        r = [a + b for a, b in zip(r, terms[i : i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if tail else -0.0
-    for term in terms[tail:]:
+    """The bits of ``np.add.reduce`` over the float64 ``terms``: 0.0 plus
+    numpy's pairwise sum, which below 8 terms is a left fold from -0.0, done
+    here on Python floats; from 8 terms on numpy sums them itself."""
+    if len(terms) >= 8:
+        return 0.0 + float(np.add.reduce(np.array(terms)))
+    total = -0.0
+    for term in terms:
         total += term
     return 0.0 + total
 

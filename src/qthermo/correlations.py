@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +35,7 @@ from .core import (
     mutual_information,
 )
 from .measurement import (
+    MeasurementRecord,
     Povm,
     information_gain,
     local_information_gain,
@@ -79,7 +80,8 @@ class SearchGrid:
 @dataclass(frozen=True)
 class CorrelationBreakdown:
     """Correlation quantities entering the classical/quantum split of the
-    information gain under the local energy measurement on B (all in nats)."""
+    information gain under the local energy measurement on B, in nats, and
+    ``record``, the energy measurement on B that the split was checked on."""
 
     mutual_information: float
     chi_B: float
@@ -87,6 +89,7 @@ class CorrelationBreakdown:
     discord_A: float
     eof_BC: float
     quantum_gain: float
+    record: MeasurementRecord = field(compare=False, repr=False)
 
 
 def _require_dims(rho: DensityMatrix):
@@ -467,7 +470,8 @@ def wootters_eof(rho_2qubit) -> float:
 
 def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
     """Assemble the correlation quantities and the classical/quantum split of
-    the information gain under the local energy measurement on B.
+    the information gain under the local energy measurement on B, whose
+    record it keeps (``record``).
 
     Raises when the split identity (information gain = chi_B + quantum gain)
     is violated beyond 2e-6.
@@ -493,4 +497,5 @@ def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
         discord_A=discord,
         eof_BC=eof,
         quantum_gain=quantum_gain,
+        record=record,
     )

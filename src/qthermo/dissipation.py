@@ -169,8 +169,9 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     The trajectory is then checked once: the first state off unit trace
     (1e-10) or below the positivity floor of -1e-6 aborts with a step-size
     diagnostic.  Refused up front: dt or t_max <= 0, a non-finite t_max / dt,
-    dt * gamma * (nbar + 1) > 0.01.  A run that would store more than
-    MAX_TRAJECTORY_STEPS steps before it stops raises when it gets there.
+    a t_max / dt that rounds to no step, dt * gamma * (nbar + 1) > 0.01.  A
+    run that would store more than MAX_TRAJECTORY_STEPS steps before it stops
+    raises when it gets there.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -179,13 +180,15 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     steps = t_max / dt
     if not math.isfinite(steps):
         raise ValueError(f"t_max / dt = {steps:g} steps is not finite")
+    horizon = int(round(steps))
+    if horizon == 0:
+        raise ValueError(f"t_max = {t_max:g} with dt = {dt:g} gives no integration step")
     rate = params.gamma * (params.nbar + 1.0) if params.gamma else 0.0
     if dt * rate > 0.01 + 1e-12:
         raise ValueError(
             f"dt too large: dt * gamma * (nbar + 1) = {dt * rate:.4g} > 0.01"
         )
     lind = _superoperator(params)
-    horizon = int(round(steps))
     v = as_matrix(rho0).reshape(16)
     # groups are kept as made, so a horizon far past a fixed point allocates nothing
     groups = [v[None]]

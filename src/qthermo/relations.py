@@ -25,7 +25,6 @@ from .correlations import (
     chi_from_local_measurement,
 )
 from .measurement import (
-    Povm,
     entropy_cost,
     holevo_of_measurement,
     information_gain,
@@ -128,15 +127,10 @@ def _require_locally_thermal(rho, h_b, beta) -> None:
         )
 
 
-def _subadditivity(rho, povm: Povm, record, gain: float) -> RelationReport:
+def _subadditivity(rho, record, gain: float) -> RelationReport:
     rhs = local_information_gain(record, "A") + local_information_gain(record, "B")
-    digest = _digest(rho, f"local povm with {len(povm)} outcomes")
+    digest = _digest(rho, f"local povm with {len(record.probabilities)} outcomes")
     return _report("subadditivity", gain, rhs, SPECTRAL_TOL, digest)
-
-
-def _energy_record(rho: DensityMatrix, h_b: Hamiltonian):
-    povm = projective_energy_povm(h_b, rho.dims)
-    return povm, measure(rho, povm)
 
 
 def _ergotropy_bound(gain, chi_b, rep: ThermoReport, log_z, digest, global_work: bool):
@@ -150,8 +144,8 @@ def _ergotropy_bound(gain, chi_b, rep: ThermoReport, log_z, digest, global_work:
 
 def _checked_ergotropy_bound(rho, h_b, beta, global_work: bool) -> RelationReport:
     _require_locally_thermal(rho, h_b, beta)
-    povm, record = _energy_record(rho, h_b)
-    lhs = information_gain(record)
+    povm = projective_energy_povm(h_b, rho.dims)
+    lhs = information_gain(measure(rho, povm))
     chi_b = chi_from_local_measurement(rho, povm)
     rep = thermo_report(rho, h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
@@ -224,14 +218,14 @@ def tradeoff_residual(
     return _tradeoff(corr.quantum_gain, rep, log_partition(h_b, beta), digest, energy_balance)
 
 
-def _temperature_free(rho, povm, record, gain, corr, digest) -> list[RelationReport]:
+def _temperature_free(rho, gain, corr, digest) -> list[RelationReport]:
     s_b = marginal_entropy(rho, "B")
     return [
-        _subadditivity(rho, povm, record, gain),
+        _subadditivity(rho, corr.record, gain),
         _report(
             "holevo_closure",
-            gain + entropy_cost(record),
-            holevo_of_measurement(record),
+            gain + entropy_cost(corr.record),
+            holevo_of_measurement(corr.record),
             SPECTRAL_TOL,
             digest,
             near_band=SPECTRAL_TOL,
@@ -258,29 +252,28 @@ def _temperature_free(rho, povm, record, gain, corr, digest) -> list[RelationRep
 def temperature_free_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
     """The relations of standard_reports that hold for any bipartite state:
     subadditivity, holevo_closure, local_gain_identity and gain_split."""
-    povm, record = _energy_record(rho, h_b)
     corr = breakdown(rho, h_b)
-    return _temperature_free(rho, povm, record, information_gain(record), corr, _digest(rho))
+    return _temperature_free(rho, information_gain(corr.record), corr, _digest(rho))
 
 
 def standard_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
     """All relations for one locally thermal state under the canonical local
     energy measurement on B.
 
-    The temperature is fitted once; the energy measurement, correlation
-    breakdown and thermodynamic report are each built once and shared by
-    every relation.  The dimension bound is exercised separately (its slack
-    is structurally nonzero even for uncorrelated thermal states).
+    The temperature is fitted once; the correlation breakdown, with the
+    energy measurement it keeps, and the thermodynamic report are each built
+    once and shared by every relation.  The dimension bound is exercised
+    separately (its slack is structurally nonzero even for uncorrelated
+    thermal states).
     """
     beta = common_local_beta(rho, h_b)
-    povm, record = _energy_record(rho, h_b)
     corr = breakdown(rho, h_b)
-    gain = information_gain(record)
+    gain = information_gain(corr.record)
     rep = thermo_report(rho, h_b, beta)
     log_z = log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
     balance = _energy_balance(corr.quantum_gain, rep, digest)
-    return _temperature_free(rho, povm, record, gain, corr, digest) + [
+    return _temperature_free(rho, gain, corr, digest) + [
         _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=False),
         _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=True),
         _tradeoff(corr.quantum_gain, rep, log_z, digest, balance),

@@ -315,8 +315,7 @@ def suite_gain_split(rng, n):
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
         corr = breakdown(rho, _QUBIT_H)
-        record = measure(rho, _ENERGY_POVM_B)
-        yield information_gain(record) - (corr.chi_B + corr.quantum_gain)
+        yield information_gain(corr.record) - (corr.chi_B + corr.quantum_gain)
 
 
 @_suite("discord_nonneg", "slack", 1e-6)

@@ -229,6 +229,7 @@ class TestEvolve:
             (0.005, -1.0, "t_max must be positive, got -1"),
             (1e-300, 1e10, r"t_max / dt = inf steps is not finite"),
             (0.005, np.nan, r"t_max / dt = nan steps is not finite"),
+            (0.005, 0.002, r"t_max = 0.002 with dt = 0.005 gives no integration step"),
         ],
     )
     def test_bad_horizon_rejected(self, dt, t_max, message):

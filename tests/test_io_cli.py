@@ -248,6 +248,24 @@ class TestRunConfig:
                 RunConfig(c_step=step).c_grid()
         assert len(RunConfig(c_step=1e-5).c_grid()) == 100_001
 
+    @pytest.mark.parametrize(
+        "settings, count, last",
+        [
+            ({}, 101, 1.0),
+            ({"c_step": 0.25}, 5, 1.0),
+            # (c_stop - c_start) / c_step = 18.999999999999996 keeps c = 1
+            ({"c_start": 0.05, "c_step": 0.05}, 20, 1.0),
+            # no point past c_stop: not 0.6, nor 1.2 clipped to 1
+            ({"c_stop": 0.5, "c_step": 0.3}, 2, 0.3),
+            ({"c_step": 0.6}, 2, 0.6),
+        ],
+    )
+    def test_grid_ends_at_or_before_c_stop(self, settings, count, last):
+        config = RunConfig(**settings)
+        grid = config.c_grid()
+        assert len(grid) == count
+        assert grid[-1] == pytest.approx(last, rel=0, abs=1e-12) and grid[-1] <= config.c_stop
+
     def test_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"beta_e": 5.0, "c_step": 0.5}))
@@ -386,6 +404,30 @@ class TestReportCommand:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize(
+        "flags, cs",
+        [(["--c-stop", "0.5", "--c-step", "0.3"], [0.0, 0.3]), (["--c-step", "0.6"], [0.0, 0.6])],
+    )
+    def test_sweep_writes_no_row_past_c_stop(self, tmp_path, flags, cs):
+        out = tmp_path / "s.csv"
+        assert main(flags + ["--out", str(out), "sweep"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == cs
+
+    def test_zero_step_simulate_refused(self, tmp_path, capsys):
+        # t_max / dt = 0.4 rounds to no step at the default dt = 0.005
+        state_path = tmp_path / "bell.json"
+        write_state(state_path, pure_state(BELL_PHI, dims=(2, 2)))
+        out = tmp_path / "traj.csv"
+        assert main(["--t-max", "0.002", "--out", str(out), "simulate", str(state_path)]) == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "invalid_input",
+            "message": "t_max = 0.002 with dt = 0.005 gives no integration step",
+        }
+        assert not out.exists() and not (tmp_path / "traj_reports.json").exists()
+
     def test_sweep_success(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert main(["--c-step", "0.5", "--out", out, "sweep"]) == 0

@@ -23,7 +23,9 @@ from qthermo import (
     thermal_state,
     tradeoff_residual,
 )
+from qthermo import correlations, measurement, relations, verify
 from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qthermo.random_states import random_two_qubit_state
 from qthermo.relations import RelationReport, _report, temperature_free_reports
 
 from conftest import LN2, product_thermal
@@ -268,3 +270,23 @@ class TestStandardReports:
                 assert by_name[rep.name] == rep.to_dict()
         c0 = {rep.name: rep for rep in standard_reports(states[0], qubit_h)}
         assert c0["euler"].lhs == -np.inf and c0["euler"].slack == np.inf
+
+    def test_each_state_is_measured_twice(self, monkeypatch, qubit_h, rng):
+        """breakdown's record and the one behind chi_B are the only energy
+        measurements: the reports and the gain_split suite read corr.record."""
+        calls = []
+
+        def counting(rho, povm):
+            calls.append(rho)
+            return measurement.measure(rho, povm)
+
+        for module in (correlations, relations, verify):
+            monkeypatch.setattr(module, "measure", counting)
+        standard_reports(analytic_steady_state(0.5, ModelParams()), qubit_h)
+        assert len(calls) == 2
+        calls.clear()
+        temperature_free_reports(random_two_qubit_state(rng), qubit_h)
+        assert len(calls) == 2
+        calls.clear()
+        (result,) = verify.run_suites(n=5, names=["gain_split"])
+        assert result.count == 5 and len(calls) == 2 * 5
