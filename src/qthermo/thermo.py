@@ -226,23 +226,16 @@ def _thermal_entropy(gaps: tuple[float, ...], beta: float) -> float:
     return entropy
 
 
-def _thermal_energy(h: Hamiltonian, beta: float) -> float:
-    """Mean energy of exp(-beta H)/Z on Python floats, from the populations
-    that ``_thermal_entropy`` computes."""
-    w = [math.exp(-beta * g) for g in h.gaps]
-    z = sum(w)
-    energy = 0.0
-    for w_i, e in zip(w, h.levels):
-        p = w_i / z
-        energy += p * e
-    return energy
-
-
 @lru_cache(maxsize=1)
-def _entropy_matched_beta(h: Hamiltonian, target: float) -> float:
-    """beta* with S(thermal(beta*)) = ``target`` for ``h``, by bisection with
-    bracket auto-expansion (upper bound doubled until the entropy falls below
-    the target, capped at 1e6).
+def _entropy_matched_energy(h: Hamiltonian, target: float) -> float:
+    """Mean energy of the thermal state of ``h`` whose entropy is ``target``.
+
+    Bisects on beta, with bracket auto-expansion (upper bound doubled until
+    the entropy falls below the target, capped at 1e6), and stops once
+    |S(beta) - target| <= ENTROPY_MATCH_TOL min(1, beta).  At a thermal state
+    dE = dS / beta, so both the entropy and, to first order, the energy
+    returned are then within ENTROPY_MATCH_TOL.  The energy is evaluated
+    once, at the beta where the bisection stops, on Python floats.
 
     The cache holds the last solve only: callers that evaluate one state
     several times in a row (the sweep's relation checks) solve once, and
@@ -253,24 +246,27 @@ def _entropy_matched_beta(h: Hamiltonian, target: float) -> float:
     lo, hi = 0.0, 50.0 * h.dim / h.spread
     while hi < BETA_CAP and _thermal_entropy(gaps, hi) > target:
         hi = min(hi * 2.0, BETA_CAP)
-    beta_star = hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s_mid = _thermal_entropy(gaps, mid)
-        beta_star = mid
-        if abs(s_mid - target) <= ENTROPY_MATCH_TOL:
+        beta = 0.5 * (lo + hi)
+        s = _thermal_entropy(gaps, beta)
+        if abs(s - target) <= ENTROPY_MATCH_TOL * min(1.0, beta):
             break
-        if s_mid > target:
-            lo = mid
+        if s > target:
+            lo = beta
         else:
-            hi = mid
-    return beta_star
+            hi = beta
+    w = [math.exp(-beta * g) for g in gaps]
+    z = sum(w)
+    energy = 0.0
+    for w_i, e in zip(w, h.levels):
+        energy += w_i / z * e
+    return energy
 
 
 def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Extra work unlocked by global operations on many copies:
     tr{(P_rho - P_th) H} where P_th is the thermal state with the entropy of
-    the passive state, at the beta* of ``_entropy_matched_beta``.
+    the passive state, whose energy ``_entropy_matched_energy`` returns.
     """
     if h.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, Hamiltonian {h.dim}")
@@ -284,7 +280,7 @@ def bound_ergotropy(rho: DensityMatrix, h: Hamiltonian) -> float:
     if target < ENTROPY_CUTOFF:
         # pure state: the entropy-matched thermal state is the ground projector
         return passive_e - h.levels[0]
-    return passive_e - _thermal_energy(h, _entropy_matched_beta(h, target))
+    return passive_e - _entropy_matched_energy(h, target)
 
 
 def local_inverse_temperature(rho_local, h: Hamiltonian):

@@ -224,18 +224,16 @@ def _bound_ergotropy(rho, h):
     lo, hi = 0.0, 50.0 * h.dim / spread
     while hi < 1e6 and _thermal_entropy_energy(levels, hi)[0] > target:
         hi = min(hi * 2.0, 1e6)
-    beta_star = hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s_mid, _ = _thermal_entropy_energy(levels, mid)
-        beta_star = mid
-        if abs(s_mid - target) <= 1e-10:
+        beta = 0.5 * (lo + hi)
+        s, _ = _thermal_entropy_energy(levels, beta)
+        if abs(s - target) <= 1e-10 * min(1.0, beta):
             break
-        if s_mid > target:
-            lo = mid
+        if s > target:
+            lo = beta
         else:
-            hi = mid
-    return passive_e - _thermal_entropy_energy(levels, beta_star)[1]
+            hi = beta
+    return passive_e - _thermal_entropy_energy(levels, beta)[1]
 
 
 def _log_partition(h, beta):

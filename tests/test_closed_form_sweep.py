@@ -1,11 +1,33 @@
-"""Closed-form oracle for three sweep columns: avg_energy_B, ergotropy and MI.
+"""Closed-form oracle for every sweep column.
 
 The steady state at singlet weight 1 - c is
 (1 - c)|psi_-><psi_-| + c/Z (x^2 |ee><ee| + x |psi_+><psi_+| + |gg><gg|)
-with x = exp(-beta_e omega) and Z = 1 + x + x^2.  Its spectrum is
-{1 - c, c/Z, c x/Z, c x^2/Z}, and each qubit is excited with probability
-p_e = c x^2/Z + (1 - c)/2 + c x/(2Z).  The oracle below is float arithmetic
-in c, x and Z alone; no qthermo kernel enters it.
+with x = exp(-beta_e omega) and Z = 1 + x + x^2.  In the basis
+(ee, eg, ge, gg) its diagonal is (c x^2/Z, m, m, c/Z) with
+m = (1 - c)/2 + c x/(2Z), its only coherence is k = <eg|rho|ge> =
+c x/(2Z) - (1 - c)/2, and its spectrum is {1 - c, c/Z, c x/Z, c x^2/Z}.
+Each qubit is excited with probability p_e = c x^2/Z + m.  The oracle below
+is float arithmetic in c, x and Z alone; no qthermo kernel enters it.
+
+- Measuring the energy of B (or sigma_z on A) leaves the other qubit in
+  diag(c x^2/Z, m)/p_e or diag(m, c/Z)/(1 - p_e).  Measuring sigma_x on A
+  gives each outcome with probability 1/2 and leaves B in
+  [[p_e, +-k], [+-k, 1 - p_e]], with eigenvalues 1/2 +- r,
+  r = |(p_e - 1/2, k)|.  On this family chi_A_max is the better of the two
+  axes (see ``TestSteadyStateFamilyClosedForm`` in test_dissipation.py).
+- The local inverse temperature is beta = ln((1 - p_e)/p_e)/omega, and
+  1 - 2 p_e = c (1 - x^2)/Z exactly, so beta = log1p(c (1 - x^2)/(Z p_e))/omega.
+- The thermal state of H_A + H_B is a product of two qubit Gibbs states with
+  excited population q, entropy 2 h(q) and energy 2 omega q, so the bound
+  ergotropy's entropy-matched state solves 2 h(q) = S(rho), which the
+  oracle inverts by its own bisection, run to the end of its bracket.
+
+The library leaves probabilities below its entropy cutoff out of every
+entropy, and the oracle does not, so the entropic columns are compared to
+1e-12 plus the sum of those terms.  The library's root stops once its
+entropy is within ENTROPY_MATCH_TOL min(1, beta) of the target, and at a
+thermal state dE = dS/beta, so the bound ergotropy is compared to twice
+ENTROPY_MATCH_TOL min(1, 1/beta*) (second order included) plus 1e-12.
 """
 
 import math
@@ -14,6 +36,7 @@ import pytest
 
 from qthermo.cli import RunConfig, sweep_rows
 from qthermo.core import ENTROPY_CUTOFF
+from qthermo.thermo import ENTROPY_MATCH_TOL
 
 BETAS = (0.1, 1.0, 10.0, 30.0)
 OMEGAS = (0.5, 1.0, 2.0)
@@ -24,25 +47,85 @@ def _plogp(p: float) -> float:
     return -p * math.log(p) if p > 0.0 else 0.0
 
 
+def _h(p: float) -> float:
+    return _plogp(p) + _plogp(1.0 - p)
+
+
+def _matched_population(target: float) -> float:
+    """q in [0, 1/2] with 2 h(q) = ``target``, by a bisection run until its
+    bracket cannot shrink further."""
+    lo, hi = 0.0, 0.5
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if 2.0 * _h(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def _oracle(c: float, beta_e: float, omega: float) -> dict:
+    """Each sweep column at c, with its tolerance, as {column: (value, tol)}."""
     x = math.exp(-beta_e * omega)
     z = 1.0 + x + x * x
-    p_e = c * x * x / z + (1.0 - c) / 2.0 + c * x / (2.0 * z)
-    spectrum = [1.0 - c, c / z, c * x / z, c * x * x / z]
+    ee, gg = c * x * x / z, c / z
+    m = (1.0 - c) / 2.0 + c * x / (2.0 * z)
+    k = c * x / (2.0 * z) - (1.0 - c) / 2.0
+    p_e, p_g = ee + m, m + gg
+    r = math.hypot(p_e - 0.5, k)
+    spectrum = [1.0 - c, gg, c * x / z, ee]
+    # (weight, distribution) of every entropy below
+    entropies = [
+        (1.0, spectrum),
+        (2.0, [p_e, p_g]),
+        (p_e, [ee / p_e, m / p_e]),
+        (p_g, [m / p_g, gg / p_g]),
+        (1.0, [0.5 + r, 0.5 - r]),
+    ]
+    dropped = sum(w * _plogp(p) for w, probs in entropies for p in probs if p < ENTROPY_CUTOFF)
+    s, s_b = sum(map(_plogp, spectrum)), _h(p_e)
+    cond = p_e * _h(ee / p_e) + p_g * _h(gg / p_g)
+    chi_b = s_b - cond
+    chi_a = max(chi_b, s_b - _h(0.5 + r))
+    mi = 2.0 * s_b - s
+    discord, eof = mi - chi_a, s_b - chi_a
+
+    beta = math.log1p(-c * math.expm1(-2.0 * beta_e * omega) / (z * p_e)) / omega
+    log_z = math.log1p(math.exp(-beta * omega))
     # the passive state puts the largest eigenvalue on the lowest level of
     # H_A + H_B, whose levels are (0, omega, omega, 2 omega)
     passive = omega * sum(
         p * level for p, level in zip(sorted(spectrum, reverse=True), (0.0, 1.0, 1.0, 2.0))
     )
-    energy = omega * (1.0 - c + c * (x + 2.0 * x * x) / z)
-    marginal = [p_e, 1.0 - p_e]
+    work = omega * (1.0 - c + c * (x + 2.0 * x * x) / z) - passive
+    q = _matched_population(s)
+    bound = passive - 2.0 * omega * q
+    beta_star = math.log1p((1.0 - 2.0 * q) / q) / omega
+    bound_tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + TOL
+    rhs1 = chi_b + beta * (omega * p_e - work) + log_z
+    rhs2 = chi_b + beta * (omega * p_e - work - bound) + log_z
+    entropic = TOL + dropped
     return {
-        "avg_energy_B": omega * p_e,
-        "ergotropy": energy - passive,
-        "MI": 2.0 * sum(map(_plogp, marginal)) - sum(map(_plogp, spectrum)),
-        # what the library leaves out of MI by dropping eigenvalues below its
-        # entropy cutoff: those terms of both marginals and of the state
-        "_dropped": sum(_plogp(p) for p in 2 * marginal + spectrum if p < ENTROPY_CUTOFF),
+        "I_g": (s - cond, entropic),
+        "chi_B": (chi_b, entropic),
+        "MI": (mi, entropic),
+        "discord_A": (discord, entropic),
+        "eof_BC": (eof, entropic),
+        "quantum_gain": (eof - discord, entropic),
+        "avg_energy_B": (omega * p_e, TOL),
+        "free_energy_B": (-log_z / beta, TOL),
+        "ergotropy": (work, TOL),
+        "bound_ergotropy": (bound, bound_tol),
+        "global_ergotropy": (work + bound, bound_tol),
+        "rhs_ineq1": (rhs1, entropic),
+        "rhs_ineq2": (rhs2, beta * bound_tol + entropic),
+        "slack1": (rhs1 - (s - cond), entropic),
+        "slack2": (rhs2 - (s - cond), beta * bound_tol + entropic),
+        "euler_residual": (
+            omega * p_e - (work + bound) + log_z / beta - (eof - discord) / beta,
+            bound_tol + entropic / beta,
+        ),
     }
 
 
@@ -52,7 +135,5 @@ def test_sweep_columns_match_the_closed_form(beta_e, omega):
     rows = sweep_rows(RunConfig(beta_e=beta_e, omega=omega, c_start=0.05, c_step=0.05))
     assert len(rows) == 20
     for row in rows:
-        want = _oracle(row["c"], beta_e, omega)
-        assert row["avg_energy_B"] == pytest.approx(want["avg_energy_B"], rel=0, abs=TOL)
-        assert row["ergotropy"] == pytest.approx(want["ergotropy"], rel=0, abs=TOL)
-        assert row["MI"] == pytest.approx(want["MI"], rel=0, abs=TOL + want["_dropped"])
+        for column, (value, tol) in _oracle(row["c"], beta_e, omega).items():
+            assert row[column] == pytest.approx(value, rel=0, abs=tol), (column, row["c"])

@@ -593,14 +593,15 @@ class TestSteadyStateFamilyClosedForm:
         {0, omega, omega, 2 omega}) less the energy of the thermal state of
         the same entropy.  Its beta* is a root with no closed form, so it
         comes from a reference bisection.  The library's bisection stops once
-        the entropy is within ENTROPY_MATCH_TOL of the target, and at a
-        thermal state dE = dS / beta, so its thermal energy is within
-        ENTROPY_MATCH_TOL / beta* of the root's to first order; twice that
-        covers the second order, plus the 1e-12 of round-off of the other
-        columns (a pure spectrum takes the ground state, with no root).  The
-        global ergotropy E + bound carries the same tolerance, and rhs_ineq2
-        = chi_B + beta (omega p_e - E - bound) + ln(1 + e^{-beta omega}) and
-        slack2 = rhs_ineq2 - I_g carry beta times it."""
+        the entropy is within ENTROPY_MATCH_TOL min(1, beta) of the target,
+        and at a thermal state dE = dS / beta, so its thermal energy is
+        within ENTROPY_MATCH_TOL min(1, 1 / beta*) of the root's to first
+        order; twice that covers the second order, plus the 1e-12 of
+        round-off of the other columns (a pure spectrum takes the ground
+        state, with no root).  The global ergotropy E + bound carries the
+        same tolerance, and rhs_ineq2 = chi_B + beta (omega p_e - E - bound)
+        + ln(1 + e^{-beta omega}) and slack2 = rhs_ineq2 - I_g carry beta
+        times it."""
         params = ModelParams(beta_e=beta_e)
         omega = params.omega
         x = math.exp(-beta_e * omega)
@@ -636,7 +637,7 @@ class TestSteadyStateFamilyClosedForm:
             else:
                 beta_star = _reference_matched_beta(target, omega)
                 bound = passive - _doubled_thermal(beta_star, omega)[1]
-                bound_tol = 2.0 * ENTROPY_MATCH_TOL / beta_star + 1e-12
+                bound_tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + 1e-12
             rhs2 = chi_b + beta * (omega * p_e - work - bound) + log_z
             matched = {
                 "bound_ergotropy": (bound, bound_tol),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qthermo import (
     DensityMatrix,
+    Hamiltonian,
     ModelParams,
     Trajectory,
     analytic_steady_state,
@@ -800,6 +801,53 @@ class TestMainExitCodes:
         lines = captured.out.strip().split("\n")
         assert len(lines) == 1 and captured.err == ""
         assert message in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize(
+        "flags, command, state, hamiltonian, message",
+        [
+            (["--dt", "0"], "simulate", "bell", None, "dt must be positive"),
+            (["--dt", "-0.005"], "simulate", "bell", None, "dt must be positive"),
+            ([], "simulate", "qubit", None, "simulation needs a 4x4 two-qubit state, got 2x2"),
+            (
+                [],
+                "report",
+                "no_dims",
+                np.diag([1.0, 0.0]),
+                "state file must carry bipartite dims for a relation report",
+            ),
+            (
+                [],
+                "report",
+                "bell",
+                np.diag([2.0, 1.0, 0.0]),
+                "dimension mismatch: state 2, Hamiltonian 3",
+            ),
+        ],
+    )
+    def test_refused_input_writes_nothing(
+        self, tmp_path, capfd, bell_state, flags, command, state, hamiltonian, message
+    ):
+        """A non-positive dt, a state of the wrong size or without dims, and a
+        Hamiltonian of the wrong size: exit 2, one invalid_input line, an
+        empty stderr and no output file."""
+        states = {
+            "bell": bell_state,
+            "qubit": pure_state([1.0, 0.0]),
+            "no_dims": DensityMatrix(bell_state.matrix),
+        }
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_state(inputs / "state.json", states[state])
+        argv = flags + ["--out", str(tmp_path / "out"), command, str(inputs / "state.json")]
+        if command == "report":
+            write_hamiltonian(inputs / "h.json", Hamiltonian(hamiltonian.astype(complex)))
+            argv.append(str(inputs / "h.json"))
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 1 and captured.err == ""
+        assert json.loads(lines[0]) == {"error": "invalid_input", "message": message}
+        assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
     @pytest.mark.parametrize("command", ["report", "verify", "sweep"])
     def test_violated_identity_is_a_property_failure(

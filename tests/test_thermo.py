@@ -27,6 +27,8 @@ from qthermo import (
     von_neumann_entropy,
 )
 from qthermo.core import entropy_of_eigenvalues
+from qthermo.thermo import ENTROPY_MATCH_TOL
+from qthermo.verify import SUITES, run_suites
 from qthermo.random_states import random_density_matrix, random_hamiltonian, random_unitary
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
@@ -63,18 +65,16 @@ def _reference_bound_ergotropy(rho, h):
     lo, hi = 0.0, 50.0 * h.dim / float(e.max() - e.min())
     while hi < 1e6 and entropy_energy(hi)[0] > target:
         hi = min(hi * 2.0, 1e6)
-    beta_star = hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s_mid, _ = entropy_energy(mid)
-        beta_star = mid
-        if abs(s_mid - target) <= 1e-10:
+        beta = 0.5 * (lo + hi)
+        s, _ = entropy_energy(beta)
+        if abs(s - target) <= 1e-10 * min(1.0, beta):
             break
-        if s_mid > target:
-            lo = mid
+        if s > target:
+            lo = beta
         else:
-            hi = mid
-    return passive_e - entropy_energy(beta_star)[1]
+            hi = beta
+    return passive_e - entropy_energy(beta)[1]
 
 
 class TestHamiltonian:
@@ -251,6 +251,31 @@ class TestErgotropy:
             assert abs(ergotropy(rho, h) - ergotropy_double_sum(rho, h)) < 1e-9
 
 
+def _converged_thermal(e, target):
+    """beta* with S(exp(-beta* H)/Z) = target for the levels ``e``, by a
+    bisection on [0, 1e6] run until its bracket cannot shrink further, and
+    the energy of that thermal state."""
+
+    def populations(beta):
+        w = np.exp(-beta * (e - e.min()))
+        return w / w.sum()
+
+    def entropy(beta):
+        p = populations(beta)
+        p = p[p > 1e-12]
+        return float(-(p * np.log(p)).sum())
+
+    lo, hi = 0.0, 1e6
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if entropy(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid, float(populations(mid) @ e)
+
+
 class TestBoundErgotropy:
     def test_thermal_input(self, qubit_h):
         assert abs(bound_ergotropy(thermal_state(qubit_h, 1.0), qubit_h)) < 1e-9
@@ -294,6 +319,29 @@ class TestBoundErgotropy:
         ]
         for rho, h in pairs:
             assert abs(bound_ergotropy(rho, h) - _reference_bound_ergotropy(rho, h)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [88, 185, 232, 270, 280])
+    def test_near_maximally_mixed_draws_pass_verify(self, seed):
+        """At these seeds the suite draws states so close to maximally mixed
+        that beta* is small (0.0048 at seed 232), where a stop rule on the
+        entropy alone left the energy off by up to 3.9e-9."""
+        (result,) = run_suites(seed=seed, n=500, names=["bound_ergotropy_nonneg"])
+        assert result.failures == 0, result
+
+    def test_small_beta_matches_the_converged_root(self):
+        """The qubit draw k = 74 of seed 232's bound_ergotropy_nonneg suite,
+        against a bisection run to the end of its bracket."""
+        index = next(i for i, (name, _, _) in enumerate(SUITES) if name == "bound_ergotropy_nonneg")
+        rng = np.random.default_rng([232, index])
+        for k in range(75):
+            dim = 4 if k % 2 else 2
+            rho, h = random_density_matrix(dim, rng), random_hamiltonian(dim, rng)
+        assert dim == 2
+        e = h.eigenvalues
+        beta_star, energy = _converged_thermal(e, entropy_of_eigenvalues(rho.eigenvalues()))
+        assert beta_star < 0.005
+        passive_e = float(np.sort(rho.eigenvalues())[::-1] @ e)
+        assert abs(bound_ergotropy(rho, h) - (passive_e - energy)) <= 2.0 * ENTROPY_MATCH_TOL
 
 
 def _population_floor(m, h) -> float:
@@ -522,27 +570,11 @@ def test_thermal_entropy_matching_accuracy(seed):
     rho = _random_state(rng)
     h = _random_h(rng)
     eb = bound_ergotropy(rho, h)
-    # recompute the matched thermal state and compare entropies
-    target = von_neumann_entropy(rho)
     passive_e = np.sort(rho.eigenvalues())[::-1] @ h.eigenvalues
-    thermal_e = passive_e - eb
-    # the matched energy corresponds to an entropy within the bisection tolerance
-    e = h.eigenvalues
-
-    def entropy_at(beta):
-        w = np.exp(-beta * (e - e.min()))
-        p = w / w.sum()
-        p = p[p > 1e-12]
-        return float(-(p * np.log(p)).sum())
-
-    lo, hi = 0.0, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if entropy_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    beta_star = 0.5 * (lo + hi)
-    w = np.exp(-beta_star * (e - e.min()))
-    p = w / w.sum()
-    assert abs(float(p @ e) - thermal_e) < 1e-7
+    beta_star, energy = _converged_thermal(h.eigenvalues, von_neumann_entropy(rho))
+    # the bisection stops within ENTROPY_MATCH_TOL min(1, beta) of the target
+    # entropy, and dE = dS / beta, so the energy is within ENTROPY_MATCH_TOL
+    # min(1, 1 / beta*) of the root's to first order; twice that covers the
+    # second order, plus round-off
+    tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + 1e-12
+    assert abs((passive_e - eb) - energy) <= tol
