@@ -231,16 +231,19 @@ def _entropy_matched_energy(h: Hamiltonian, target: float) -> float:
     """Mean energy of the thermal state of ``h`` whose entropy is ``target``.
 
     Bisects on beta, with bracket auto-expansion (upper bound doubled until
-    the entropy falls below the target, capped at 1e6), and stops once
-    |S(beta) - target| <= ENTROPY_MATCH_TOL min(1, beta).  At a thermal state
-    dE = dS / beta, so both the entropy and, to first order, the energy
-    returned are then within ENTROPY_MATCH_TOL.  The energy is evaluated
-    once, at the beta where the bisection stops, on Python floats.
+    the entropy falls below the target, capped at 1e6), stops once
+    |S(beta) - target| <= ENTROPY_MATCH_TOL min(1, beta), and evaluates the
+    energy there, on Python floats.  At a thermal state dE = dS / beta, so
+    both the entropy and, to first order, the energy are then within
+    ENTROPY_MATCH_TOL, as long as ENTROPY_MATCH_TOL beta* exceeds the
+    round-off of S (beta* above about 4e-6).  Nearer the maximally mixed
+    state the rule may never fire, and after 200 steps the energy is as
+    accurate as the float target allows: about sqrt(2 Var(H) dS) for a
+    round-off dS of S, 1e-8 at dS = 4e-16.
 
     The cache holds the last solve only: callers that evaluate one state
-    several times in a row (the sweep's relation checks) solve once, and
-    nothing is carried across states.  The key is the Hamiltonian object,
-    whose spectrum cannot change.
+    several times in a row (the sweep's relation checks) solve once.  The
+    key is the Hamiltonian object, whose spectrum cannot change.
     """
     gaps = h.gaps
     lo, hi = 0.0, 50.0 * h.dim / h.spread

@@ -34,3 +34,16 @@ def singlet():
 def product_thermal(beta: float, h: Hamiltonian) -> DensityMatrix:
     tau = thermal_state(h, beta)
     return DensityMatrix(np.kron(tau.matrix, tau.matrix), dims=(2, 2))
+
+
+def bisect_to_end(below_root, lo: float, hi: float) -> float:
+    """The point of [lo, hi] where ``below_root`` turns from true to false,
+    by a bisection run until its bracket cannot shrink further."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -8,6 +8,8 @@ m = (1 - c)/2 + c x/(2Z), its only coherence is k = <eg|rho|ge> =
 c x/(2Z) - (1 - c)/2, and its spectrum is {1 - c, c/Z, c x/Z, c x^2/Z}.
 Each qubit is excited with probability p_e = c x^2/Z + m.  The oracle below
 is float arithmetic in c, x and Z alone; no qthermo kernel enters it.
+``TestSteadyStateFamilyClosedForm.test_sweep_columns`` in test_dissipation.py
+holds ``sweep_row`` to the same oracle on a finer c grid at omega = 1.
 
 - Measuring the energy of B (or sigma_z on A) leaves the other qubit in
   diag(c x^2/Z, m)/p_e or diag(m, c/Z)/(1 - p_e).  Measuring sigma_x on A
@@ -20,14 +22,17 @@ is float arithmetic in c, x and Z alone; no qthermo kernel enters it.
 - The thermal state of H_A + H_B is a product of two qubit Gibbs states with
   excited population q, entropy 2 h(q) and energy 2 omega q, so the bound
   ergotropy's entropy-matched state solves 2 h(q) = S(rho), which the
-  oracle inverts by its own bisection, run to the end of its bracket.
+  oracle inverts by a bisection run to the end of its bracket.
 
-The library leaves probabilities below its entropy cutoff out of every
-entropy, and the oracle does not, so the entropic columns are compared to
-1e-12 plus the sum of those terms.  The library's root stops once its
-entropy is within ENTROPY_MATCH_TOL min(1, beta) of the target, and at a
-thermal state dE = dS/beta, so the bound ergotropy is compared to twice
-ENTROPY_MATCH_TOL min(1, 1/beta*) (second order included) plus 1e-12.
+Each entropy leaves out probabilities below ENTROPY_CUTOFF, as the
+library's entropies do, so the entropic columns are compared to 1e-12.
+That is stricter than comparing the exact entropies to 1e-12 plus the
+terms the cutoff drops (up to 2.8e-12 on this grid, from c x/Z at
+beta_e omega = 30).  The library's root stops once its entropy is within
+ENTROPY_MATCH_TOL min(1, beta) of the target, and at a thermal state
+dE = dS/beta, so the bound ergotropy is compared to twice
+ENTROPY_MATCH_TOL min(1, 1/beta*) (second order included) plus 1e-12; the
+columns built on it carry that tolerance times their factor of it.
 """
 
 import math
@@ -38,56 +43,37 @@ from qthermo.cli import RunConfig, sweep_rows
 from qthermo.core import ENTROPY_CUTOFF
 from qthermo.thermo import ENTROPY_MATCH_TOL
 
+from conftest import bisect_to_end
+
 BETAS = (0.1, 1.0, 10.0, 30.0)
 OMEGAS = (0.5, 1.0, 2.0)
 TOL = 1e-12
 
 
 def _plogp(p: float) -> float:
-    return -p * math.log(p) if p > 0.0 else 0.0
+    return -p * math.log(p) if p >= ENTROPY_CUTOFF else 0.0
 
 
 def _h(p: float) -> float:
     return _plogp(p) + _plogp(1.0 - p)
 
 
-def _matched_population(target: float) -> float:
-    """q in [0, 1/2] with 2 h(q) = ``target``, by a bisection run until its
-    bracket cannot shrink further."""
-    lo, hi = 0.0, 0.5
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if 2.0 * _h(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+def closed_form_columns(c: float, beta_e: float, omega: float) -> dict:
+    """Each sweep column at c, with its tolerance, as {column: (value, tol)}.
 
-
-def _oracle(c: float, beta_e: float, omega: float) -> dict:
-    """Each sweep column at c, with its tolerance, as {column: (value, tol)}."""
+    At c = 0 the state is the singlet: beta = 0, so the free energy is -inf
+    and the energy balance, which divides by beta, is left out."""
     x = math.exp(-beta_e * omega)
     z = 1.0 + x + x * x
     ee, gg = c * x * x / z, c / z
     m = (1.0 - c) / 2.0 + c * x / (2.0 * z)
     k = c * x / (2.0 * z) - (1.0 - c) / 2.0
     p_e, p_g = ee + m, m + gg
-    r = math.hypot(p_e - 0.5, k)
     spectrum = [1.0 - c, gg, c * x / z, ee]
-    # (weight, distribution) of every entropy below
-    entropies = [
-        (1.0, spectrum),
-        (2.0, [p_e, p_g]),
-        (p_e, [ee / p_e, m / p_e]),
-        (p_g, [m / p_g, gg / p_g]),
-        (1.0, [0.5 + r, 0.5 - r]),
-    ]
-    dropped = sum(w * _plogp(p) for w, probs in entropies for p in probs if p < ENTROPY_CUTOFF)
     s, s_b = sum(map(_plogp, spectrum)), _h(p_e)
     cond = p_e * _h(ee / p_e) + p_g * _h(gg / p_g)
     chi_b = s_b - cond
-    chi_a = max(chi_b, s_b - _h(0.5 + r))
+    chi_a = max(chi_b, s_b - _h(0.5 + math.hypot(p_e - 0.5, k)))
     mi = 2.0 * s_b - s
     discord, eof = mi - chi_a, s_b - chi_a
 
@@ -99,34 +85,39 @@ def _oracle(c: float, beta_e: float, omega: float) -> dict:
         p * level for p, level in zip(sorted(spectrum, reverse=True), (0.0, 1.0, 1.0, 2.0))
     )
     work = omega * (1.0 - c + c * (x + 2.0 * x * x) / z) - passive
-    q = _matched_population(s)
-    bound = passive - 2.0 * omega * q
-    beta_star = math.log1p((1.0 - 2.0 * q) / q) / omega
-    bound_tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + TOL
+    if s < ENTROPY_CUTOFF:
+        # pure state: the entropy-matched state is the ground state, no root
+        bound, bound_tol = passive, TOL
+    else:
+        q = bisect_to_end(lambda q: 2.0 * _h(q) < s, 0.0, 0.5)
+        bound = passive - 2.0 * omega * q
+        beta_star = math.log1p((1.0 - 2.0 * q) / q) / omega
+        bound_tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + TOL
     rhs1 = chi_b + beta * (omega * p_e - work) + log_z
     rhs2 = chi_b + beta * (omega * p_e - work - bound) + log_z
-    entropic = TOL + dropped
-    return {
-        "I_g": (s - cond, entropic),
-        "chi_B": (chi_b, entropic),
-        "MI": (mi, entropic),
-        "discord_A": (discord, entropic),
-        "eof_BC": (eof, entropic),
-        "quantum_gain": (eof - discord, entropic),
+    columns = {
+        "I_g": (s - cond, TOL),
+        "chi_B": (chi_b, TOL),
+        "MI": (mi, TOL),
+        "discord_A": (discord, TOL),
+        "eof_BC": (eof, TOL),
+        "quantum_gain": (eof - discord, TOL),
         "avg_energy_B": (omega * p_e, TOL),
-        "free_energy_B": (-log_z / beta, TOL),
+        "free_energy_B": (-log_z / beta if beta else -math.inf, TOL),
         "ergotropy": (work, TOL),
         "bound_ergotropy": (bound, bound_tol),
         "global_ergotropy": (work + bound, bound_tol),
-        "rhs_ineq1": (rhs1, entropic),
-        "rhs_ineq2": (rhs2, beta * bound_tol + entropic),
-        "slack1": (rhs1 - (s - cond), entropic),
-        "slack2": (rhs2 - (s - cond), beta * bound_tol + entropic),
-        "euler_residual": (
-            omega * p_e - (work + bound) + log_z / beta - (eof - discord) / beta,
-            bound_tol + entropic / beta,
-        ),
+        "rhs_ineq1": (rhs1, TOL),
+        "rhs_ineq2": (rhs2, beta * bound_tol + TOL),
+        "slack1": (rhs1 - (s - cond), TOL),
+        "slack2": (rhs2 - (s - cond), beta * bound_tol + TOL),
     }
+    if beta:
+        columns["euler_residual"] = (
+            omega * p_e - (work + bound) + log_z / beta - (eof - discord) / beta,
+            bound_tol + TOL / beta,
+        )
+    return columns
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
@@ -135,5 +126,5 @@ def test_sweep_columns_match_the_closed_form(beta_e, omega):
     rows = sweep_rows(RunConfig(beta_e=beta_e, omega=omega, c_start=0.05, c_step=0.05))
     assert len(rows) == 20
     for row in rows:
-        for column, (value, tol) in _oracle(row["c"], beta_e, omega).items():
+        for column, (value, tol) in closed_form_columns(row["c"], beta_e, omega).items():
             assert row[column] == pytest.approx(value, rel=0, abs=tol), (column, row["c"])

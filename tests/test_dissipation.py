@@ -31,7 +31,6 @@ from qthermo import (
 from qthermo import dissipation
 from qthermo.cli import sweep_row
 from qthermo.core import (
-    ENTROPY_CUTOFF,
     SIGMA_X,
     SIGMA_Z,
     TRACE_TOL,
@@ -54,46 +53,10 @@ from qthermo.dissipation import (
     _superoperator,
 )
 from qthermo.random_states import random_two_qubit_state, random_x_state
-from qthermo.thermo import ENTROPY_MATCH_TOL
+
+from test_closed_form_sweep import closed_form_columns
 
 BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
-
-
-def _shannon(probabilities) -> float:
-    """Entropy in nats with the library's convention: probabilities below
-    ENTROPY_CUTOFF contribute nothing."""
-    return -sum(p * math.log(p) for p in probabilities if p >= ENTROPY_CUTOFF)
-
-
-def _binary_entropy(p: float) -> float:
-    return _shannon([p, 1.0 - p])
-
-
-def _doubled_thermal(beta: float, omega: float) -> tuple[list[float], float]:
-    """Populations of exp(-beta H)/Z on the doubled qubit levels {0, omega,
-    omega, 2 omega}, a product of two qubit Gibbs states, and its energy."""
-    q = 1.0 / (1.0 + math.exp(beta * omega)) if beta * omega < 700.0 else 0.0
-    return [(1.0 - q) ** 2, q * (1.0 - q), q * (1.0 - q), q * q], 2.0 * omega * q
-
-
-def _reference_matched_beta(target: float, omega: float) -> float:
-    """beta* with S(exp(-beta* H)/Z) = target on the doubled levels, by a
-    bisection run until the bracket cannot shrink further."""
-
-    def entropy(beta):
-        return _shannon(_doubled_thermal(beta, omega)[0])
-
-    lo, hi = 0.0, 1.0
-    while entropy(hi) > target:
-        hi *= 2.0
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if entropy(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -580,78 +543,19 @@ class TestSteadyStateFamilyClosedForm:
 
     @pytest.mark.parametrize("beta_e", [0.1, 1.0, 3.0, 10.0, 30.0])
     def test_sweep_columns(self, beta_e, qubit_h):
-        """The B energy measurement leaves A diagonal, so with p_e the
-        excited population of B and q_e = (c x^2/Z)/p_e, q_g = (c/Z)/(1 - p_e)
-        the conditional excited and ground populations of A:
-        I_g = S - p_e h(q_e) - (1 - p_e) h(q_g), chi_B = h(p_e) - p_e h(q_e)
-        - (1 - p_e) h(q_g), MI = 2 h(p_e) - S, <H_B> = omega p_e,
-        F_B = -ln(1 + e^{-beta omega})/beta and rhs_ineq1 = chi_B
-        + beta (omega p_e - E) + ln(1 + e^{-beta omega}), with beta the local
-        inverse temperature and E the closed-form ergotropy.
-
-        The bound ergotropy is the passive energy (the spectrum sorted onto
-        {0, omega, omega, 2 omega}) less the energy of the thermal state of
-        the same entropy.  Its beta* is a root with no closed form, so it
-        comes from a reference bisection.  The library's bisection stops once
-        the entropy is within ENTROPY_MATCH_TOL min(1, beta) of the target,
-        and at a thermal state dE = dS / beta, so its thermal energy is
-        within ENTROPY_MATCH_TOL min(1, 1 / beta*) of the root's to first
-        order; twice that covers the second order, plus the 1e-12 of
-        round-off of the other columns (a pure spectrum takes the ground
-        state, with no root).  The global ergotropy E + bound carries the
-        same tolerance, and rhs_ineq2 = chi_B + beta (omega p_e - E - bound)
-        + ln(1 + e^{-beta omega}) and slack2 = rhs_ineq2 - I_g carry beta
-        times it."""
+        """Every column of ``sweep_row`` on c = 0, 0.01, ..., 1 and the two
+        ergotropy kinks at omega = 1 against the closed forms of
+        test_closed_form_sweep.py, which also covers omega != 1 through the
+        CLI's own grid."""
         params = ModelParams(beta_e=beta_e)
-        omega = params.omega
-        x = math.exp(-beta_e * omega)
+        x = math.exp(-beta_e * params.omega)
         z = 1.0 + x + x * x
         kinks = [z / (1.0 + z), z / (z + x * x)]
         for c in np.concatenate([np.linspace(0.0, 1.0, 101), kinks]):
             c = float(c)
             row = sweep_row(c, params, qubit_h)
-            beta = row["_beta"]
-            p_e = c * x * x / z + (1.0 - c) / 2.0 + c * x / (2.0 * z)
-            s = _shannon([1.0 - c, c * x * x / z, c * x / z, c / z])
-            cond = p_e * _binary_entropy(c * x * x / z / p_e) + (1.0 - p_e) * _binary_entropy(
-                c / z / (1.0 - p_e)
-            )
-            chi_b = _binary_entropy(p_e) - cond
-            work = omega * max(1.0 - c - c / z, 0.0, c * x * x / z - (1.0 - c))
-            log_z = math.log1p(math.exp(-beta * omega))
-            closed = {
-                "I_g": s - cond,
-                "chi_B": chi_b,
-                "MI": 2.0 * _binary_entropy(p_e) - s,
-                "avg_energy_B": omega * p_e,
-                "rhs_ineq1": chi_b + beta * (omega * p_e - work) + log_z,
-            }
-            for column, value in closed.items():
-                assert abs(row[column] - value) <= 1e-12, (column, c)
-            spectrum = [1.0 - c, c * x * x / z, c * x / z, c / z]
-            levels = [0.0, omega, omega, 2.0 * omega]
-            passive = sum(p * e for p, e in zip(sorted(spectrum, reverse=True), levels))
-            target = _shannon(spectrum)
-            if target < ENTROPY_CUTOFF:
-                bound, bound_tol = passive, 1e-12
-            else:
-                beta_star = _reference_matched_beta(target, omega)
-                bound = passive - _doubled_thermal(beta_star, omega)[1]
-                bound_tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + 1e-12
-            rhs2 = chi_b + beta * (omega * p_e - work - bound) + log_z
-            matched = {
-                "bound_ergotropy": (bound, bound_tol),
-                "global_ergotropy": (work + bound, bound_tol),
-                "rhs_ineq2": (rhs2, beta * bound_tol + 1e-12),
-                "slack2": (rhs2 - (s - cond), beta * bound_tol + 2e-12),
-            }
-            for column, (value, tol) in matched.items():
-                assert abs(row[column] - value) <= tol, (column, c)
-            if beta == 0.0:
-                assert row["free_energy_B"] == -math.inf, c
-            else:
-                assert abs(row["free_energy_B"] - (-log_z / beta)) <= 1e-12, c
-        assert sweep_row(0.0, params, qubit_h)["free_energy_B"] == -math.inf
+            for column, (value, tol) in closed_form_columns(c, beta_e, params.omega).items():
+                assert row[column] == pytest.approx(value, rel=0, abs=tol), (column, c)
 
 
 class TestEffectiveC:

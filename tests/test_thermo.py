@@ -27,9 +27,11 @@ from qthermo import (
     von_neumann_entropy,
 )
 from qthermo.core import entropy_of_eigenvalues
+from qthermo.random_states import random_density_matrix, random_hamiltonian, random_unitary
 from qthermo.thermo import ENTROPY_MATCH_TOL
 from qthermo.verify import SUITES, run_suites
-from qthermo.random_states import random_density_matrix, random_hamiltonian, random_unitary
+
+from conftest import bisect_to_end
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -265,15 +267,8 @@ def _converged_thermal(e, target):
         p = p[p > 1e-12]
         return float(-(p * np.log(p)).sum())
 
-    lo, hi = 0.0, 1e6
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if entropy(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid, float(populations(mid) @ e)
+    beta = bisect_to_end(lambda beta: entropy(beta) > target, 0.0, 1e6)
+    return beta, float(populations(beta) @ e)
 
 
 class TestBoundErgotropy:
@@ -342,6 +337,20 @@ class TestBoundErgotropy:
         assert beta_star < 0.005
         passive_e = float(np.sort(rho.eigenvalues())[::-1] @ e)
         assert abs(bound_ergotropy(rho, h) - (passive_e - energy)) <= 2.0 * ENTROPY_MATCH_TOL
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_maximally_mixed_input(self, dim):
+        """At I/d the matched state sits at beta* = 0, where the stop rule
+        asks for more than the round-off of S allows and may never fire.
+        The bound ergotropy, exactly 0, is then as accurate as the float
+        target: within sqrt(2 Var(H) dS) for a round-off dS = 4 eps ln d."""
+        rng = np.random.default_rng(dim)
+        rho = DensityMatrix(np.eye(dim, dtype=complex) / dim)
+        d_s = 4.0 * np.finfo(float).eps * math.log(dim)
+        for _ in range(50):
+            h = random_hamiltonian(dim, rng)
+            tol = math.sqrt(2.0 * float(np.var(h.eigenvalues)) * d_s)
+            assert abs(bound_ergotropy(rho, h)) <= tol
 
 
 def _population_floor(m, h) -> float:
