@@ -131,7 +131,9 @@ class Trajectory:
 STEP_BLOCK = 16
 # blocks advanced between two checks of the stop rules
 CHECK_BLOCKS = 16
-# steps a trajectory may store: 100 times the default run, 256 MB of states
+# steps a trajectory may store: 100 times the default run.  At 256 B per
+# stored step its 256 MB is address space that evolve reserves; it becomes
+# resident only as steps are stored
 MAX_TRAJECTORY_STEPS = 1_000_000
 
 
@@ -166,6 +168,11 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     one by one, and the two stop rules are checked once per CHECK_BLOCKS
     blocks, over the stacked states; the run is then cut at the first
     stopping state, so the result is the same as a check after every block.
+    Each state is held once, 256 B per stored step: the blocks are written
+    straight into one array of min(horizon, MAX_TRAJECTORY_STEPS) + 1 rows,
+    and ``states`` is a view of its filled prefix.  Rows past the last
+    checked group are never written, so a horizon far past a fixed point
+    adds only the resident memory of the steps it stores.
     The trajectory is then checked once: the first state off unit trace
     (1e-10) or below the positivity floor of -1e-6 aborts with a step-size
     diagnostic.  Refused up front: dt or t_max <= 0, a non-finite t_max / dt,
@@ -190,8 +197,9 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
         )
     lind = _superoperator(params)
     v = as_matrix(rho0).reshape(16)
-    # groups are kept as made, so a horizon far past a fixed point allocates nothing
-    groups = [v[None]]
+    capacity = min(horizon, MAX_TRAJECTORY_STEPS)
+    buffer = np.empty((capacity + 1, 16), dtype=complex)
+    buffer[0] = v
     last = 0
     # a Hamiltonian scale far beyond 1/dt overflows within a step; the guard
     # below stops there and the check reports the non-finite state
@@ -199,8 +207,13 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
         incs = _step_increments(lind, dt).reshape(STEP_BLOCK * 16, 16)
         residual = float(np.abs(lind @ v).max())
         while last < horizon and not residual < FIXED_POINT_TOL:
-            size = min(CHECK_BLOCKS * STEP_BLOCK, horizon - last)
-            group = np.empty((size, 16), dtype=complex)
+            if last == capacity:
+                raise ValueError(
+                    f"t_max / dt = {steps:g} steps exceeds the cap of "
+                    f"{MAX_TRAJECTORY_STEPS} stored steps (no fixed point before it)"
+                )
+            size = min(CHECK_BLOCKS * STEP_BLOCK, capacity - last)
+            group = buffer[last + 1 : last + 1 + size]
             for start in range(0, size, STEP_BLOCK):
                 n = min(STEP_BLOCK, size - start)
                 r = (v + (incs[: n * 16] @ v).reshape(n, 16)).reshape(n, 4, 4)
@@ -215,23 +228,18 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
             guard = ~(np.abs(group).max(axis=1) <= 2.0)  # also true for NaN
             stops = np.flatnonzero(guard | (residuals < FIXED_POINT_TOL))
             size = stops[0] + 1 if stops.size else size
-            if last + size > MAX_TRAJECTORY_STEPS:
-                raise ValueError(
-                    f"t_max / dt = {steps:g} steps exceeds the cap of "
-                    f"{MAX_TRAJECTORY_STEPS} stored steps (no fixed point before it)"
-                )
-            groups.append(group[:size])
             last += size
             v = group[size - 1]
             residual = float(residuals[size - 1])
             if guard[size - 1]:
                 break
-    states = np.concatenate(groups).reshape(-1, 4, 4)
+    states = buffer[: last + 1].reshape(-1, 4, 4)
     times = dt * np.arange(len(states))
     # the spectrum kernel takes finite states only, and only the last one can
     # be non-finite
     checked = states if np.isfinite(v).all() else states[:-1]
-    lowest = _spectrum(checked)[:, 0]
+    # a copy: a column view would keep the whole (n, 4) spectrum alive
+    lowest = _spectrum(checked)[:, 0].copy()
     off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
     bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
     k = bad[0] if bad.size else len(checked)

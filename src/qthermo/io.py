@@ -1,7 +1,8 @@
 """Readers and writers for the file formats: JSON states and Hamiltonians
 (re/im layout), relation and verify reports, and the CSV tables.
 
-Floats in CSV carry 12 significant digits with a '.' decimal separator.
+Floats in CSV carry 12 significant digits with a '.' decimal separator; CSV
+files are written in binary mode, so lines end in '\n' on every platform.
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" in JSON
 (strict parsers reject bare Infinity tokens).
 """
@@ -23,18 +24,19 @@ if TYPE_CHECKING:  # annotations only: reading a state loads neither module
 
 
 def _write_rows(fh, table: np.ndarray) -> None:
-    """Write each row of the float64 ``table`` as one CSV line, every value in
-    the 12-significant-digit "%.12g" form.  A column whose float64 bits are
-    the same in every row (so -0.0 and +0.0 differ) is formatted once, into
-    the row format itself; the other columns are formatted by one ``%`` over
-    the row format repeated once per row."""
+    """Write each row of the float64 ``table`` as one CSV line to the binary
+    file ``fh``, every value in the 12-significant-digit "%.12g" form (bytes
+    ``%`` makes the same conversion as str ``%``, with no encoding pass).  A
+    column whose float64 bits are the same in every row (so -0.0 and +0.0
+    differ) is formatted once, into the row format itself; the other columns
+    are formatted by one ``%`` over the row format repeated once per row."""
     if not len(table):
         return
     bits = table.view(np.int64)
     constant = (bits == bits[0]).all(axis=0)
-    row_format = ",".join(
-        "%.12g" % x if same else "%.12g" for x, same in zip(table[0].tolist(), constant)
-    ) + "\n"
+    row_format = b",".join(
+        b"%.12g" % x if same else b"%.12g" for x, same in zip(table[0].tolist(), constant)
+    ) + b"\n"
     fh.write((row_format * len(table)) % tuple(table[:, ~constant].ravel().tolist()))
 
 
@@ -48,6 +50,11 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 def _matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix file must hold a JSON object, got {type(obj).__name__}")
+    missing = [key for key in ("re", "im") if key not in obj]
+    if missing:
+        raise ValueError(
+            f"matrix file needs both re and im arrays; missing {' and '.join(missing)}"
+        )
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
@@ -129,15 +136,17 @@ CSV_CHUNK_ROWS = 512
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
-    and the smallest eigenvalue (from the trajectory's own check).  Written
-    CSV_CHUNK_ROWS rows at a time; a column that is constant by bits within a
-    chunk (the re-hermitized diagonal's zero imaginary parts, the zeros off an
-    X-shaped state's X) is formatted once for that chunk, with the same bytes
-    as row by row."""
+    and the smallest eigenvalue (from the trajectory's own check).  The file
+    is written in binary mode, so every line ends in "\\n" on every platform,
+    CSV_CHUNK_ROWS rows at a time, each chunk formatted to bytes by
+    ``_write_rows``; a column that is constant by bits within a chunk (the
+    re-hermitized diagonal's zero imaginary parts, the zeros off an X-shaped
+    state's X) is formatted once for that chunk, with the same bytes as row
+    by row."""
     header = trajectory_header()
     states = trajectory.states
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(states), CSV_CHUNK_ROWS):
             rows = slice(start, start + CSV_CHUNK_ROWS)
             chunk = states[rows]
@@ -152,7 +161,9 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    """One header line, then one line per row dict in ``columns`` order,
+    written in binary mode like the trajectory CSV."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
         table = np.array([[row[c] for c in columns] for row in rows], dtype=float)
         _write_rows(fh, table.reshape(len(rows), len(columns)))

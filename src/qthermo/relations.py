@@ -12,6 +12,7 @@ through beta * F = -ln Z so that they stay finite at beta = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,25 @@ def check_global_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: flo
     return _checked_ergotropy_bound(rho, h_b, beta, global_work=True)
 
 
-def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gain_term = float(np.divide(quantum_gain, rep.beta))
-    lhs = rep.global_ergotropy + rep.free_energy + gain_term
+def _energy_balance(quantum_gain, rep: ThermoReport, h_b, digest) -> RelationReport:
+    """<H_B> against E_G + F_B + quantum_gain / beta.
+
+    At beta = 0 both F_B and quantum_gain / beta diverge.  There the marginal
+    is the thermal state tau itself, so F_B = <H>_tau - S(tau) / beta =
+    <H_B> - ln Z_B / beta, and their sum is <H_B> plus the one quotient
+    (quantum_gain - ln Z_B) / beta: +/-inf by the sign of its numerator.  A
+    numerator of exactly 0 means the divergent terms cancel, and the
+    quotient is taken as 0.  That is I/4, where the trade-off holds with
+    equality: its slack is then -E_G, the beta -> 0 limit of the product
+    thermal states, which saturate the balance."""
+    if rep.beta == 0:
+        excess = quantum_gain - log_partition(h_b, 0.0)
+        quotient = math.copysign(math.inf, excess) if excess else 0.0
+        lhs = rep.global_ergotropy + rep.avg_energy + quotient
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gain_term = float(np.divide(quantum_gain, rep.beta))
+        lhs = rep.global_ergotropy + rep.free_energy + gain_term
     return _report("euler", lhs, rep.avg_energy, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND)
 
 
@@ -176,14 +192,15 @@ def euler_residual(
     """Energy balance <H_B> against E_G + F_B + quantum_gain / beta.
 
     Satisfied means the general inequality (slack >= -2e-3) holds; the
-    near_equality flag marks |slack| <= 0.02.  At beta = 0 the right-hand
-    terms are infinite and the slack is +/-inf.
+    near_equality flag marks |slack| <= 0.02.  At beta = 0 the slack is
+    +/-inf, or -E_G where quantum_gain = ln Z_B exactly (see
+    ``_energy_balance``).
     """
     _require_locally_thermal(rho, h_b, beta)
     if corr is None:
         corr = breakdown(rho, h_b)
     rep = thermo_report(rho, h_b, beta)
-    return _energy_balance(corr.quantum_gain, rep, _digest(rho, f"beta={beta:.9g}"))
+    return _energy_balance(corr.quantum_gain, rep, h_b, _digest(rho, f"beta={beta:.9g}"))
 
 
 def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) -> RelationReport:
@@ -272,7 +289,7 @@ def standard_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationRepor
     rep = thermo_report(rho, h_b, beta)
     log_z = log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
-    balance = _energy_balance(corr.quantum_gain, rep, digest)
+    balance = _energy_balance(corr.quantum_gain, rep, h_b, digest)
     return _temperature_free(rho, gain, corr, digest) + [
         _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=False),
         _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=True),

@@ -1,6 +1,8 @@
 import decimal
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -55,6 +57,7 @@ from qthermo.dissipation import (
 from qthermo.random_states import random_two_qubit_state, random_x_state
 
 from test_closed_form_sweep import closed_form_columns
+from test_imports import _python
 
 BELL_PHI = (KET_GG + KET_EE) / np.sqrt(2.0)
 
@@ -170,6 +173,60 @@ class TestEvolve:
         assert traj.stop_reason == "fixed_point"
         assert len(traj.states) < 10_000
 
+    def test_states_are_held_once(self):
+        # a second copy of the states (a list of step groups and their
+        # concatenation) would take the peak to about twice their size
+        rho0 = random_two_qubit_state(np.random.default_rng(3))
+        evolve(rho0, ModelParams(), dt=0.005, t_max=1.0)  # first-use work off the trace
+        tracemalloc.start()
+        try:
+            traj = evolve(rho0, ModelParams(), dt=0.005, t_max=50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stop_reason == "horizon" and len(traj.states) == 10_001
+        assert peak < 1.5 * traj.states.nbytes
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_far_horizon_stores_only_the_steps_it_takes(self):
+        """A horizon of 2e302 steps sizes the state buffer by the step cap
+        (256 MB), but a run that reaches its fixed point after about 5 000
+        steps makes only those resident, and returns the trajectory of a
+        horizon just past them, bit for bit.  Run in a fresh interpreter, and
+        read its own peak (VmHWM): ru_maxrss after an exec starts from the
+        peak of the process that spawned it, this test session's."""
+        result = _python(
+            """
+import json
+import numpy as np
+from qthermo import ModelParams, evolve
+from qthermo.random_states import random_x_state
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+rho0 = random_x_state(np.random.default_rng(3))
+evolve(rho0, ModelParams(), dt=0.005, t_max=1.0)
+before = peak_kb()
+far = evolve(rho0, ModelParams(), dt=0.005, t_max=1e300)
+rise_kb = peak_kb() - before
+near = evolve(rho0, ModelParams(), dt=0.005, t_max=50.0)
+fields = ("times", "states", "min_eigenvalues")
+print(json.dumps({
+    "steps": len(near.states),
+    "stops": [far.stop_reason, near.stop_reason],
+    "same": [getattr(far, f).tobytes() == getattr(near, f).tobytes() for f in fields]
+    + [repr(far.final_residual) == repr(near.final_residual)],
+    "rise_mb": rise_kb / 1024,
+}))
+"""
+        )
+        assert result["steps"] == 5108
+        assert result["stops"] == ["fixed_point", "fixed_point"]
+        assert all(result["same"])
+        assert result["rise_mb"] < 32
+
     def test_steps_past_the_cap_refused(self, monkeypatch):
         # no step of dt = 1e-300 changes an entry of the Bell state, so no
         # fixed point ever comes; a horizon of exactly the cap still runs
@@ -227,6 +284,8 @@ class TestEvolve:
         assert_array_equal(
             traj.min_eigenvalues, [np.linalg.eigvalsh(s).min() for s in traj.states]
         )
+        # its own array, not a column view that keeps the whole spectrum alive
+        assert traj.min_eigenvalues.flags.owndata
 
     @pytest.mark.parametrize(
         "ket, params, t, lowest",

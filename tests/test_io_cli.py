@@ -453,6 +453,42 @@ class TestMainExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().out.strip())["error"] == "invalid_input"
 
+    @pytest.mark.parametrize(
+        "command, target, missing",
+        [("simulate", "state", "im"), ("report", "state", "im"), ("report", "h", "re")],
+    )
+    def test_missing_matrix_field_is_named(
+        self, tmp_path, capsys, bell_state, qubit_h, command, target, missing
+    ):
+        paths = {"state": tmp_path / "state.json", "h": tmp_path / "h.json"}
+        write_state(paths["state"], bell_state)
+        write_hamiltonian(paths["h"], qubit_h)
+        obj = json.loads(paths[target].read_text())
+        del obj[missing]
+        paths[target].write_text(json.dumps(obj))
+        argv = ["--out", str(tmp_path / "out"), command, str(paths["state"])]
+        if command == "report":
+            argv.append(str(paths["h"]))
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "invalid_input",
+            "message": f"matrix file needs both re and im arrays; missing {missing}",
+        }
+
+    def test_maximally_mixed_report_is_satisfied(self, tmp_path, capsys, qubit_h):
+        """I/4 fits beta = 0; its euler quotient (quantum_gain - ln 2) / beta
+        is taken as 0, not inf - inf = nan, and the slack is -E_G."""
+        state_path, h_path = tmp_path / "state.json", tmp_path / "h.json"
+        write_state(state_path, DensityMatrix(np.eye(4, dtype=complex) / 4.0, dims=(2, 2)))
+        write_hamiltonian(h_path, qubit_h)
+        out = tmp_path / "reports.json"
+        assert main(["--out", str(out), "report", str(state_path), str(h_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "VIOLATED" not in printed and "nan" not in printed
+        payload = {e["name"]: e for e in json.loads(out.read_text())}
+        assert len(payload) == 8 and all(e["satisfied"] for e in payload.values())
+        assert payload["euler"]["slack"] == pytest.approx(0.0, abs=1e-7)
+
     def test_not_locally_thermal_report(self, tmp_path, capsys, qubit_h):
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         tau = thermal_state(qubit_h, 1.0)

@@ -185,6 +185,24 @@ class TestEulerResidual:
         assert rep.satisfied
         assert not rep.near_equality
 
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+    def test_werner_states_at_infinite_temperature(self, qubit_h, singlet, p):
+        """p |psi-><psi-| + (1 - p) I/4 has maximally mixed marginals, so beta
+        = 0, where F_B and quantum_gain / beta diverge; their sum is <H_B>
+        plus the one quotient (quantum_gain - ln 2) / beta, not inf - inf."""
+        rho = DensityMatrix(p * singlet.matrix + (1.0 - p) * np.eye(4) / 4.0, dims=(2, 2))
+        reports = {r.name: r for r in standard_reports(rho, qubit_h)}
+        tradeoff, euler = reports["tradeoff"], reports["euler"]
+        assert tradeoff.satisfied and euler.satisfied
+        if p == 0.0:
+            # quantum_gain = ln 2 exactly: the divergent terms cancel, and the
+            # slack is -E_G, with E_G = 0 up to the root's error
+            assert tradeoff.slack == 0.0
+            assert abs(euler.slack) < 1e-7 and euler.near_equality
+        else:
+            assert tradeoff.slack > 0.0 and euler.slack == np.inf
+        assert euler_residual(rho, qubit_h, beta=0.0) == euler
+
 
 class TestTradeoffResidual:
     def test_product_thermal_is_exact(self, qubit_h):
