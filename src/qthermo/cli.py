@@ -192,8 +192,8 @@ def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian) -> dict:
     rep = thermo_report(rho, h_local, beta)
     bound1 = check_ergotropy_bound(rho, h_local, beta)
     bound2 = check_global_ergotropy_bound(rho, h_local, beta)
-    euler = euler_residual(rho, h_local, beta, corr=corr)
-    tradeoff = tradeoff_residual(rho, h_local, beta, corr=corr)
+    euler = euler_residual(rho, h_local, beta, corr)
+    tradeoff = tradeoff_residual(rho, h_local, beta, corr)
     return {
         "c": c,
         "I_g": information_gain(record),

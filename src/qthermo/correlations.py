@@ -33,6 +33,7 @@ from .core import (
     as_matrix,
     marginal_entropy,
     mutual_information,
+    von_neumann_entropy,
 )
 from .measurement import (
     MeasurementRecord,
@@ -80,8 +81,9 @@ class SearchGrid:
 @dataclass(frozen=True)
 class CorrelationBreakdown:
     """Correlation quantities entering the classical/quantum split of the
-    information gain under the local energy measurement on B, in nats, and
-    ``record``, the energy measurement on B that the split was checked on."""
+    information gain under the local energy measurement on B, in nats, with
+    that gain, S_B, and ``record``, the energy measurement on B that the
+    split was checked on."""
 
     mutual_information: float
     chi_B: float
@@ -89,6 +91,8 @@ class CorrelationBreakdown:
     discord_A: float
     eof_BC: float
     quantum_gain: float
+    information_gain: float
+    entropy_B: float
     record: MeasurementRecord = field(compare=False, repr=False)
 
 
@@ -481,9 +485,9 @@ def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
     record = measure(rho, povm)
     gain = information_gain(record)
     chi_b = chi_from_local_measurement(rho, povm)
-    mi = mutual_information(rho)
-    chi_a = chi_A_max(rho)
     s_b = marginal_entropy(rho, "B")
+    mi = marginal_entropy(rho, "A") + s_b - von_neumann_entropy(rho)
+    chi_a = chi_A_max(rho)
     discord = _clamp_small_negative(mi - chi_a)
     eof = _clamp_small_negative(s_b - chi_a)
     quantum_gain = eof - discord
@@ -497,5 +501,7 @@ def breakdown(rho: DensityMatrix, h_b) -> CorrelationBreakdown:
         discord_A=discord,
         eof_BC=eof,
         quantum_gain=quantum_gain,
+        information_gain=gain,
+        entropy_B=s_b,
         record=record,
     )

@@ -3,11 +3,13 @@ information gain to correlations and to thermodynamic quantities.
 
 Every report records left side, right side, slack = rhs - lhs, and a
 satisfied flag (slack >= -tolerance).  Each relation's arithmetic is written
-once, in a private helper fed with precomputed quantities: the public check
-functions gather those for one relation, standard_reports once for all.  The
-thermodynamic checks require the state to be locally thermal at a common
-inverse temperature on both partitions; bound right-hand sides are assembled
-through beta * F = -ln Z so that they stay finite at beta = 0.
+once, in a private helper that reads the state's ``CorrelationBreakdown``
+(information gain, chi_B, S_B, I(A:B), quantum gain) and ``ThermoReport``
+(beta, <H_B>, ergotropies, ln Z_B): the public check functions gather those
+for one relation, standard_reports once for all.  The thermodynamic checks
+require the state to be locally thermal at a common inverse temperature on
+both partitions, |beta| < 1e-12 counting as 0; bound right-hand sides are
+assembled through beta * F = -ln Z so that they stay finite at beta = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, marginal_entropy, partial_trace
+from .core import DensityMatrix, partial_trace
 from .correlations import (
     SPLIT_TOL,
     CorrelationBreakdown,
@@ -33,13 +35,7 @@ from .measurement import (
     measure,
     projective_energy_povm,
 )
-from .thermo import (
-    Hamiltonian,
-    ThermoReport,
-    local_inverse_temperature,
-    log_partition,
-    thermo_report,
-)
+from .thermo import Hamiltonian, ThermoReport, local_inverse_temperature, thermo_report
 
 # Relations in standard_reports that need a common local temperature.
 THERMODYNAMIC_RELATIONS = ("ergotropy_bound", "global_ergotropy_bound", "tradeoff", "euler")
@@ -93,6 +89,12 @@ def _digest(rho: DensityMatrix, extra: str = "") -> str:
     return f"{base}; {extra}" if extra else base
 
 
+def _snap_to_zero(beta: float) -> float:
+    """``beta``, or exactly 0 where |beta| < 1e-12: the fit noise around
+    infinite temperature."""
+    return 0.0 if abs(beta) < 1e-12 else beta
+
+
 def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian) -> float:
     """Shared inverse temperature of the two marginals, both fitted against
     ``h_b``; raises NotLocallyThermalError when either marginal is not
@@ -105,15 +107,15 @@ def common_local_beta(rho: DensityMatrix, h_b: Hamiltonian) -> float:
         raise NotLocallyThermalError(
             f"marginal temperatures disagree: beta_A = {beta_a:.9g}, beta_B = {beta_b:.9g}"
         )
-    # fit noise around infinite temperature snaps to exactly zero
-    return 0.0 if abs(beta_b) < 1e-12 else beta_b
+    return _snap_to_zero(beta_b)
 
 
-def _require_locally_thermal(rho, h_b, beta) -> None:
-    """Raise unless the state is locally thermal at ``beta`` to 1e-6.  Where
-    round-off alone can move the fit that far (``h_b.beta_fit_roundoff``),
-    a mismatch says nothing about the state: that is a ValueError naming the
-    ill-conditioned fit, not NotLocallyThermalError."""
+def _require_locally_thermal(rho, h_b, beta) -> float:
+    """Raise unless the state is locally thermal at ``beta`` to 1e-6, and
+    return ``beta`` with |beta| < 1e-12 snapped to 0.  Where round-off alone
+    can move the fit that far (``h_b.beta_fit_roundoff``), a mismatch says
+    nothing about the state: that is a ValueError naming the ill-conditioned
+    fit, not NotLocallyThermalError."""
     fitted = common_local_beta(rho, h_b)
     if abs(fitted - beta) > BETA_MATCH_TOL:
         if h_b.beta_fit_roundoff > BETA_MATCH_TOL:
@@ -126,6 +128,7 @@ def _require_locally_thermal(rho, h_b, beta) -> None:
         raise NotLocallyThermalError(
             f"state is locally thermal at beta = {fitted:.9g}, not {beta:.9g}"
         )
+    return _snap_to_zero(beta)
 
 
 def _subadditivity(rho, record, gain: float) -> RelationReport:
@@ -134,23 +137,23 @@ def _subadditivity(rho, record, gain: float) -> RelationReport:
     return _report("subadditivity", gain, rhs, SPECTRAL_TOL, digest)
 
 
-def _ergotropy_bound(gain, chi_b, rep: ThermoReport, log_z, digest, global_work: bool):
+def _ergotropy_bound(gain, chi_b, rep: ThermoReport, digest, global_work: bool):
     """Information gain against chi_B + beta (<H_B> - W) + ln Z_B, where W is
     the ergotropy or, for the tighter bound, the global ergotropy."""
     name = "global_ergotropy_bound" if global_work else "ergotropy_bound"
     work = rep.global_ergotropy if global_work else rep.ergotropy
-    rhs = chi_b + rep.beta * (rep.avg_energy - work) + log_z
+    rhs = chi_b + rep.beta * (rep.avg_energy - work) + rep.log_z
     return _report(name, gain, rhs, THERMO_TOL, digest)
 
 
 def _checked_ergotropy_bound(rho, h_b, beta, global_work: bool) -> RelationReport:
-    _require_locally_thermal(rho, h_b, beta)
+    beta = _require_locally_thermal(rho, h_b, beta)
     povm = projective_energy_povm(h_b, rho.dims)
     lhs = information_gain(measure(rho, povm))
     chi_b = chi_from_local_measurement(rho, povm)
     rep = thermo_report(rho, h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
-    return _ergotropy_bound(lhs, chi_b, rep, log_partition(h_b, beta), digest, global_work)
+    return _ergotropy_bound(lhs, chi_b, rep, digest, global_work)
 
 
 def check_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> RelationReport:
@@ -164,7 +167,7 @@ def check_global_ergotropy_bound(rho: DensityMatrix, h_b: Hamiltonian, beta: flo
     return _checked_ergotropy_bound(rho, h_b, beta, global_work=True)
 
 
-def _energy_balance(quantum_gain, rep: ThermoReport, h_b, digest) -> RelationReport:
+def _energy_balance(quantum_gain, rep: ThermoReport, digest) -> RelationReport:
     """<H_B> against E_G + F_B + quantum_gain / beta.
 
     At beta = 0 both F_B and quantum_gain / beta diverge.  There the marginal
@@ -176,7 +179,7 @@ def _energy_balance(quantum_gain, rep: ThermoReport, h_b, digest) -> RelationRep
     equality: its slack is then -E_G, the beta -> 0 limit of the product
     thermal states, which saturate the balance."""
     if rep.beta == 0:
-        excess = quantum_gain - log_partition(h_b, 0.0)
+        excess = quantum_gain - rep.log_z
         quotient = math.copysign(math.inf, excess) if excess else 0.0
         lhs = rep.global_ergotropy + rep.avg_energy + quotient
     else:
@@ -187,25 +190,24 @@ def _energy_balance(quantum_gain, rep: ThermoReport, h_b, digest) -> RelationRep
 
 
 def euler_residual(
-    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown | None = None
+    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown
 ) -> RelationReport:
-    """Energy balance <H_B> against E_G + F_B + quantum_gain / beta.
+    """Energy balance <H_B> against E_G + F_B + quantum_gain / beta, with the
+    quantum gain read from ``corr``, the state's ``breakdown``.
 
     Satisfied means the general inequality (slack >= -2e-3) holds; the
-    near_equality flag marks |slack| <= 0.02.  At beta = 0 the slack is
-    +/-inf, or -E_G where quantum_gain = ln Z_B exactly (see
-    ``_energy_balance``).
+    near_equality flag marks |slack| <= 0.02.  At beta = 0, which any
+    |beta| < 1e-12 snaps to, the slack is +/-inf, or -E_G where quantum_gain
+    = ln Z_B exactly (see ``_energy_balance``).
     """
-    _require_locally_thermal(rho, h_b, beta)
-    if corr is None:
-        corr = breakdown(rho, h_b)
+    beta = _require_locally_thermal(rho, h_b, beta)
     rep = thermo_report(rho, h_b, beta)
-    return _energy_balance(corr.quantum_gain, rep, h_b, _digest(rho, f"beta={beta:.9g}"))
+    return _energy_balance(corr.quantum_gain, rep, _digest(rho, f"beta={beta:.9g}"))
 
 
-def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) -> RelationReport:
+def _tradeoff(quantum_gain, rep: ThermoReport, digest, energy_balance) -> RelationReport:
     beta = rep.beta
-    rhs = beta * (rep.avg_energy - rep.global_ergotropy) + log_z
+    rhs = beta * (rep.avg_energy - rep.global_ergotropy) + rep.log_z
     report = _report(
         "tradeoff", quantum_gain, rhs, THERMO_TOL, digest, near_band=NEAR_EQUALITY_BAND
     )
@@ -219,24 +221,23 @@ def _tradeoff(quantum_gain, rep: ThermoReport, log_z, digest, energy_balance) ->
 
 
 def tradeoff_residual(
-    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown | None = None
+    rho: DensityMatrix, h_b: Hamiltonian, beta: float, corr: CorrelationBreakdown
 ) -> RelationReport:
-    """Quantum gain E(B:C) - D_A against beta (<H_B> - E_G - F_B).
+    """Quantum gain E(B:C) - D_A, read from ``corr``, the state's
+    ``breakdown``, against beta (<H_B> - E_G - F_B).
 
     The slack equals beta times the energy-balance slack; the consistency is
     checked to 1e-9 whenever both are finite.
     """
-    _require_locally_thermal(rho, h_b, beta)
-    if corr is None:
-        corr = breakdown(rho, h_b)
+    beta = _require_locally_thermal(rho, h_b, beta)
     rep = thermo_report(rho, h_b, beta)
-    energy_balance = euler_residual(rho, h_b, beta, corr=corr)
+    energy_balance = euler_residual(rho, h_b, beta, corr)
     digest = _digest(rho, f"beta={beta:.9g}")
-    return _tradeoff(corr.quantum_gain, rep, log_partition(h_b, beta), digest, energy_balance)
+    return _tradeoff(corr.quantum_gain, rep, digest, energy_balance)
 
 
-def _temperature_free(rho, gain, corr, digest) -> list[RelationReport]:
-    s_b = marginal_entropy(rho, "B")
+def _temperature_free(rho, corr, digest) -> list[RelationReport]:
+    gain = corr.information_gain
     return [
         _subadditivity(rho, corr.record, gain),
         _report(
@@ -250,7 +251,7 @@ def _temperature_free(rho, gain, corr, digest) -> list[RelationReport]:
         _report(
             "local_gain_identity",
             gain,
-            corr.chi_B + s_b - corr.mutual_information,
+            corr.chi_B + corr.entropy_B - corr.mutual_information,
             SPECTRAL_TOL,
             digest,
             near_band=SPECTRAL_TOL,
@@ -269,8 +270,7 @@ def _temperature_free(rho, gain, corr, digest) -> list[RelationReport]:
 def temperature_free_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
     """The relations of standard_reports that hold for any bipartite state:
     subadditivity, holevo_closure, local_gain_identity and gain_split."""
-    corr = breakdown(rho, h_b)
-    return _temperature_free(rho, information_gain(corr.record), corr, _digest(rho))
+    return _temperature_free(rho, breakdown(rho, h_b), _digest(rho))
 
 
 def standard_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationReport]:
@@ -285,14 +285,13 @@ def standard_reports(rho: DensityMatrix, h_b: Hamiltonian) -> list[RelationRepor
     """
     beta = common_local_beta(rho, h_b)
     corr = breakdown(rho, h_b)
-    gain = information_gain(corr.record)
+    gain = corr.information_gain
     rep = thermo_report(rho, h_b, beta)
-    log_z = log_partition(h_b, beta)
     digest = _digest(rho, f"beta={beta:.9g}")
-    balance = _energy_balance(corr.quantum_gain, rep, h_b, digest)
-    return _temperature_free(rho, gain, corr, digest) + [
-        _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=False),
-        _ergotropy_bound(gain, corr.chi_B, rep, log_z, digest, global_work=True),
-        _tradeoff(corr.quantum_gain, rep, log_z, digest, balance),
+    balance = _energy_balance(corr.quantum_gain, rep, digest)
+    return _temperature_free(rho, corr, digest) + [
+        _ergotropy_bound(gain, corr.chi_B, rep, digest, global_work=False),
+        _ergotropy_bound(gain, corr.chi_B, rep, digest, global_work=True),
+        _tradeoff(corr.quantum_gain, rep, digest, balance),
         balance,
     ]

@@ -142,9 +142,9 @@ class ThermoReport:
     """Energetics of a bipartite state whose two partitions share one local
     Hamiltonian H.
 
-    ``avg_energy`` and ``free_energy`` refer to partition B; the ergotropies
-    are global (total Hamiltonian H (x) I + I (x) H, no interaction term).
-    ``free_energy`` is -inf when beta is 0.
+    ``avg_energy``, ``free_energy`` and ``log_z`` = ln Z_B refer to partition
+    B; the ergotropies are global (total Hamiltonian H (x) I + I (x) H, no
+    interaction term).  ``free_energy`` is -inf when beta is 0.
     """
 
     avg_energy: float
@@ -153,6 +153,7 @@ class ThermoReport:
     bound_ergotropy: float
     global_ergotropy: float
     beta: float
+    log_z: float
 
 
 def thermal_state(h: Hamiltonian, beta: float) -> DensityMatrix:
@@ -337,7 +338,8 @@ def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoRe
     h_total = h_b.doubled
     rho_b = partial_trace(rho, "B")
     avg = average_energy(rho_b, h_b)
-    f_b = -np.inf if beta == 0 else -log_partition(h_b, beta) / beta
+    log_z = log_partition(h_b, beta)
+    f_b = -np.inf if beta == 0 else -log_z / beta
     work = ergotropy(rho, h_total)
     bound = bound_ergotropy(rho, h_total)
     return ThermoReport(
@@ -347,4 +349,5 @@ def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoRe
         bound_ergotropy=bound,
         global_ergotropy=work + bound,
         beta=beta,
+        log_z=log_z,
     )

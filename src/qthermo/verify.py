@@ -315,7 +315,7 @@ def suite_gain_split(rng, n):
     for _ in range(n):
         rho = random_rank2_two_qubit(rng)
         corr = breakdown(rho, _QUBIT_H)
-        yield information_gain(corr.record) - (corr.chi_B + corr.quantum_gain)
+        yield corr.information_gain - (corr.chi_B + corr.quantum_gain)
 
 
 @_suite("discord_nonneg", "slack", 1e-6)

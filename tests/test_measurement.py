@@ -131,6 +131,21 @@ class TestMeasure:
         with pytest.raises(ValueError, match="dimension"):
             measure(bell_state, computational_povm(2))
 
+    def test_invalid_outcomes_raise_their_exact_messages(self):
+        """A dimension mismatch; a state whose smallest eigenvalue, -5e-10,
+        passes validation, under the computational POVM; and |+><+| under the
+        one-outcome POVM sqrt(I + a J), J all ones, a = 0.9e-9, complete to
+        1e-9 per entry, whose one probability is 1 + 4a."""
+        plus = DensityMatrix(np.full((4, 4), 0.25, dtype=complex), dims=(2, 2))
+        with pytest.raises(ValueError, match=r"^POVM dimension 2 != state dimension 4$"):
+            measure(plus, Povm([np.eye(2)]))
+        negative = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
+        with pytest.raises(ValueError, match=r"^negative outcome probability -5\.000e-10$"):
+            measure(DensityMatrix(negative, dims=(2, 2)), computational_povm(4))
+        over_complete = Povm([core._psd_sqrt(np.eye(4) + 0.9e-9 * np.ones((4, 4)))])
+        with pytest.raises(ValueError, match=r"^outcome probabilities sum to 1\.0000000036"):
+            measure(plus, over_complete)
+
 
 class TestInformationGain:
     def test_rank_one_projective_gains_full_entropy(self, rng):

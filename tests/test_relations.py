@@ -8,6 +8,7 @@ from qthermo import (
     NotLocallyThermalError,
     Povm,
     analytic_steady_state,
+    breakdown,
     check_ergotropy_bound,
     check_global_ergotropy_bound,
     common_local_beta,
@@ -15,16 +16,18 @@ from qthermo import (
     information_gain,
     local_beta,
     local_povm,
+    log_partition,
     measure,
     mutual_information,
     projective_energy_povm,
     pure_state,
     standard_reports,
     thermal_state,
+    thermo_report,
     tradeoff_residual,
 )
-from qthermo import correlations, measurement, relations, verify
-from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qthermo import core, correlations, measurement, relations, thermo, verify
+from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z, marginal_entropy
 from qthermo.random_states import random_two_qubit_state
 from qthermo.relations import RelationReport, _report, temperature_free_reports
 
@@ -166,22 +169,21 @@ class TestGlobalErgotropyBound:
 
 class TestEulerResidual:
     def test_product_thermal_is_exact(self, qubit_h):
-        rep = euler_residual(product_thermal(1.0, qubit_h), qubit_h, beta=1.0)
+        rho = product_thermal(1.0, qubit_h)
+        rep = euler_residual(rho, qubit_h, 1.0, breakdown(rho, qubit_h))
         assert_allclose(rep.slack, 0.0, atol=1e-9)
         assert rep.near_equality
 
     def test_high_coupling_near_equality(self, qubit_h):
         params = ModelParams()
-        rep = euler_residual(
-            analytic_steady_state(0.9, params), qubit_h, beta=local_beta(0.9, params)
-        )
+        rho = analytic_steady_state(0.9, params)
+        rep = euler_residual(rho, qubit_h, local_beta(0.9, params), breakdown(rho, qubit_h))
         assert rep.satisfied and rep.near_equality
 
     def test_low_coupling_inequality_only(self, qubit_h):
         params = ModelParams()
-        rep = euler_residual(
-            analytic_steady_state(0.2, params), qubit_h, beta=local_beta(0.2, params)
-        )
+        rho = analytic_steady_state(0.2, params)
+        rep = euler_residual(rho, qubit_h, local_beta(0.2, params), breakdown(rho, qubit_h))
         assert rep.satisfied
         assert not rep.near_equality
 
@@ -189,7 +191,9 @@ class TestEulerResidual:
     def test_werner_states_at_infinite_temperature(self, qubit_h, singlet, p):
         """p |psi-><psi-| + (1 - p) I/4 has maximally mixed marginals, so beta
         = 0, where F_B and quantum_gain / beta diverge; their sum is <H_B>
-        plus the one quotient (quantum_gain - ln 2) / beta, not inf - inf."""
+        plus the one quotient (quantum_gain - ln 2) / beta, not inf - inf.
+        A beta below 1e-12 is taken as 0, also where beta <H_B> is below the
+        round-off of ln Z_B (1e-300) or ln Z_B / beta overflows (1e-310)."""
         rho = DensityMatrix(p * singlet.matrix + (1.0 - p) * np.eye(4) / 4.0, dims=(2, 2))
         reports = {r.name: r for r in standard_reports(rho, qubit_h)}
         tradeoff, euler = reports["tradeoff"], reports["euler"]
@@ -201,19 +205,22 @@ class TestEulerResidual:
             assert abs(euler.slack) < 1e-7 and euler.near_equality
         else:
             assert tradeoff.slack > 0.0 and euler.slack == np.inf
-        assert euler_residual(rho, qubit_h, beta=0.0) == euler
+        corr = breakdown(rho, qubit_h)
+        for beta in (0.0, 1e-300, 1e-310):
+            assert euler_residual(rho, qubit_h, beta, corr) == euler
+            assert tradeoff_residual(rho, qubit_h, beta, corr) == tradeoff
 
 
 class TestTradeoffResidual:
     def test_product_thermal_is_exact(self, qubit_h):
-        rep = tradeoff_residual(product_thermal(1.0, qubit_h), qubit_h, beta=1.0)
+        rho = product_thermal(1.0, qubit_h)
+        rep = tradeoff_residual(rho, qubit_h, 1.0, breakdown(rho, qubit_h))
         assert_allclose(rep.slack, 0.0, atol=1e-9)
 
     def test_high_coupling_band(self, qubit_h):
         params = ModelParams()
-        rep = tradeoff_residual(
-            analytic_steady_state(0.9, params), qubit_h, beta=local_beta(0.9, params)
-        )
+        rho = analytic_steady_state(0.9, params)
+        rep = tradeoff_residual(rho, qubit_h, local_beta(0.9, params), breakdown(rho, qubit_h))
         assert abs(rep.slack) <= 0.02
 
     def test_scales_energy_balance_residual(self, qubit_h):
@@ -221,8 +228,9 @@ class TestTradeoffResidual:
         for c in (0.2, 0.6, 0.95):
             beta = local_beta(c, params)
             rho = analytic_steady_state(c, params)
-            euler = euler_residual(rho, qubit_h, beta)
-            tradeoff = tradeoff_residual(rho, qubit_h, beta)
+            corr = breakdown(rho, qubit_h)
+            euler = euler_residual(rho, qubit_h, beta, corr)
+            tradeoff = tradeoff_residual(rho, qubit_h, beta, corr)
             assert abs(tradeoff.slack - beta * euler.slack) < 1e-9
 
 
@@ -264,13 +272,13 @@ class TestStandardReports:
 
     @staticmethod
     def _wrapper_reports(rho, h):
-        beta = common_local_beta(rho, h)
+        beta, corr = common_local_beta(rho, h), breakdown(rho, h)
         return [
             subadditivity(rho, h),
             check_ergotropy_bound(rho, h, beta),
             check_global_ergotropy_bound(rho, h, beta),
-            tradeoff_residual(rho, h, beta),
-            euler_residual(rho, h, beta),
+            tradeoff_residual(rho, h, beta, corr),
+            euler_residual(rho, h, beta, corr),
         ]
 
     def test_matches_public_wrappers_exactly(self, qubit_h):
@@ -308,3 +316,36 @@ class TestStandardReports:
         calls.clear()
         (result,) = verify.run_suites(n=5, names=["gain_split"])
         assert result.count == 5 and len(calls) == 2 * 5
+
+    def test_each_quantity_is_computed_once(self, monkeypatch, qubit_h):
+        """One call takes ln Z_B, S_B and the information gain once each,
+        in whatever module it reaches them through (mutual_information reads
+        core's own marginal_entropy), and the records hold those values."""
+        originals = {
+            "log_partition": thermo.log_partition,
+            "marginal_entropy": core.marginal_entropy,
+            "information_gain": measurement.information_gain,
+        }
+        calls = dict.fromkeys(originals, 0)
+
+        def spy(name):
+            def counting(*args):
+                if name != "marginal_entropy" or args[1] == "B":
+                    calls[name] += 1
+                return originals[name](*args)
+
+            return counting
+
+        for module in (core, correlations, measurement, relations, thermo, verify):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy(name))
+        rho = analytic_steady_state(0.5, ModelParams())
+        standard_reports(rho, qubit_h)
+        assert calls == dict.fromkeys(originals, 1)
+        monkeypatch.undo()
+        beta = common_local_beta(rho, qubit_h)
+        corr, rep = breakdown(rho, qubit_h), thermo_report(rho, qubit_h, beta)
+        assert corr.information_gain == information_gain(corr.record)
+        assert corr.entropy_B == marginal_entropy(rho, "B")
+        assert rep.log_z == log_partition(qubit_h, beta)
