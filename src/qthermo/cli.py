@@ -12,11 +12,20 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS reads its thread count once, when numpy loads it.  The CLI's
+# largest product is 256x16 by 16x16 (the integrator's stop checks), where a
+# second thread gains nothing.  On a busy 2-core x86-64 machine, verify's
+# trajectory_invariants suite took 0.55-1.31 s in 5 of 32 runs at the default
+# count, and at most 0.16 s in all 32 runs with one thread.  A count the
+# caller sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread cap)
 
 from .core import DensityMatrix, trace_distance
 from .correlations import PropertyFailure, breakdown

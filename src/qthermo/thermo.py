@@ -227,7 +227,6 @@ def _thermal_entropy(gaps: tuple[float, ...], beta: float) -> float:
     return entropy
 
 
-@lru_cache(maxsize=1)
 def _entropy_matched_energy(h: Hamiltonian, target: float) -> float:
     """Mean energy of the thermal state of ``h`` whose entropy is ``target``.
 
@@ -242,9 +241,8 @@ def _entropy_matched_energy(h: Hamiltonian, target: float) -> float:
     accurate as the float target allows: about sqrt(2 Var(H) dS) for a
     round-off dS of S, 1e-8 at dS = 4e-16.
 
-    The cache holds the last solve only: callers that evaluate one state
-    several times in a row (the sweep's relation checks) solve once.  The
-    key is the Hamiltonian object, whose spectrum cannot change.
+    Every call solves: a state that ``thermo_report`` meets again takes its
+    bound ergotropy from ``_global_work`` instead.
     """
     gaps = h.gaps
     lo, hi = 0.0, 50.0 * h.dim / h.spread
@@ -300,6 +298,18 @@ def local_inverse_temperature(rho_local, h: Hamiltonian):
     m = as_matrix(rho_local)
     if h.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: state {m.shape[0]}, Hamiltonian {h.dim}")
+    return _fitted_beta(h, m.shape, m.tobytes())
+
+
+# Keyed on the marginal's content, not its object: the two marginals of a
+# swap-symmetric state are separate objects with the same bytes, and a sweep
+# row fits them 10 times, 9 of them from this memo.  The bytes tell -0.0 from
+# 0.0, so a hit returns exactly what the body would.
+@lru_cache(maxsize=1)
+def _fitted_beta(h: Hamiltonian, shape: tuple[int, int], content: bytes):
+    """The body of ``local_inverse_temperature``, on the complex matrix of
+    ``shape`` whose C-order bytes are ``content``."""
+    m = np.frombuffer(content, dtype=complex).reshape(shape)
     in_basis = (h.eigenvectors_dagger @ m @ h.eigenvectors).tolist()
     coherence = max(
         (abs(x) for i, row in enumerate(in_basis) for j, x in enumerate(row) if i != j),
@@ -340,8 +350,7 @@ def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoRe
     avg = average_energy(rho_b, h_b)
     log_z = log_partition(h_b, beta)
     f_b = -np.inf if beta == 0 else -log_z / beta
-    work = ergotropy(rho, h_total)
-    bound = bound_ergotropy(rho, h_total)
+    work, bound = _global_work(rho, h_total)
     return ThermoReport(
         avg_energy=avg,
         free_energy=f_b,
@@ -351,3 +360,12 @@ def thermo_report(rho: DensityMatrix, h_b: Hamiltonian, beta: float) -> ThermoRe
         beta=beta,
         log_z=log_z,
     )
+
+
+# Keyed on the state and Hamiltonian objects, both immutable and hashed by
+# identity (the memo holds a reference to each key, so a cached id cannot be
+# reused): a sweep row reports one state 6 times and solves its root once.
+@lru_cache(maxsize=1)
+def _global_work(rho: DensityMatrix, h_total: Hamiltonian) -> tuple[float, float]:
+    """The ergotropy and bound ergotropy of ``rho`` for ``h_total``."""
+    return ergotropy(rho, h_total), bound_ergotropy(rho, h_total)

@@ -15,14 +15,13 @@ preallocated rows replaced; the product POVMs built from validated factor
 POVMs; and the verify suites with a reference measurement loop of their own.
 The current kernels reuse work (``Hamiltonian.doubled`` and the spectral
 constants each ``Hamiltonian`` keeps, the spectrum kept by
-``DensityMatrix``, the memoized root solve, the local-form verdict each
-``Povm`` keeps, the cached grid, the one stacked product and spectrum call
-of ``measure``) or
-skip wrapper overhead but must do the same floating-point operations, so
-results are compared with ``==``, not a tolerance.  The same holds for the
-states the library derives without re-validation (marginals,
-post-measurement states, channel outputs, analytic steady states): each
-equals the validated construction of its matrix.
+``DensityMatrix``, the global work that ``thermo_report`` memoizes, the
+local-form verdict each ``Povm`` keeps, the cached grid, the one stacked
+product and spectrum call of ``measure``) or skip wrapper overhead but must
+do the same floating-point operations, so results are compared with ``==``,
+not a tolerance.  The same holds for the states the library derives without
+re-validation (marginals, post-measurement states, channel outputs, analytic
+steady states): each equals the validated construction of its matrix.
 """
 
 import itertools
@@ -404,20 +403,29 @@ def test_ergotropies_match_the_earlier_bisection(states):
             assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
 
 
-def test_memoized_root_matches_the_earlier_bisection_in_any_call_order(states):
-    """bound_ergotropy keeps its last root solve.  Repeats, alternations and
-    returns to an earlier state (A, A, B, A, B, B) must each give the
-    bisection's own value, so a stale memo shows as a mismatch."""
+def test_memoized_work_matches_the_earlier_bisection_in_any_call_order(states):
+    """thermo_report keeps the global work of the last state it met.
+    Repeats, alternations and returns to an earlier state (A, A, B, A, B, B)
+    must each give the bisection's own value, so a stale memo shows as a
+    mismatch; so must bound_ergotropy, which solves on every call."""
     hamiltonians = _total_hamiltonians()
+    h_b = Hamiltonian(np.diag([1.0, 0.0]).astype(complex))  # doubled: H_SWEEP
     for k in range(0, len(states) - 1, 17):
         a, b = states[k], states[k + 1]
-        for h in (H_SWEEP, hamiltonians[k % len(hamiltonians)]):
-            for rho in (a, a, b, a, b, b):
+        for rho in (a, a, b, a, b, b):
+            rep = thermo_report(rho, h_b, 1.0)
+            assert rep.ergotropy == _ergotropy(rho, H_SWEEP)
+            assert rep.bound_ergotropy == _bound_ergotropy(rho, H_SWEEP)
+            for h in (H_SWEEP, hamiltonians[k % len(hamiltonians)]):
                 assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
     # the same state against two Hamiltonians in turn
     rho = states[0]
+    h_wide = Hamiltonian(np.diag([3.0, 0.5]).astype(complex))
     for h in (H_SWEEP, hamiltonians[0], H_SWEEP, H_SWEEP, hamiltonians[0]):
         assert bound_ergotropy(rho, h) == _bound_ergotropy(rho, h)
+    for local in (h_b, h_wide, h_b, h_b, h_wide):
+        rep = thermo_report(rho, local, 1.0)
+        assert rep.bound_ergotropy == _bound_ergotropy(rho, local.doubled)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

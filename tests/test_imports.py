@@ -7,13 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(code: str):
-    """Run ``code`` in a fresh interpreter on this checkout's package; return
-    what it printed as one JSON value."""
-    env = dict(os.environ)
+def _python(code: str, env=None):
+    """Run ``code`` in a fresh interpreter on this checkout's package, in
+    ``env`` (default: this process's environment); return what it printed as
+    one JSON value."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
@@ -90,3 +93,26 @@ def test_verify_without_a_seed_runs_the_suites_default_seed(tmp_path, monkeypatc
     assert cli.main(["--count", "1", "--out", out, "verify"]) == 0
     assert cli.main(["--seed", "3", "--count", "1", "--out", out, "verify"]) == 0
     assert seeds == [verify.DEFAULT_SEED, 3]
+
+
+# Records the BLAS thread variable at the moment numpy is first imported.
+_SPY_ON_NUMPY = (
+    "import json, os, sys\n"
+    "seen = []\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, Spy())\n"
+    "import qthermo.cli\n"
+    "print(json.dumps(seen))"
+)
+
+
+@pytest.mark.parametrize("given, loaded_with", [(None, "1"), ("2", "2")])
+def test_cli_caps_blas_threads_before_numpy_loads(given, loaded_with):
+    """One OpenBLAS thread unless the caller set a count."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    assert _python(_SPY_ON_NUMPY, env) == [loaded_with]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qthermo import (
     analytic_steady_state,
     average_energy,
     bound_ergotropy,
+    common_local_beta,
     ergotropy,
     ergotropy_double_sum,
     local_beta,
@@ -26,7 +28,10 @@ from qthermo import (
     thermo_report,
     von_neumann_entropy,
 )
-from qthermo.core import entropy_of_eigenvalues
+from qthermo import thermo
+from qthermo.cli import RunConfig, sweep_rows
+from qthermo.core import SIGMA_X, SIGMA_Y, SIGMA_Z, entropy_of_eigenvalues, partial_trace
+from qthermo.dissipation import local_qubit_hamiltonian
 from qthermo.random_states import random_density_matrix, random_hamiltonian, random_unitary
 from qthermo.thermo import ENTROPY_MATCH_TOL
 from qthermo.verify import SUITES, run_suites
@@ -587,3 +592,105 @@ def test_thermal_entropy_matching_accuracy(seed):
     # second order, plus round-off
     tol = 2.0 * ENTROPY_MATCH_TOL * min(1.0, 1.0 / beta_star) + 1e-12
     assert abs((passive_e - eb) - energy) <= tol
+
+
+def _cache_misses() -> tuple[int, int]:
+    """Body runs so far of the fit and of the global-work pair."""
+    return thermo._fitted_beta.cache_info().misses, thermo._global_work.cache_info().misses
+
+
+def _clear_caches() -> None:
+    thermo._fitted_beta.cache_clear()
+    thermo._global_work.cache_clear()
+
+
+def _report_hexes(rho, h_b, beta) -> list[str]:
+    return [float.hex(float(v)) for v in dataclasses.astuple(thermo_report(rho, h_b, beta))]
+
+
+def _fit_hexes(rho, h_b) -> list[str]:
+    fits = [local_inverse_temperature(partial_trace(rho, side), h_b) for side in "AB"]
+    return [float.hex(common_local_beta(rho, h_b))] + [float.hex(b) for b in fits]
+
+
+class TestMemoizedWorkAndFit:
+    """thermo_report keeps the global work of the last state object it met,
+    and local_inverse_temperature the fit of the last marginal content.
+    Neither memo may change a value, or serve an input it was not made for."""
+
+    @pytest.mark.parametrize("beta_e", [10.0, 1.0])
+    def test_warm_values_are_the_cold_bits_on_the_default_grid(self, beta_e):
+        params = ModelParams(beta_e=beta_e)
+        h_b = local_qubit_hamiltonian(params.omega)
+        for c in RunConfig(beta_e=beta_e).c_grid().tolist():
+            rho, beta = analytic_steady_state(c, params), local_beta(c, params)
+            _clear_caches()
+            cold_report = _report_hexes(rho, h_b, beta)
+            _clear_caches()
+            cold_fits = _fit_hexes(rho, h_b)
+            thermo_report(rho, h_b, beta)  # the fit memo is warm; warm the work memo
+            misses = _cache_misses()
+            assert _report_hexes(rho, h_b, beta) == cold_report
+            assert _fit_hexes(rho, h_b) == cold_fits
+            assert _cache_misses() == misses  # every warm value came from a memo
+
+    def test_a_different_state_gets_its_own_values(self, qubit_h):
+        """After hits on a steady state, a non-X state with thermal marginals
+        at the same beta is a new object with new marginal bytes: its work
+        and its fits are computed, not served."""
+        params = ModelParams(omega=1.0)
+        steady = analytic_steady_state(0.5, params)
+        beta = local_beta(0.5, params)
+        tau = thermal_state(qubit_h, beta).matrix
+        skew = 0.05 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_X))
+        non_x = DensityMatrix(np.kron(tau, tau) + skew * tau[1, 1] ** 2, dims=(2, 2))
+        for _ in range(2):
+            _report_hexes(steady, qubit_h, beta)
+            _fit_hexes(steady, qubit_h)
+        fit_misses, work_misses = _cache_misses()
+        warm = (_report_hexes(non_x, qubit_h, beta), _fit_hexes(non_x, qubit_h))
+        assert _cache_misses()[1] == work_misses + 1
+        assert _cache_misses()[0] >= fit_misses + 1
+        _clear_caches()
+        cold_report = _report_hexes(non_x, qubit_h, beta)
+        _clear_caches()
+        assert warm == (cold_report, _fit_hexes(non_x, qubit_h))
+        assert thermo_report(non_x, qubit_h, beta).ergotropy != thermo_report(
+            steady, qubit_h, beta
+        ).ergotropy
+
+    def test_the_sign_of_a_zero_entry_is_a_new_fit(self, qubit_h):
+        positive = thermal_state(qubit_h, 0.7).matrix.copy()
+        negative = positive.copy()
+        negative[0, 1] = complex(-0.0, 0.0)
+        assert positive[0, 1] == negative[0, 1] and positive.tobytes() != negative.tobytes()
+        fitted = local_inverse_temperature(positive, qubit_h)
+        assert local_inverse_temperature(positive, qubit_h) == fitted
+        misses = _cache_misses()[0]
+        refit = local_inverse_temperature(negative, qubit_h)
+        assert _cache_misses()[0] == misses + 1
+        _clear_caches()
+        assert float.hex(refit) == float.hex(local_inverse_temperature(negative, qubit_h))
+
+    @pytest.mark.parametrize("beta_e", [10.0, 1.0])
+    def test_one_fit_one_root_per_sweep_row(self, monkeypatch, beta_e):
+        """A sweep row reports its state 6 times and fits its two equal
+        marginals 10 times; each body runs once, and each memo keeps one
+        entry.  The c = 0 steady state is pure, so its bound ergotropy needs
+        no root."""
+        runs = {"bound_ergotropy": 0, "_entropy_matched_energy": 0}
+        for name in runs:
+            body = getattr(thermo, name)
+
+            def counted(*args, _body=body, _name=name):
+                runs[_name] += 1
+                return _body(*args)
+
+            monkeypatch.setattr(thermo, name, counted)
+        _clear_caches()
+        rows = sweep_rows(RunConfig(beta_e=beta_e, c_step=0.25))
+        assert len(rows) == 5
+        assert runs == {"bound_ergotropy": 5, "_entropy_matched_energy": 4}
+        assert _cache_misses() == (5, 5)
+        assert thermo._fitted_beta.cache_info().currsize <= 1
+        assert thermo._global_work.cache_info().currsize <= 1
