@@ -195,8 +195,9 @@ def sweep_row(c: float, params: ModelParams, h_local: Hamiltonian) -> dict:
     rho = analytic_steady_state(c, params)
     beta = local_beta(c, params)
     corr = breakdown(rho, h_local)
-    # the same record as corr.record, measured again: bench/run.py
-    # (SWEEP_ROW_COUNTS) pins 7 measure and 4 projective_energy_povm per row
+    # the same pair as corr.record, measured again: bench/run.py
+    # (SWEEP_ROW_COUNTS) pins 7 measure and 4 projective_energy_povm per row;
+    # a repeat costs only the new record (measurement._outcomes keeps the rest)
     record = measure(rho, projective_energy_povm(h_local, rho.dims))
     rep = thermo_report(rho, h_local, beta)
     bound1 = check_ergotropy_bound(rho, h_local, beta)

@@ -94,18 +94,22 @@ class Povm:
         return len(self.operators)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementRecord:
     """Outcome statistics of one POVM applied to one state.
 
-    ``post_states`` holds None for outcomes with probability below 1e-12;
-    those outcomes are excluded from every entropy average.  The marginal
-    entropies that ``local_information_gain`` and ``correlations_lost`` read
-    are kept per side once worked out (``_entropies``).
+    ``probabilities`` is read-only, and ``post_states`` is a tuple that holds
+    None for outcomes with probability below 1e-12; those outcomes are
+    excluded from every entropy average.  The entropies derived from the
+    record (the marginal entropies per side, the average post-measurement
+    entropy and the information gain) are kept once worked out
+    (``_entropies``); every record that ``measure`` makes of one (state,
+    POVM) pair shares that one dict, so the record is frozen and its arrays
+    read-only: no record can change what the others read.
     """
 
     probabilities: np.ndarray
-    post_states: list
+    post_states: tuple
     pre_state: DensityMatrix
     channel_output: DensityMatrix
     _entropies: dict = field(default_factory=dict, repr=False, compare=False)
@@ -118,7 +122,9 @@ class MeasurementRecord:
         )
 
     def average_post_entropy(self) -> float:
-        return self.average(von_neumann_entropy)
+        if "post" not in self._entropies:
+            self._entropies["post"] = self.average(von_neumann_entropy)
+        return self._entropies["post"]
 
     def _marginal_entropies(self, side: str) -> tuple[float, list]:
         """S(rho_side) of the pre-state, and of each outcome's post-state
@@ -139,8 +145,27 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     Raises on a dimension mismatch, a probability below -1e-12, or
     probabilities that do not sum to 1 within 1e-9, checked in that order.
     The post-measurement states and the channel output derive from validated
-    inputs: no re-validation, and one spectrum call for all of them.
+    inputs: no re-validation, and one spectrum call for all of them.  Each
+    call returns a new record with new post-state and channel-output objects;
+    the outcomes behind them are worked out once per (state, POVM) pair
+    (``_outcomes``).
     """
+    probs, kept, rows, derived = _outcomes(rho, povm)
+    made = (DensityMatrix(m, rho.dims, spectrum=w) for m, w in rows)
+    posts = tuple(next(made) if keep else None for keep in kept)
+    return MeasurementRecord(probs, posts, rho, next(made), derived)
+
+
+# Keyed on the state and POVM objects, both immutable and hashed by identity
+# (the memo holds a reference to each key, so a cached id cannot be reused): a
+# sweep row measures one state 7 times with one POVM.  An invalid pair raises,
+# and nothing is cached for it.
+@lru_cache(maxsize=1)
+def _outcomes(rho: DensityMatrix, povm: Povm):
+    """The checks and arithmetic of ``measure``: the read-only probabilities,
+    which outcomes keep a post-state, one (matrix, spectrum) pair per kept
+    post-state and then the channel output's, all read-only, and the dict of
+    derived entropies that the records of this pair share."""
     if povm.dim != rho.dim:
         raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
     products = povm._stack @ rho.matrix @ povm._dagger
@@ -156,14 +181,17 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     np.divide(products[kept], probs[kept][:, None, None], out=rows[:-1])
     np.add.reduce(products, axis=0, initial=0.0, out=rows[-1])  # a -0.0 entry becomes 0.0
     _read_only(rows)
-    made = (DensityMatrix(m, rho.dims, spectrum=w) for m, w in zip(rows, _spectrum(rows)))
-    posts = [next(made) if keep else None for keep in kept.tolist()]
-    return MeasurementRecord(probs, posts, rho, next(made))
+    spectra = _read_only(_spectrum(rows))
+    return _read_only(probs), tuple(kept.tolist()), tuple(zip(rows, spectra)), {}
 
 
 def information_gain(record: MeasurementRecord) -> float:
-    """Entropy reduction S(rho) - sum_n p_n S(rho_n) caused by the measurement (nats)."""
-    return von_neumann_entropy(record.pre_state) - record.average_post_entropy()
+    """Entropy reduction S(rho) - sum_n p_n S(rho_n) caused by the measurement
+    (nats), worked out once per record (or per pair, for ``measure``'s records)."""
+    if "gain" not in record._entropies:
+        pre = von_neumann_entropy(record.pre_state)
+        record._entropies["gain"] = pre - record.average_post_entropy()
+    return record._entropies["gain"]
 
 
 def entropy_cost(record: MeasurementRecord) -> float:

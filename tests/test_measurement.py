@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,10 +19,12 @@ from qthermo import (
     pure_state,
     von_neumann_entropy,
 )
-from qthermo import core
+from qthermo import cli, core, correlations, measurement, relations
+from qthermo.cli import RunConfig, sweep_rows
 from qthermo.core import SIGMA_X
+from qthermo.dissipation import ModelParams, analytic_steady_state, local_qubit_hamiltonian
 
-from conftest import LN2
+from conftest import LN2, clear_memos, memo_misses
 
 E_PROJ = np.diag([1.0, 0.0]).astype(complex)  # |e><e| in the (e, g) basis
 G_PROJ = np.diag([0.0, 1.0]).astype(complex)
@@ -130,6 +134,19 @@ class TestMeasure:
     def test_dimension_mismatch(self, bell_state):
         with pytest.raises(ValueError, match="dimension"):
             measure(bell_state, computational_povm(2))
+
+    def test_shared_parts_refuse_writes(self, bell_state, energy_povm_b):
+        """The probabilities are read-only, the post-states a tuple and the
+        record frozen, so no caller can change what the other records of the
+        pair read."""
+        record = measure(bell_state, energy_povm_b)
+        assert isinstance(record.post_states, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            record.probabilities[0] = 1.0
+        with pytest.raises(TypeError):
+            record.post_states[0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.post_states = ()
 
     def test_invalid_outcomes_raise_their_exact_messages(self):
         """A dimension mismatch; a state whose smallest eigenvalue, -5e-10,
@@ -326,3 +343,129 @@ class TestCorrelationsLost:
     def test_trivial_povm_loses_nothing(self, bell_state):
         record = measure(bell_state, Povm([np.eye(4, dtype=complex)]))
         assert_allclose(correlations_lost(record), 0.0, atol=1e-12)
+
+
+def _record_bits(record) -> list:
+    """Every value a record gives, as bytes or float.hex: the probabilities,
+    the post-state and channel-output matrices and spectra, and the derived
+    entropies."""
+    derived = [s for s in record.post_states if s is not None] + [record.channel_output]
+    return [
+        record.probabilities.tobytes(),
+        [s is None for s in record.post_states],
+        [(s.matrix.tobytes(), s.eigenvalues().tobytes()) for s in derived],
+        float.hex(information_gain(record)),
+        float.hex(local_information_gain(record, "A")),
+        float.hex(local_information_gain(record, "B")),
+        float.hex(correlations_lost(record)),
+    ]
+
+
+def _cold_bits(rho, povm) -> list:
+    """``_record_bits`` with each derived entropy taken on an empty memo, so
+    no value is read from one filled for another."""
+    reads = [
+        lambda r: _record_bits(r)[:3],
+        lambda r: float.hex(information_gain(r)),
+        lambda r: float.hex(local_information_gain(r, "A")),
+        lambda r: float.hex(local_information_gain(r, "B")),
+        lambda r: float.hex(correlations_lost(r)),
+    ]
+    bits = []
+    for read in reads:
+        clear_memos()
+        value = read(measure(rho, povm))
+        bits.extend(value if isinstance(value, list) else [value])
+    return bits
+
+
+class TestMemoizedOutcomes:
+    """measure works out the outcomes of the last (state, POVM) pair it met
+    once, and the records of that pair share their derived entropies.  The
+    memo may not change a value, serve a pair it was not made for, or keep
+    an invalid pair."""
+
+    @pytest.mark.parametrize("beta_e", [10.0, 1.0])
+    def test_warm_values_are_the_cold_bits_on_the_default_grid(self, beta_e):
+        params = ModelParams(beta_e=beta_e)
+        h_b = local_qubit_hamiltonian(params.omega)
+        for c in RunConfig(beta_e=beta_e).c_grid().tolist():
+            rho = analytic_steady_state(c, params)
+            povm = projective_energy_povm(h_b, rho.dims)
+            cold = _cold_bits(rho, povm)
+            _record_bits(measure(rho, povm))  # fill every derived entropy
+            misses = memo_misses()
+            assert _record_bits(measure(rho, povm)) == cold
+            assert memo_misses() == misses  # every warm value came from the memo
+
+    def test_equal_bytes_or_another_povm_is_a_new_pair(self, rng, energy_povm_b):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real, dims=(2, 2))
+        twin = DensityMatrix(rho.matrix, dims=(2, 2))
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        same_operators = Povm(energy_povm_b.operators)
+        other = local_povm(computational_povm(2), computational_povm(2))
+        clear_memos()
+        warm = _record_bits(measure(rho, energy_povm_b))
+        for state, povm in [(twin, energy_povm_b), (rho, same_operators), (rho, other)]:
+            misses = memo_misses()["outcomes"]
+            bits = _record_bits(measure(state, povm))
+            assert memo_misses()["outcomes"] == misses + 1
+            assert bits == _cold_bits(state, povm)
+        assert _record_bits(measure(twin, energy_povm_b)) == warm
+        assert _record_bits(measure(rho, same_operators)) == warm
+        assert _record_bits(measure(rho, other)) != warm
+
+    def test_an_invalid_pair_raises_on_every_call_and_is_not_kept(self, bell_state, energy_povm_b):
+        negative = DensityMatrix(
+            np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex), dims=(2, 2)
+        )
+        invalid = [
+            (bell_state, computational_povm(2), r"^POVM dimension 2 != state dimension 4$"),
+            (negative, computational_povm(4), r"^negative outcome probability -5\.000e-10$"),
+        ]
+        clear_memos()
+        measure(bell_state, energy_povm_b)
+        for rho, povm, message in invalid:
+            for _ in range(2):
+                misses = memo_misses()["outcomes"]
+                with pytest.raises(ValueError, match=message):
+                    measure(rho, povm)
+                assert memo_misses()["outcomes"] == misses + 1  # the body ran again
+        info = measurement._outcomes.cache_info()
+        assert info.currsize == 1
+        measure(bell_state, energy_povm_b)  # the valid pair is still the one kept
+        assert measurement._outcomes.cache_info().hits == info.hits + 1
+
+    @pytest.mark.parametrize("beta_e", [10.0, 1.0])
+    def test_one_kernel_run_per_sweep_row(self, monkeypatch, beta_e):
+        """A sweep row measures its state 7 times with one POVM; the outcomes
+        are worked out once per row, and the memo keeps one entry."""
+        calls = {"measure": 0}
+        original = measurement.measure
+
+        def counted(*args):
+            calls["measure"] += 1
+            return original(*args)
+
+        for module in (cli, correlations, measurement, relations):
+            if getattr(module, "measure", None) is original:
+                monkeypatch.setattr(module, "measure", counted)
+        clear_memos()
+        rows = sweep_rows(RunConfig(beta_e=beta_e, c_step=0.25))
+        assert len(rows) == 5
+        assert calls == {"measure": 35}
+        assert memo_misses()["outcomes"] == 5
+        assert measurement._outcomes.cache_info().currsize == 1
+
+    def test_each_call_returns_a_new_record(self, bell_state, energy_povm_b):
+        """Only the read-only outcomes and the derived entropies are shared;
+        the record and its post-state and channel-output objects are new."""
+        first, second = measure(bell_state, energy_povm_b), measure(bell_state, energy_povm_b)
+        assert first is not second
+        assert first.channel_output is not second.channel_output
+        for a, b in zip(first.post_states, second.post_states):
+            assert a is not b and a.matrix.tobytes() == b.matrix.tobytes()
+        assert first.pre_state is second.pre_state is bell_state
+        assert first._entropies is second._entropies

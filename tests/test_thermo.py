@@ -36,7 +36,7 @@ from qthermo.random_states import random_density_matrix, random_hamiltonian, ran
 from qthermo.thermo import ENTROPY_MATCH_TOL
 from qthermo.verify import SUITES, run_suites
 
-from conftest import bisect_to_end
+from conftest import bisect_to_end, clear_memos, memo_misses
 
 H_TOTAL = Hamiltonian(np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex))
 
@@ -594,16 +594,6 @@ def test_thermal_entropy_matching_accuracy(seed):
     assert abs((passive_e - eb) - energy) <= tol
 
 
-def _cache_misses() -> tuple[int, int]:
-    """Body runs so far of the fit and of the global-work pair."""
-    return thermo._fitted_beta.cache_info().misses, thermo._global_work.cache_info().misses
-
-
-def _clear_caches() -> None:
-    thermo._fitted_beta.cache_clear()
-    thermo._global_work.cache_clear()
-
-
 def _report_hexes(rho, h_b, beta) -> list[str]:
     return [float.hex(float(v)) for v in dataclasses.astuple(thermo_report(rho, h_b, beta))]
 
@@ -624,15 +614,15 @@ class TestMemoizedWorkAndFit:
         h_b = local_qubit_hamiltonian(params.omega)
         for c in RunConfig(beta_e=beta_e).c_grid().tolist():
             rho, beta = analytic_steady_state(c, params), local_beta(c, params)
-            _clear_caches()
+            clear_memos()
             cold_report = _report_hexes(rho, h_b, beta)
-            _clear_caches()
+            clear_memos()
             cold_fits = _fit_hexes(rho, h_b)
             thermo_report(rho, h_b, beta)  # the fit memo is warm; warm the work memo
-            misses = _cache_misses()
+            misses = memo_misses()
             assert _report_hexes(rho, h_b, beta) == cold_report
             assert _fit_hexes(rho, h_b) == cold_fits
-            assert _cache_misses() == misses  # every warm value came from a memo
+            assert memo_misses() == misses  # every warm value came from a memo
 
     def test_a_different_state_gets_its_own_values(self, qubit_h):
         """After hits on a steady state, a non-X state with thermal marginals
@@ -647,13 +637,13 @@ class TestMemoizedWorkAndFit:
         for _ in range(2):
             _report_hexes(steady, qubit_h, beta)
             _fit_hexes(steady, qubit_h)
-        fit_misses, work_misses = _cache_misses()
+        before = memo_misses()
         warm = (_report_hexes(non_x, qubit_h, beta), _fit_hexes(non_x, qubit_h))
-        assert _cache_misses()[1] == work_misses + 1
-        assert _cache_misses()[0] >= fit_misses + 1
-        _clear_caches()
+        assert memo_misses()["work"] == before["work"] + 1
+        assert memo_misses()["fit"] >= before["fit"] + 1
+        clear_memos()
         cold_report = _report_hexes(non_x, qubit_h, beta)
-        _clear_caches()
+        clear_memos()
         assert warm == (cold_report, _fit_hexes(non_x, qubit_h))
         assert thermo_report(non_x, qubit_h, beta).ergotropy != thermo_report(
             steady, qubit_h, beta
@@ -666,10 +656,10 @@ class TestMemoizedWorkAndFit:
         assert positive[0, 1] == negative[0, 1] and positive.tobytes() != negative.tobytes()
         fitted = local_inverse_temperature(positive, qubit_h)
         assert local_inverse_temperature(positive, qubit_h) == fitted
-        misses = _cache_misses()[0]
+        misses = memo_misses()["fit"]
         refit = local_inverse_temperature(negative, qubit_h)
-        assert _cache_misses()[0] == misses + 1
-        _clear_caches()
+        assert memo_misses()["fit"] == misses + 1
+        clear_memos()
         assert float.hex(refit) == float.hex(local_inverse_temperature(negative, qubit_h))
 
     @pytest.mark.parametrize("beta_e", [10.0, 1.0])
@@ -687,10 +677,11 @@ class TestMemoizedWorkAndFit:
                 return _body(*args)
 
             monkeypatch.setattr(thermo, name, counted)
-        _clear_caches()
+        clear_memos()
         rows = sweep_rows(RunConfig(beta_e=beta_e, c_step=0.25))
         assert len(rows) == 5
         assert runs == {"bound_ergotropy": 5, "_entropy_matched_energy": 4}
-        assert _cache_misses() == (5, 5)
+        misses = memo_misses()
+        assert (misses["fit"], misses["work"]) == (5, 5)
         assert thermo._fitted_beta.cache_info().currsize <= 1
         assert thermo._global_work.cache_info().currsize <= 1
