@@ -1,5 +1,5 @@
-"""Two-qubit collective dissipation: master equation, fixed-step RK4 evolution,
-and the closed-form steady-state family.
+"""Two-qubit collective dissipation: master equation, fixed-step evolution by
+its exact propagator, and the closed-form steady-state family.
 
 Basis ordering is {|ee>, |eg>, |ge>, |gg>} everywhere; the single-qubit basis
 is (|e>, |g>).
@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRACE_TOL, DensityMatrix, _kron, _spectrum, as_matrix, dagger
+from .core import (
+    POSITIVITY_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    _kron,
+    _spectrum,
+    as_matrix,
+    dagger,
+)
 from .thermo import Hamiltonian
 
 # single-qubit operators in the (e, g) basis
@@ -30,7 +38,6 @@ PSI_PLUS = (KET_GE + KET_EG) / np.sqrt(2.0)
 PSI_MINUS = (KET_GE - KET_EG) / np.sqrt(2.0)
 
 FIXED_POINT_TOL = 1e-12
-STEP_POSITIVITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Fixed-step RK4 output: times, the (n, 4, 4) states and their smallest
+    """Fixed-step evolution output: times, the (n, 4, 4) states and their smallest
     eigenvalues, and how the integration ended: ``stop_reason`` is
     "fixed_point" when max|L v| of the last state is below 1e-12 (its value
     is ``final_residual``), "horizon" otherwise."""
@@ -135,50 +142,88 @@ CHECK_BLOCKS = 16
 # stored step its 256 MB is address space that evolve reserves; it becomes
 # resident only as steps are stored
 MAX_TRAJECTORY_STEPS = 1_000_000
+# degree of the Taylor series of the propagator on a step scaled to norm 1/2
+TAYLOR_DEGREE = 18
+# largest dt * ||L||_1 a step may have.  At 1e4 (f = 1e6 at dt = 0.005) the
+# Bell state's run keeps its smallest eigenvalue above -4e-12; at 1e6 the
+# squarings take it below the -1e-9 floor by t = 2.1
+MAX_STEP_NORM = 1e4
+
+
+# entries of the row-major vec(rho) on the diagonal of rho
+_DIAGONAL = np.arange(0, 16, 5)
+
+
+def _step_norm(lind: np.ndarray, dt: float) -> float:
+    """dt ||L||_1, the largest column sum of |dt L|; inf, with no numpy
+    warning, where the sum overflows."""
+    with np.errstate(over="ignore"):
+        return dt * float(np.abs(lind).sum(axis=0).max())
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + a)(I + b) - I = a + b + a b: two propagators composed, each held
+    as its difference from the identity."""
+    return a + b + a @ b
 
 
 def _step_increments(lind: np.ndarray, dt: float) -> np.ndarray:
     """(STEP_BLOCK, 16, 16) increments D_k = P^k - I, k = 1..STEP_BLOCK, of the
-    classical RK4 step matrix P = I + Delta for the linear generator lind.
+    exact one-step propagator P = exp(dt L) of the linear generator lind.
 
-    Delta = dt L (I + dt L/2 (I + dt L/3 (I + dt L/4))) in Horner form, and
-    D_{k+1} = D_k + Delta + Delta D_k.  The increments stay as small as the
-    change they describe, so v + D_k v keeps the round-off of k single steps
-    (the powers P^k themselves lose digits to the identity).
+    Delta = P - I by scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3
+    (2003)): the Taylor series of exp(A) - I to degree TAYLOR_DEGREE on
+    A = dt L / 2^s, with s the least that gives ||A||_1 < 1/2, so the
+    remainder ||A||^19 / 19! < 2e-23 lies below round-off; then s squarings
+    E -> (I + E)^2 - I.  exp(dt L) keeps the trace exactly (vec(I)^T L = 0),
+    but each squaring doubles the round-off, so Delta's trace row is reset to
+    zero: a drift of 1e-13 per step would otherwise add up over the run.  The
+    increments follow as D_{k+1} = Delta + D_k + Delta D_k.  They stay as
+    small as the change they describe, so v + D_k v keeps the round-off of k
+    single steps (P^k itself loses digits to the identity).
     """
-    a = dt * lind
+    # frexp gives norm < 2^e, so 2^(e + 1) scales it below 1/2
+    squarings = max(0, math.frexp(_step_norm(lind, dt))[1] + 1)
+    a = lind * (dt / 2.0**squarings)
     eye = np.eye(16, dtype=complex)
-    delta = a @ (eye + 0.5 * a @ (eye + a / 3.0 @ (eye + 0.25 * a)))
+    poly = eye + a / TAYLOR_DEGREE
+    for j in range(TAYLOR_DEGREE - 1, 1, -1):
+        poly = eye + (a / j) @ poly
+    delta = a @ poly
+    for _ in range(squarings):
+        delta = _compose(delta, delta)
+    delta[_DIAGONAL] -= delta[_DIAGONAL].sum(axis=0) / 4.0
     incs = np.empty((STEP_BLOCK, 16, 16), dtype=complex)
     incs[0] = delta
     for k in range(1, STEP_BLOCK):
-        incs[k] = incs[k - 1] + delta + delta @ incs[k - 1]
+        incs[k] = _compose(delta, incs[k - 1])
     return incs
 
 
 def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) -> Trajectory:
-    """Integrate the master equation with classical fixed-step RK4.
+    """Integrate the master equation in fixed steps of its exact propagator.
 
-    For the time-independent generator L one RK4 step is v -> P v with a fixed
-    16x16 matrix P; the integrator advances STEP_BLOCK steps at once from the
-    precomputed increments P^k - I (see ``_step_increments``).  Every stored
-    state is re-hermitized ((rho + rho^dag)/2).  Stops early at the first
-    state with max|L v| < 1e-12, or at a state with an entry that no density
-    matrix has (non-finite, or above 2 in modulus).  The blocks are chained
-    one by one, and the two stop rules are checked once per CHECK_BLOCKS
-    blocks, over the stacked states; the run is then cut at the first
-    stopping state, so the result is the same as a check after every block.
+    The generator L is time-independent, so one step of dt is v -> P v with
+    the fixed 16x16 matrix P = exp(dt L); the integrator advances STEP_BLOCK
+    steps at once from the precomputed increments P^k - I (see
+    ``_step_increments``).  Every stored state is re-hermitized
+    ((rho + rho^dag)/2).  Stops early at the first state with max|L v| <
+    1e-12, or at a state with an entry that no density matrix has
+    (non-finite, or above 2 in modulus).  The blocks are chained one by one,
+    and the two stop rules are checked once per CHECK_BLOCKS blocks, over the
+    stacked states; the run is then cut at the first stopping state, so the
+    result is the same as a check after every block.
     Each state is held once, 256 B per stored step: the blocks are written
     straight into one array of min(horizon, MAX_TRAJECTORY_STEPS) + 1 rows,
     and ``states`` is a view of its filled prefix.  Rows past the last
     checked group are never written, so a horizon far past a fixed point
     adds only the resident memory of the steps it stores.
-    The trajectory is then checked once: the first state off unit trace
-    (1e-10) or below the positivity floor of -1e-6 aborts with a step-size
-    diagnostic.  Refused up front: dt or t_max <= 0, a non-finite t_max / dt,
-    a t_max / dt that rounds to no step, dt * gamma * (nbar + 1) > 0.01.  A
-    run that would store more than MAX_TRAJECTORY_STEPS steps before it stops
-    raises when it gets there.
+    The trajectory is then checked once, as a ``DensityMatrix`` is: the first
+    state off unit trace (TRACE_TOL) or below the positivity floor
+    (-POSITIVITY_TOL) raises.  Refused up front: dt or t_max <= 0, a
+    non-finite t_max / dt, a t_max / dt that rounds to no step, and a step
+    with dt * ||L||_1 above MAX_STEP_NORM.  A run that would store more than
+    MAX_TRAJECTORY_STEPS steps before it stops raises when it gets there.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -190,19 +235,20 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     horizon = int(round(steps))
     if horizon == 0:
         raise ValueError(f"t_max = {t_max:g} with dt = {dt:g} gives no integration step")
-    rate = params.gamma * (params.nbar + 1.0) if params.gamma else 0.0
-    if dt * rate > 0.01 + 1e-12:
-        raise ValueError(
-            f"dt too large: dt * gamma * (nbar + 1) = {dt * rate:.4g} > 0.01"
-        )
     lind = _superoperator(params)
+    step_norm = _step_norm(lind, dt)
+    if not step_norm <= MAX_STEP_NORM:
+        raise ValueError(
+            f"dt * ||L||_1 = {step_norm:.4g} exceeds {MAX_STEP_NORM:g}: the propagator "
+            "of so long a step is lost to round-off"
+        )
     v = as_matrix(rho0).reshape(16)
     capacity = min(horizon, MAX_TRAJECTORY_STEPS)
     buffer = np.empty((capacity + 1, 16), dtype=complex)
     buffer[0] = v
     last = 0
-    # a Hamiltonian scale far beyond 1/dt overflows within a step; the guard
-    # below stops there and the check reports the non-finite state
+    # should a step overflow, the guard below stops there and the check
+    # reports the non-finite state, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         incs = _step_increments(lind, dt).reshape(STEP_BLOCK * 16, 16)
         residual = float(np.abs(lind @ v).max())
@@ -241,7 +287,7 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     # a copy: a column view would keep the whole (n, 4) spectrum alive
     lowest = _spectrum(checked)[:, 0].copy()
     off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
-    bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
+    bad = np.flatnonzero(off_trace | (lowest < -POSITIVITY_TOL))
     k = bad[0] if bad.size else len(checked)
     if k == len(states):
         return Trajectory(
@@ -256,11 +302,8 @@ def evolve(rho0: DensityMatrix, params: ModelParams, dt: float, t_max: float) ->
     elif off_trace[k]:
         err = f"trace {np.trace(states[k]).real:.12g} differs from 1 beyond {TRACE_TOL}"
     else:
-        err = f"negative eigenvalue {lowest[k]:.3e} below -{STEP_POSITIVITY_TOL:g}"
-    raise ValueError(
-        f"integration failed at t = {times[k]:.6g} with dt = {dt:g} "
-        f"(reduce the step size): {err}"
-    )
+        err = f"negative eigenvalue {lowest[k]:.3e} below -{POSITIVITY_TOL:g}"
+    raise ValueError(f"integration failed at t = {times[k]:.6g} with dt = {dt:g}: {err}")
 
 
 def effective_c(rho) -> float:

@@ -434,7 +434,7 @@ def suite_beta_formula(rng, n):
         yield np.inf if fitted is None else fitted - local_beta(c, params)
 
 
-@_suite("steady_state_fixed_point", "residual", 1e-10, scale=0.2)
+@_suite("steady_state_fixed_point", "residual", 1e-10)
 def suite_steady_state_fixed_point(rng, n):
     params = ModelParams()
     for _ in range(n):
@@ -445,7 +445,7 @@ def suite_steady_state_fixed_point(rng, n):
 _COLD = ModelParams()  # the cold bath: beta_e = 10, omega = 1
 
 
-@_suite("steady_state_ergotropy", "residual", math.exp(-_COLD.beta_e * _COLD.omega), scale=0.2)
+@_suite("steady_state_ergotropy", "residual", math.exp(-_COLD.beta_e * _COLD.omega))
 def suite_steady_state_ergotropy(rng, n):
     """Steady-state ergotropy against its cold-bath form max(1 - 2c, 0).
 

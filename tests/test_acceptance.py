@@ -147,8 +147,6 @@ def test_criterion_6_randomized_property_suites():
     counts = {
         "entropy_concavity": 1000,
         "chi_grid_monotone": 50,
-        "steady_state_fixed_point": 100,
-        "steady_state_ergotropy": 100,
         "trajectory_invariants": 10,
         "steady_state_convergence": 3,
     }

@@ -33,12 +33,12 @@ from qthermo import (
 from qthermo import dissipation
 from qthermo.cli import sweep_row
 from qthermo.core import (
+    POSITIVITY_TOL,
     SIGMA_X,
     SIGMA_Z,
     TRACE_TOL,
     _spectrum,
     as_matrix,
-    dagger,
     entropy_of_eigenvalues,
 )
 from qthermo.dissipation import (
@@ -48,10 +48,11 @@ from qthermo.dissipation import (
     KET_GG,
     PSI_MINUS,
     PSI_PLUS,
+    MAX_STEP_NORM,
     STEP_BLOCK,
-    STEP_POSITIVITY_TOL,
     Trajectory,
     _step_increments,
+    _step_norm,
     _superoperator,
 )
 from qthermo.random_states import random_two_qubit_state, random_x_state
@@ -258,9 +259,28 @@ print(json.dumps({
             evolve(analytic_steady_state(0.5, params), params, dt=dt, t_max=t_max)
 
     def test_step_size_precondition(self):
-        params = ModelParams()
-        with pytest.raises(ValueError, match="dt"):
-            evolve(analytic_steady_state(0.5, params), params, dt=0.02, t_max=1.0)
+        # a generic start runs 10 000 steps just below the bound within both
+        # floors; just above it, and where ||L||_1 overflows, it is refused
+        params = ModelParams(f=1e6)
+        rho0 = random_two_qubit_state(np.random.default_rng(5))
+        dt = MAX_STEP_NORM / _step_norm(_superoperator(params), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(rho0, params, dt=dt * (1.0 - 1e-6), t_max=dt * 10_000)
+            assert traj.stop_reason == "horizon" and len(traj.states) == 10_001
+            assert _trace_drift(traj.states) <= TRACE_TOL
+            assert traj.min_eigenvalues.min() >= -POSITIVITY_TOL
+            for model, step, shown in [
+                (params, dt * (1.0 + 1e-6), r"1e\+04"),
+                (params, 1.0, r"2e\+06"),
+                (ModelParams(f=1e308), 1.0, "inf"),
+            ]:
+                with pytest.raises(
+                    ValueError,
+                    match=rf"^dt \* \|\|L\|\|_1 = {shown} exceeds 10000: the propagator "
+                    "of so long a step is lost to round-off$",
+                ):
+                    evolve(rho0, model, dt=step, t_max=step * 10_000)
 
     def test_trajectory_invariants_and_x_preservation(self):
         params = ModelParams()
@@ -272,7 +292,7 @@ print(json.dumps({
         traj = evolve(rho0, params, dt=0.005, t_max=5.0)
         for state in traj.states:
             assert abs(np.trace(state).real - 1.0) <= 1e-9
-            assert np.linalg.eigvalsh(state).min() >= -1e-6
+            assert np.linalg.eigvalsh(state).min() >= -POSITIVITY_TOL
             assert abs(effective_c(state) - c0) <= 1e-6
             assert max_non_x_magnitude(state) < 1e-10
 
@@ -288,62 +308,35 @@ print(json.dumps({
         assert traj.min_eigenvalues.flags.owndata
 
     @pytest.mark.parametrize(
-        "ket, params, t, lowest",
+        "ket, params",
         [
-            # every state after the first is far from positive
-            (KET_EG, ModelParams(f=600.0), "0.005", "-2.331e+01"),
-            # dt * f = 3 lies outside RK4's stability region, so the state
-            # grows from round-off; where it first dips below the floor is set
-            # by round-off too (a start 2 ulp away fails elsewhere)
-            (BELL_PHI, ModelParams(f=600.0), "0.05", "-8.925e-06"),
-            # beta_e * omega = 2e4 overflows expm1 in nbar
-            (BELL_PHI, ModelParams(omega=2000.0), "0.005", "-3.299e+03"),
+            # dt * f = 3: one step turns the exchange phase by 3 rad
+            (KET_EG, ModelParams(f=600.0)),
+            (BELL_PHI, ModelParams(f=600.0)),
+            # beta_e * omega = 2e4: the bath is at zero temperature
+            (BELL_PHI, ModelParams(omega=2000.0)),
         ],
     )
-    def test_unstable_step_reports_first_bad_state(self, ket, params, t, lowest):
+    def test_large_frequencies_reach_the_steady_state(self, ket, params):
         rho0 = pure_state(ket, dims=(2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as info:
-                evolve(rho0, params, dt=0.005, t_max=50.0)
-        assert str(info.value) == (
-            f"integration failed at t = {t} with dt = 0.005 (reduce the step size): "
-            f"negative eigenvalue {lowest} below -1e-06"
-        )
-        # every state before the reported one passes the check; at t = dt
-        # that is the initial state alone, and a zero horizon is refused
-        if float(t) > 0.005:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                evolve(rho0, params, dt=0.005, t_max=float(t) - 0.005)
+            traj = evolve(rho0, params, dt=0.005, t_max=50.0)
+        assert traj.stop_reason == "fixed_point"
+        assert traj.min_eigenvalues.min() >= -1e-14
+        assert _trace_drift(traj.states) < 1e-12
+        target = analytic_steady_state(effective_c(rho0), params)
+        assert trace_distance(traj.states[-1], target) < 1e-11
 
-    def test_non_finite_step_is_reported(self):
-        # a huge frequency overflows within one RK4 step, with no RuntimeWarning
+    def test_non_finite_step_is_reported(self, monkeypatch):
+        # far past the step bound the squarings overflow; the guard stops at
+        # the first state, with no RuntimeWarning
+        monkeypatch.setattr(dissipation, "MAX_STEP_NORM", math.inf)
         rho0 = pure_state(BELL_PHI, dims=(2, 2))
-        with pytest.raises(ValueError, match="t = 0.005 .*non-finite"):
-            evolve(rho0, ModelParams(omega=1e200), dt=0.005, t_max=1.0)
-
-
-def _reference_evolve(rho0, params, dt, t_max):
-    """The one-step-at-a-time RK4 loop that ``evolve`` replaced: four
-    generator products per step, re-hermitized, with the same two stop rules."""
-    lind = _superoperator(params)
-    v = as_matrix(rho0).reshape(16)
-    vectors = [v]
-    for _ in range(int(round(t_max / dt))):
-        k1 = lind @ v
-        if np.abs(k1).max() < FIXED_POINT_TOL:
-            break
-        k2 = lind @ (v + 0.5 * dt * k1)
-        k3 = lind @ (v + 0.5 * dt * k2)
-        k4 = lind @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r = v.reshape(4, 4)
-        v = (0.5 * (r + dagger(r))).reshape(16)
-        vectors.append(v)
-        if not np.abs(v).max() <= 2.0:
-            break
-    return np.stack(vectors).reshape(-1, 4, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t = 0.005 .*non-finite"):
+                evolve(rho0, ModelParams(omega=1e300), dt=0.005, t_max=1.0)
 
 
 def _eigen_generator(params):
@@ -367,20 +360,23 @@ def _trajectory_start(name):
 
 
 class TestStepMatrix:
-    """The block integrator against the RK4 loop it replaced and against the
-    exact propagator V exp(Lambda t) V^-1 from the eigendecomposition of L."""
+    """The block integrator against the exact propagator V exp(Lambda t) V^-1
+    from the eigendecomposition of L."""
 
     def test_increments_match_eigendecomposition(self):
-        params, dt = ModelParams(), 0.005
-        lam, vecs, inv = _eigen_generator(params)
-        z = dt * lam
-        step = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-        incs = _step_increments(_superoperator(params), dt)
-        assert incs.shape == (STEP_BLOCK, 16, 16)
-        # k = 1 is Delta = P - I itself
-        for k in range(1, STEP_BLOCK + 1):
-            expected = (vecs * (step**k - 1.0)) @ inv
-            assert np.abs(incs[k - 1] - expected).max() < 1e-13
+        # dt * ||L||_1 = 0.03 takes no squaring, 3.0 and 12.0 take 3 and 5
+        for params, dt in [
+            (ModelParams(), 0.005),
+            (ModelParams(), 0.5),
+            (ModelParams(f=600.0), 0.005),
+        ]:
+            lam, vecs, inv = _eigen_generator(params)
+            incs = _step_increments(_superoperator(params), dt)
+            assert incs.shape == (STEP_BLOCK, 16, 16)
+            # k = 1 is Delta = P - I itself
+            for k in range(1, STEP_BLOCK + 1):
+                expected = (vecs * np.expm1(k * dt * lam)) @ inv
+                assert np.abs(incs[k - 1] - expected).max() < 1e-13
 
     # (start, t_max, stop): 1000 steps is not a multiple of the block size
     CASES = [
@@ -391,14 +387,14 @@ class TestStepMatrix:
     ]
 
     @pytest.mark.parametrize("start, t_max, stop", CASES)
-    def test_matches_reference_loop(self, start, t_max, stop):
+    def test_matches_exact_propagator(self, start, t_max, stop):
         params = ModelParams()
         rho0 = _trajectory_start(start)
-        expected = _reference_evolve(rho0, params, 0.005, t_max)
         traj = evolve(rho0, params, dt=0.005, t_max=t_max)
-        assert traj.states.shape == expected.shape
-        assert np.abs(traj.states - expected).max() < 1e-12
-        assert _trace_drift(traj.states) <= _trace_drift(expected)
+        lam, vecs, inv = _eigen_generator(params)
+        modes = inv @ rho0.matrix.reshape(16)
+        exact = (np.exp(np.outer(traj.times, lam)) * modes) @ vecs.T
+        assert np.abs(traj.states.reshape(-1, 16) - exact).max() < 1e-13
         assert traj.stop_reason == stop
         lind = _superoperator(params)
         final = np.abs(lind @ traj.states[-1].reshape(16)).max()
@@ -409,15 +405,16 @@ class TestStepMatrix:
         else:
             assert traj.final_residual < FIXED_POINT_TOL
 
-    @pytest.mark.parametrize("start, t_max, stop", CASES)
-    def test_matches_exact_propagator(self, start, t_max, stop):
+    @pytest.mark.parametrize("start", ["x", "generic", "ground", "singlet"])
+    def test_step_size_does_not_change_the_states(self, start):
+        # one step of 0.5 is 100 steps of 0.005, up to round-off
         params = ModelParams()
         rho0 = _trajectory_start(start)
-        traj = evolve(rho0, params, dt=0.005, t_max=t_max)
-        lam, vecs, inv = _eigen_generator(params)
-        modes = inv @ rho0.matrix.reshape(16)
-        exact = (np.exp(np.outer(traj.times, lam)) * modes) @ vecs.T
-        assert np.abs(traj.states.reshape(-1, 16) - exact).max() < 1e-9
+        coarse = evolve(rho0, params, dt=0.5, t_max=50.0)
+        fine = evolve(rho0, params, dt=0.005, t_max=50.0)
+        shared = fine.states[::100][: len(coarse.states)]
+        assert len(shared) >= len(coarse.states) - 1
+        assert np.abs(coarse.states[: len(shared)] - shared).max() < 1e-13
 
 
 def _reference_block_evolve(rho0, params, dt, t_max):
@@ -456,7 +453,7 @@ def _reference_block_evolve(rho0, params, dt, t_max):
     checked = states if np.isfinite(v).all() else states[:-1]
     lowest = _spectrum(checked)[:, 0]
     off_trace = np.abs(np.trace(checked, axis1=1, axis2=2) - 1.0) > TRACE_TOL
-    bad = np.flatnonzero(off_trace | (lowest < -STEP_POSITIVITY_TOL))
+    bad = np.flatnonzero(off_trace | (lowest < -POSITIVITY_TOL))
     k = bad[0] if bad.size else len(checked)
     if k == len(states):
         stop = "fixed_point" if residual < FIXED_POINT_TOL else "horizon"
@@ -466,11 +463,8 @@ def _reference_block_evolve(rho0, params, dt, t_max):
     elif off_trace[k]:
         err = f"trace {np.trace(states[k]).real:.12g} differs from 1 beyond {TRACE_TOL}"
     else:
-        err = f"negative eigenvalue {lowest[k]:.3e} below -{STEP_POSITIVITY_TOL:g}"
-    raise ValueError(
-        f"integration failed at t = {times[k]:.6g} with dt = {dt:g} "
-        f"(reduce the step size): {err}"
-    )
+        err = f"negative eigenvalue {lowest[k]:.3e} below -{POSITIVITY_TOL:g}"
+    raise ValueError(f"integration failed at t = {times[k]:.6g} with dt = {dt:g}: {err}")
 
 
 def _assert_same_trajectory(traj, expected):
@@ -511,15 +505,18 @@ class TestStopChecks:
             traj = evolve(rho0, params, dt=0.005, t_max=0.005 * steps)
             _assert_same_trajectory(traj, expected)
 
+    # far past the step bound, which is lifted here, the squarings lose the
+    # propagator (f = 1e200) or overflow (f, omega = 1e300)
     @pytest.mark.parametrize(
         "params, message",
         [
-            (ModelParams(f=600.0), "t = 0.05 .*: negative eigenvalue -8.925e-06 below -1e-06"),
-            (ModelParams(f=1e200), "t = 0.005 .*: density matrix has non-finite entries"),
-            (ModelParams(omega=1e200), "t = 0.005 .*: density matrix has non-finite entries"),
+            (ModelParams(f=1e200), "t = 0.005 .*: negative eigenvalue -.* below -1e-09"),
+            (ModelParams(f=1e300), "t = 0.005 .*: density matrix has non-finite entries"),
+            (ModelParams(omega=1e300), "t = 0.005 .*: density matrix has non-finite entries"),
         ],
     )
-    def test_failures_match_block_checks(self, params, message):
+    def test_failures_match_block_checks(self, monkeypatch, params, message):
+        monkeypatch.setattr(dissipation, "MAX_STEP_NORM", math.inf)
         bell = pure_state(BELL_PHI, dims=(2, 2))
         expected = _raised(lambda: _reference_block_evolve(bell, params, 0.005, 50.0))
         assert re.fullmatch(f"integration failed at {message}", expected)
