@@ -101,6 +101,22 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
 
 
+def _require_hermitian(m: np.ndarray, symbol: str) -> None:
+    """Raise ValueError unless the finite square complex ``m`` is Hermitian
+    to HERMITICITY_TOL, naming it ``symbol`` in the message.
+
+    max |m - m^dag| is taken as twice max |m/2 - (m/2)^dag|: the halves'
+    difference cannot overflow, so no np.errstate is needed, and doubling the
+    Python float gives inf, silently, where the full difference overflows.
+    Halving and doubling are exact above the subnormal range, so the value
+    is that of the plain difference wherever it can exceed the tolerance.
+    """
+    half = 0.5 * m
+    herm = 2.0 * float(np.abs(half - half.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: max |{symbol} - {symbol}^dag| = {herm:.3e}")
+
+
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
@@ -138,10 +154,7 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        with np.errstate(over="ignore"):  # finite entries near the float limit
-            herm = float(np.abs(m - m.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+        _require_hermitian(m, "rho")
         tr = sum(m.diagonal().tolist())
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .core import (
     TRACE_TOL,
     DensityMatrix,
     _kron,
+    _read_only,
     _spectrum,
     as_matrix,
     dagger,
@@ -93,8 +95,12 @@ def build_hamiltonian(params: ModelParams) -> Hamiltonian:
     return Hamiltonian(h)
 
 
+# ModelParams is frozen and compared by value; f = -0.0 and gamma = -0.0 hit
+# the entries of +0.0, whose L has the same bits
+@lru_cache(maxsize=8)
 def _superoperator(params: ModelParams) -> np.ndarray:
-    """16x16 matrix L with L vec(rho) = rhs(rho) for row-major vec.
+    """16x16 matrix L with L vec(rho) = rhs(rho) for row-major vec, built
+    once per parameter value and returned read-only.
 
     Uses vec(A X B) = (A kron B^T) vec(X).
     """
@@ -102,7 +108,7 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     eye = np.eye(4, dtype=complex)
     lind = -1.0j * (_kron(h, eye) - _kron(eye, h.T))
     if params.gamma == 0.0:
-        return lind  # closed dynamics: nbar plays no part
+        return _read_only(lind)  # closed dynamics: nbar plays no part
     nbar = params.nbar
     jump = SIGMA_MINUS[0] + SIGMA_MINUS[1]
     for coeff, a in (
@@ -111,7 +117,7 @@ def _superoperator(params: ModelParams) -> np.ndarray:
     ):
         ba = dagger(a) @ a
         lind += coeff * (_kron(a, a.conj()) - 0.5 * (_kron(ba, eye) + _kron(eye, ba.T)))
-    return lind
+    return _read_only(lind)
 
 
 def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
@@ -311,8 +317,16 @@ def effective_c(rho) -> float:
     m = as_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got {m.shape}")
-    c = 1.0 - float((PSI_MINUS.conj() @ m @ PSI_MINUS).real)
-    return min(max(c, 0.0), 1.0)
+    return float(_effective_cs(m))
+
+
+def _effective_cs(m: np.ndarray) -> np.ndarray:
+    """``effective_c`` of a 4x4 matrix, or of each matrix of an ``(n, 4, 4)``
+    stack, clipped to [0, 1].  Each <psi_-|rho|psi_-> is a (1, 4) @ (4, 1)
+    product, which numpy computes as the dot of the two vectors whether or
+    not it is stacked, so a state's c has the same bits alone or in a stack."""
+    weights = (PSI_MINUS.conj() @ m)[..., None, :] @ PSI_MINUS[:, None]
+    return np.clip(1.0 - weights[..., 0, 0].real, 0.0, 1.0)
 
 
 def analytic_steady_state(c: float, params: ModelParams) -> DensityMatrix:
@@ -384,4 +398,10 @@ def max_non_x_magnitude(matrix) -> float:
     m = as_matrix(matrix)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    return float(np.abs(m[~_X_MASK]).max())
+    return float(_non_x_magnitudes(m))
+
+
+def _non_x_magnitudes(m: np.ndarray) -> np.ndarray:
+    """``max_non_x_magnitude`` of a 4x4 matrix, or of each matrix of an
+    ``(n, 4, 4)`` stack."""
+    return np.abs(m[..., ~_X_MASK]).max(axis=-1)

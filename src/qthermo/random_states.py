@@ -23,8 +23,13 @@ _QUBIT_IDENTITY = (_read_only(np.eye(2, dtype=complex)),)
 
 
 def _ginibre(rng, rows, cols) -> np.ndarray:
-    re, im = rng.standard_normal((2, rows, cols))  # the real block is drawn first
-    return re + 1.0j * im
+    """A rows x cols complex Gaussian matrix: the real block is drawn first,
+    then the imaginary one, and both are written into one complex array.
+    The bits are those of re + 1j * im, since 1j * im has real part +-0.0."""
+    g = np.empty((rows, cols), dtype=complex)
+    parts = g.view(float).reshape(rows, cols, 2)
+    parts[...] = rng.standard_normal((2, rows, cols)).transpose(1, 2, 0)
+    return g
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

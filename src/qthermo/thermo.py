@@ -14,10 +14,10 @@ import numpy as np
 from .core import (
     DensityMatrix,
     ENTROPY_CUTOFF,
-    HERMITICITY_TOL,
     _eigh,
     _kron,
     _read_only,
+    _require_hermitian,
     as_matrix,
     dagger,
     entropy_of_eigenvalues,
@@ -49,10 +49,7 @@ class Hamiltonian:
         m = as_matrix(matrix).copy()
         if not np.isfinite(m).all():
             raise ValueError("Hamiltonian has non-finite entries")
-        with np.errstate(over="ignore"):  # finite entries near the float limit
-            herm = float(np.abs(m - dagger(m)).max())
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |H - H^dag| = {herm:.3e}")
+        _require_hermitian(m, "H")
         self.matrix = _read_only(m)
         eigenvalues, eigenvectors = _eigh(m)
         self.eigenvalues = _read_only(eigenvalues)

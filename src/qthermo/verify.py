@@ -14,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import (
+    POSITIVITY_TOL,
     DensityMatrix,
     _kron,
     _spectrum,
@@ -36,6 +37,8 @@ from .correlations import (
 )
 from .dissipation import (
     ModelParams,
+    _effective_cs,
+    _non_x_magnitudes,
     analytic_ergotropy_low_temperature,
     analytic_steady_state,
     effective_c,
@@ -43,7 +46,6 @@ from .dissipation import (
     lindblad_rhs,
     local_beta,
     local_qubit_hamiltonian,
-    max_non_x_magnitude,
 )
 from .measurement import (
     _product_povm,
@@ -463,6 +465,25 @@ def suite_steady_state_ergotropy(rng, n):
         yield ergotropy(rho, h_total) - analytic_ergotropy_low_temperature(float(c))
 
 
+def _trajectory_score(rho0: DensityMatrix, states: np.ndarray, x_input: bool) -> float:
+    """The largest of the (n, 4, 4) trajectory's deviations, each over its
+    floor: from unit trace (1e-9), below zero in an eigenvalue
+    (POSITIVITY_TOL), from the singlet weight of ``rho0`` (1e-6) and, where
+    ``x_input``, from the X shape (1e-10).  One array pass per invariant."""
+    # the suite's own spectra, independent of evolve's min_eigenvalues
+    lowest = float(_spectrum(states)[:, 0].min())
+    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    c_dev = np.abs(_effective_cs(states) - effective_c(rho0))
+    scores = [
+        float(trace_dev.max()) / 1e-9,
+        max(0.0, -lowest) / POSITIVITY_TOL,
+        float(c_dev.max()) / 1e-6,
+    ]
+    if x_input:
+        scores.append(float(_non_x_magnitudes(states).max()) / 1e-10)
+    return max(scores)
+
+
 @_suite("trajectory_invariants", "residual", 1.0, scale=0.02)
 def suite_trajectory_invariants(rng, n):
     """Trace, positivity, singlet-weight conservation, and X-shape
@@ -471,17 +492,7 @@ def suite_trajectory_invariants(rng, n):
     for k in range(n):
         x_input = k % 2 == 0
         rho0 = random_x_state(rng) if x_input else random_two_qubit_state(rng)
-        traj = evolve(rho0, params, dt=0.005, t_max=4.0)
-        c0 = effective_c(rho0)
-        # the suite's own spectra, independent of evolve's min_eigenvalues
-        lowest = _spectrum(traj.states)[:, 0]
-        trace_dev = np.abs(np.trace(traj.states, axis1=1, axis2=2).real - 1.0)
-        worst = max(float(trace_dev.max()) / 1e-9, max(0.0, -float(lowest.min())) / 1e-6)
-        for state in traj.states:
-            worst = max(worst, abs(effective_c(state) - c0) / 1e-6)
-            if x_input:
-                worst = max(worst, max_non_x_magnitude(state) / 1e-10)
-        yield worst
+        yield _trajectory_score(rho0, evolve(rho0, params, dt=0.005, t_max=4.0).states, x_input)
 
 
 @_suite("steady_state_convergence", "residual", 1e-6, scale=0.006)

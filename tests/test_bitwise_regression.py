@@ -12,7 +12,8 @@ earlier ``measure``, one product and one spectrum call per outcome, with its
 per-state marginal entropies; the entropy on numpy arrays and the ``measure``
 body that re-stacked its rows, which the Python-float entropy and the
 preallocated rows replaced; the product POVMs built from validated factor
-POVMs; and the verify suites with a reference measurement loop of their own.
+POVMs; the verify suites with a reference measurement loop of their own; and
+the per-state loop that ``trajectory_invariants`` ran before its array pass.
 The current kernels reuse work (``Hamiltonian.doubled`` and the spectral
 constants each ``Hamiltonian`` keeps, the spectrum kept by
 ``DensityMatrix``, the global work that ``thermo_report`` memoizes, the
@@ -44,8 +45,10 @@ from qthermo import (
     chi_A_max,
     chi_from_local_measurement,
     correlations_lost,
+    effective_c,
     entropy_cost,
     ergotropy,
+    evolve,
     holevo_of_measurement,
     information_gain,
     local_information_gain,
@@ -75,7 +78,7 @@ from qthermo.correlations import (
     _g,
     wootters_eof,
 )
-from qthermo.dissipation import local_qubit_hamiltonian
+from qthermo.dissipation import KET_GG, PSI_MINUS, _effective_cs, local_qubit_hamiltonian
 from qthermo.measurement import PROB_CUTOFF
 from qthermo.random_states import (
     _ginibre,
@@ -654,6 +657,21 @@ def test_one_draw_ginibre_keeps_the_two_draw_stream(seed, dim, rank):
     expected = two.standard_normal((dim, rank)) + 1.0j * two.standard_normal((dim, rank))
     assert _same_bits(_ginibre(one, dim, rank), expected)
     assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (2, 2), (4, 1), (4, 2), (4, 3)])
+def test_ginibre_fills_the_bits_of_the_complex_sum(rows, cols):
+    """On 10 000 draws of each shape the generators take (random_unitary and
+    the POVM blocks: 2x2 and 4x4; random_density_matrix: 4 x rank), the one
+    preallocated array holds the bits of re + 1j * im from the same draw."""
+    ours, theirs = np.random.default_rng([rows, cols]), np.random.default_rng([rows, cols])
+    drawn = np.array([_ginibre(ours, rows, cols) for _ in range(10_000)])
+    expected = []
+    for _ in range(10_000):
+        re, im = theirs.standard_normal((2, rows, cols))
+        expected.append(re + 1.0j * im)
+    assert _same_bits(drawn, np.array(expected))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -1281,3 +1299,98 @@ def test_stacked_suites_match_the_per_pair_loop(name, seed, monkeypatch):
     )
     assert result == expected
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+# -- trajectory_invariants ----------------------------------------------------
+
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def _ref_effective_c(m):
+    """The earlier body of effective_c."""
+    c = 1.0 - float((PSI_MINUS.conj() @ m @ PSI_MINUS).real)
+    return min(max(c, 0.0), 1.0)
+
+
+def _ref_trajectory_score(rho0, states, x_input):
+    """The earlier per-state loop of trajectory_invariants, with the earlier
+    bodies of effective_c and max_non_x_magnitude, scored at the positivity
+    floor POSITIVITY_TOL."""
+    effective_c = _ref_effective_c
+    c0 = effective_c(rho0.matrix)
+    lowest = core._spectrum(states)[:, 0]
+    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    worst = max(
+        float(trace_dev.max()) / 1e-9, max(0.0, -float(lowest.min())) / core.POSITIVITY_TOL
+    )
+    for state in states:
+        worst = max(worst, abs(effective_c(state) - c0) / 1e-6)
+        if x_input:
+            worst = max(worst, float(np.abs(state[~_X_PATTERN]).max()) / 1e-10)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [5, 2027])
+def test_trajectory_suite_matches_the_per_state_loop(seed):
+    """trajectory_invariants, one array pass per invariant, gives the
+    SuiteResult of the per-state loop on the same X-shaped and generic
+    trajectories, and leaves the generator where the loop does."""
+    index, run = next(
+        (i, run) for i, (n, run, _) in enumerate(SUITES) if n == "trajectory_invariants"
+    )
+    rng, rng_ref = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
+    result = run(rng, 4)
+    values = []
+    for k in range(4):
+        rho0 = random_x_state(rng_ref) if k % 2 == 0 else random_two_qubit_state(rng_ref)
+        states = evolve(rho0, ModelParams(), dt=0.005, t_max=4.0).states
+        values.append(_ref_trajectory_score(rho0, states, k % 2 == 0))
+    worst = max(values)
+    assert result == SuiteResult(
+        "trajectory_invariants", 4, int(worst > 1.0), worst, 1.0, "residual"
+    )
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _dominated_trajectories():
+    """(rho0, states, x_input, term) of trajectories in which one of the four
+    scores is the largest: each is an evolved trajectory with one state or
+    all of them nudged off one invariant."""
+    rng = np.random.default_rng(41)
+    ground = core.pure_state(KET_GG, dims=(2, 2))  # its singlet weight stays exactly 0
+    starts = [(random_x_state(rng), True), (random_two_qubit_state(rng), False), (ground, True)]
+    cases = []
+    for rho0, x_input in starts:
+        states = evolve(rho0, ModelParams(), dt=0.005, t_max=1.0).states
+        cases.append((rho0, states, x_input, "as evolved"))
+        cases.append((rho0, states * (1.0 + 3e-9), x_input, "trace"))
+        ground_to_singlet = np.outer(PSI_MINUS, PSI_MINUS) - np.outer(KET_GG, KET_GG)
+        cases.append((rho0, states + 1e-7 * ground_to_singlet, x_input, "singlet weight"))
+        if x_input:
+            off_x = np.zeros((4, 4), dtype=complex)
+            off_x[0, 1] = off_x[1, 0] = 1e-11
+            cases.append((rho0, states + off_x, True, "X shape"))
+    # below the positivity floor in one state, trace and singlet weight kept
+    states = evolve(ground, ModelParams(), dt=0.005, t_max=1.0).states.copy()
+    w, v = np.linalg.eigh(states[50])
+    states[50] += 3e-9 * (np.outer(KET_GG, KET_GG) - np.outer(v[:, 0], v[:, 0].conj()))
+    cases.append((ground, states, False, "positivity"))
+    return cases
+
+
+def test_trajectory_score_matches_the_per_state_loop_when_any_term_dominates():
+    cases = _dominated_trajectories()
+    for rho0, states, _, _ in cases:
+        per_state = [_ref_effective_c(m) for m in states]
+        assert _same_bits(_effective_cs(states), np.array(per_state))
+        assert [effective_c(m) for m in states] == per_state
+        assert effective_c(rho0) == _ref_effective_c(rho0.matrix)
+    scores = [verify._trajectory_score(rho0, states, x) for rho0, states, x, _ in cases]
+    expected = [_ref_trajectory_score(rho0, states, x) for rho0, states, x, _ in cases]
+    assert scores == expected
+    # the nudged invariant is the one that sets the score
+    for (_, _, _, term), score in zip(cases, scores):
+        if term in ("trace", "positivity"):
+            assert 2.0 < score < 4.0
+        elif term in ("singlet weight", "X shape"):
+            assert 0.05 < score < 0.2

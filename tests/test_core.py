@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from qthermo import (
     von_neumann_entropy,
 )
 
-from qthermo.core import _psd_sqrt
+from qthermo.core import HERMITICITY_TOL, _psd_sqrt, _require_hermitian
 from qthermo.io import read_state, write_json
 from qthermo.random_states import (
     random_density_matrix,
@@ -115,6 +116,70 @@ def test_overflowing_hermiticity_difference_is_refused_without_a_warning(cls):
     m = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian.* = inf"):
         cls(m)
+
+
+def _errstate_hermiticity_message(m, symbol):
+    """The earlier check, max |m - m^dag| under np.errstate: the message it
+    raised, or None where m passed."""
+    with np.errstate(over="ignore"):
+        herm = float(np.abs(m - m.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        return f"not Hermitian: max |{symbol} - {symbol}^dag| = {herm:.3e}"
+    return None
+
+
+def _hermiticity_corpus():
+    """Matrices with unit trace whose hermiticity error sits at the
+    tolerance (one ulp either side), overflows, or is subnormal, and
+    near-Hermitian draws that straddle the tolerance."""
+    tol = HERMITICITY_TOL
+    big, tiny = np.finfo(float).max, 5e-324
+    pairs = []  # (m[0, 1], m[1, 0]) of a 2x2 matrix with diagonal 0.5
+    for d in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+        pairs += [(d, 0.0), (0.0, -d), (1j * d, 0.0), (0.3, 0.3 - d), (0.25 + d, 0.25)]
+    pairs += [
+        (1e308, -1e308), (1e308, 1e308), (big, -big), (1e308j, 1e308j),
+        (1.7e308 + 1.7e308j, -1.7e308 + 1.7e308j), (1e308, np.nextafter(1e308, 0.0)),
+        (tiny, 0.0), (tiny, -tiny), (1e-310, -1e-310), (1e-310 + 3e-320j, 1e-310),
+    ]
+    corpus = [np.array([[0.5, a], [b, 0.5]], dtype=complex) for a, b in pairs]
+    for d in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 2 * tiny, 1e-310):
+        corpus.append(np.diag([0.5 + 0.5j * d, 0.5]))  # |m - m^dag| = d on the diagonal
+    rng = np.random.default_rng(29)
+    for scale in (1e-11, 3e-11, 1e-10):
+        for _ in range(50):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g @ g.conj().T
+            # hermiticity is checked before the trace, so a rejected draw's
+            # message does not depend on the perturbation's trace
+            corpus.append(m / np.trace(m).real + scale * rng.standard_normal((4, 4)))
+    return corpus
+
+
+def test_hermiticity_check_matches_the_errstate_form():
+    """One helper checks hermiticity for DensityMatrix and Hamiltonian with no
+    np.errstate; it accepts and rejects what the errstate form did, with the
+    same message, and no warning of any kind is raised."""
+    corpus = _hermiticity_corpus()
+    rejected = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in corpus:
+            for cls, symbol in ((DensityMatrix, "rho"), (Hamiltonian, "H")):
+                expected = _errstate_hermiticity_message(m, symbol)
+                if expected is None:
+                    _require_hermitian(m, symbol)
+                    continue
+                rejected += 1
+                for check in (lambda: _require_hermitian(m, symbol), lambda: cls(m)):
+                    with pytest.raises(ValueError) as err:
+                        check()
+                    assert str(err.value) == expected
+    # the exact edge cases land on the side they were made for
+    assert 0 < rejected < 2 * len(corpus)
+    exact = [corpus[k] for k in range(15) if k % 5 < 3]
+    rejects = [_errstate_hermiticity_message(m, "rho") is not None for m in exact]
+    assert rejects == [False] * 6 + [True] * 3
 
 
 class _Draws:

@@ -148,6 +148,56 @@ class TestLindbladRhs:
         assert np.abs(rhs).max() < 1e-14
 
 
+# the default model first: f = 0.0 and f = -0.0 then meet its cache entry,
+# and gamma = -0.0 meets that of gamma = 0.0
+_CACHED_MODELS = [
+    ModelParams(),
+    ModelParams(f=0.0),
+    ModelParams(f=-0.0),
+    ModelParams(f=0.3, beta_e=1.0),
+    ModelParams(gamma=0.0),
+    ModelParams(f=-0.0, gamma=-0.0),
+    ModelParams(omega=2.0, f=-1.5, beta_e=0.5, gamma=0.2),
+]
+
+
+class TestSuperoperatorCache:
+    """L is built once per parameter value, read-only; what the cache returns
+    has the bits of a fresh build, and so does everything computed from it."""
+
+    def test_cached_matrix_is_a_read_only_fresh_build(self):
+        _superoperator.cache_clear()
+        for params in _CACHED_MODELS:
+            lind = _superoperator(params)
+            assert not lind.flags.writeable
+            assert lind.tobytes() == _superoperator.__wrapped__(params).tobytes()
+            assert _superoperator(params) is lind
+        assert _superoperator.cache_info().misses == 4
+        with pytest.raises(ValueError, match="read-only"):
+            lind[0, 0] = 0.0
+
+    def test_distinct_parameters_give_distinct_matrices(self):
+        models = [_CACHED_MODELS[k] for k in (0, 3, 4, 6)] + [ModelParams(beta_e=1.0)]
+        assert len({_superoperator(params).tobytes() for params in models}) == len(models)
+
+    def test_rhs_and_evolve_match_a_fresh_build(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        starts = [random_two_qubit_state(rng), random_x_state(rng), pure_state(BELL_PHI, dims=(2, 2))]
+        cases = [(rho, params) for rho in starts for params in _CACHED_MODELS]
+
+        def outputs():
+            rhs = [lindblad_rhs(rho, params) for rho, params in cases]
+            trajectories = [evolve(rho, params, dt=0.01, t_max=0.6) for rho, params in cases]
+            return rhs + [traj.states for traj in trajectories] + [
+                np.array([traj.final_residual]) for traj in trajectories
+            ]
+
+        cached = outputs()
+        monkeypatch.setattr(dissipation, "_superoperator", _superoperator.__wrapped__)
+        fresh = outputs()
+        assert [a.tobytes() for a in cached] == [b.tobytes() for b in fresh]
+
+
 class TestEvolve:
     def test_steady_state_stays_put(self):
         params = ModelParams()

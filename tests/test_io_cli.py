@@ -745,6 +745,14 @@ class TestMainExitCodes:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "8b8ecf57bbe0db47641d2ab7f4911ee2b20fd2eb053ea27c1f7af25156491a9d"
 
+    def test_verify_report_bytes_at_the_benchmark_count(self, tmp_path, capfd):
+        # every suite's count, failures and worst value at seed 7, count 50
+        out = tmp_path / "verify.json"
+        assert main(["--seed", "7", "--count", "50", "--out", str(out), "verify"]) == 0
+        assert capfd.readouterr().err == ""
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "c0ad2bbab48368c9ea5cdcaa1dd0612c2c02479b86f57da5033d8369b96130ff"
+
     @pytest.mark.parametrize(
         "ket, flags",
         [
