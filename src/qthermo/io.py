@@ -1,8 +1,10 @@
 """Readers and writers for the file formats: JSON states and Hamiltonians
 (re/im layout), relation and verify reports, and the CSV tables.
 
-Floats in CSV carry 12 significant digits with a '.' decimal separator; CSV
-files are written in binary mode, so lines end in '\n' on every platform.
+Floats in CSV carry 12 significant digits with a '.' decimal separator, the
+bytes of "%.12g", rendered by ``_csvcells``, which the CSV writers import on
+first use; CSV files are written in binary mode, so lines end in '\n' on
+every platform.
 Non-finite floats are encoded as the strings "inf", "-inf", "nan" in JSON
 (strict parsers reject bare Infinity tokens).
 """
@@ -21,23 +23,6 @@ from .thermo import Hamiltonian
 if TYPE_CHECKING:  # annotations only: reading a state loads neither module
     from .dissipation import Trajectory
     from .relations import RelationReport
-
-
-def _write_rows(fh, table: np.ndarray) -> None:
-    """Write each row of the float64 ``table`` as one CSV line to the binary
-    file ``fh``, every value in the 12-significant-digit "%.12g" form (bytes
-    ``%`` makes the same conversion as str ``%``, with no encoding pass).  A
-    column whose float64 bits are the same in every row (so -0.0 and +0.0
-    differ) is formatted once, into the row format itself; the other columns
-    are formatted by one ``%`` over the row format repeated once per row."""
-    if not len(table):
-        return
-    bits = table.view(np.int64)
-    constant = (bits == bits[0]).all(axis=0)
-    row_format = b",".join(
-        b"%.12g" % x if same else b"%.12g" for x, same in zip(table[0].tolist(), constant)
-    ) + b"\n"
-    fh.write((row_format * len(table)) % tuple(table[:, ~constant].ravel().tolist()))
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:
@@ -130,40 +115,46 @@ def trajectory_header() -> list[str]:
     return cols
 
 
-# rows formatted per write of the trajectory CSV
-CSV_CHUNK_ROWS = 512
+# rows rendered per write of the trajectory CSV: a chunk's table and the
+# renderer's work arrays, text and output take about 110 bytes per cell, a
+# 1.02 MB peak at 256 rows of 35 cells
+CSV_CHUNK_ROWS = 256
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """One row per stored step: t, the 16 entries re/im interleaved, trace,
     and the smallest eigenvalue (from the trajectory's own check).  The file
     is written in binary mode, so every line ends in "\\n" on every platform,
-    CSV_CHUNK_ROWS rows at a time, each chunk formatted to bytes by
-    ``_write_rows``; a column that is constant by bits within a chunk (the
-    re-hermitized diagonal's zero imaginary parts, the zeros off an X-shaped
-    state's X) is formatted once for that chunk, with the same bytes as row
-    by row."""
+    CSV_CHUNK_ROWS rows at a time, each chunk rendered to bytes by one
+    ``CsvRenderer``."""
+    from ._csvcells import CsvRenderer
+
     header = trajectory_header()
     states = trajectory.states
+    table = np.empty((min(CSV_CHUNK_ROWS, len(states)), len(header)))
+    renderer = CsvRenderer(table.size)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(states), CSV_CHUNK_ROWS):
             rows = slice(start, start + CSV_CHUNK_ROWS)
             chunk = states[rows]
-            table = np.empty((len(chunk), len(header)))
-            table[:, 0] = trajectory.times[rows]
+            part = table[: len(chunk)]
+            part[:, 0] = trajectory.times[rows]
             entries = chunk.reshape(-1, 16)
-            table[:, 1:33:2] = entries.real
-            table[:, 2:33:2] = entries.imag
-            table[:, 33] = np.trace(chunk, axis1=1, axis2=2).real
-            table[:, 34] = trajectory.min_eigenvalues[rows]
-            _write_rows(fh, table)
+            part[:, 1:33:2] = entries.real
+            part[:, 2:33:2] = entries.imag
+            part[:, 33] = np.trace(chunk, axis1=1, axis2=2).real
+            part[:, 34] = trajectory.min_eigenvalues[rows]
+            fh.write(renderer.render(part))
 
 
 def write_csv(path, columns: list[str], rows: list[dict]) -> None:
     """One header line, then one line per row dict in ``columns`` order,
     written in binary mode like the trajectory CSV."""
+    from ._csvcells import CsvRenderer
+
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         table = np.array([[row[c] for c in columns] for row in rows], dtype=float)
-        _write_rows(fh, table.reshape(len(rows), len(columns)))
+        table = table.reshape(len(rows), len(columns))
+        fh.write(CsvRenderer(table.size).render(table) if table.size else b"\n" * len(rows))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from qthermo import (
     pure_state,
     thermal_state,
 )
-from qthermo import dissipation
+from qthermo import _csvcells, dissipation
 from qthermo import cli
 from qthermo.cli import (
     DEFAULT_OUTPUTS,
@@ -151,7 +152,25 @@ class TestTrajectoryCsvBytes:
         assert traj.stop_reason == ("fixed_point" if x_shaped else "horizon")
         self._assert_same_bytes(tmp_path, traj)
 
-    @pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_writer_memory_stays_within_one_chunk(self, tmp_path):
+        # one chunk's table, work arrays, text buffer and output: 1.02 MB at
+        # 256 rows (the %-formatting writer before it peaked at 1.14 MB)
+        traj = evolve(random_two_qubit_state(np.random.default_rng(5)), ModelParams(),
+                      dt=0.005, t_max=50.0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)  # loads the renderer's tables first
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 10001
+        assert peak <= 1.1e6
+
+    @pytest.mark.parametrize(
+        "n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1]
+    )
     def test_lengths_around_the_chunk(self, tmp_path, rng, n):
         traj = evolve(random_two_qubit_state(rng), ModelParams(), dt=0.005, t_max=5.0)
         self._assert_same_bytes(tmp_path, _first_rows(traj, n))
@@ -180,8 +199,13 @@ class TestTrajectoryCsvBytes:
         assert rows[3].split(",")[-1] == "-2"
 
 
-    @pytest.mark.parametrize("n", [CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS + 7])
+    @pytest.mark.parametrize(
+        "n",
+        [CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS + 7, 2 * CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 7],
+    )
     def test_constant_columns(self, tmp_path, rng, n):
+        """Columns that hold one value, in every row or from the second chunk
+        on, with +0.0 and -0.0 each keeping its own text."""
         traj = _first_rows(
             evolve(random_two_qubit_state(rng), ModelParams(), dt=0.005, t_max=5.0), n
         )
@@ -189,7 +213,7 @@ class TestTrajectoryCsvBytes:
         states[:, 0, 1] = complex(0.0, -0.0)  # re all +0.0, im all -0.0
         states[:, 0, 2] = 0.1 + 0.2j  # nonzero constants
         states[:, 1, 3] = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)  # equal, not same bits
-        states[CSV_CHUNK_ROWS:, 2, 3] = 0.25  # constant in the second chunk only
+        states[CSV_CHUNK_ROWS:, 2, 3] = 0.25  # constant from the second chunk on
         traj = dataclasses.replace(traj, states=states)
         self._assert_same_bytes(tmp_path, traj)
         header = trajectory_header()
@@ -201,6 +225,60 @@ class TestTrajectoryCsvBytes:
         assert columns["re_13"][:4] == ["-0", "0", "0", "-0"]
         assert set(columns["re_23"][CSV_CHUNK_ROWS:]) == {"0.25"}
         assert len(set(columns["re_23"][:CSV_CHUNK_ROWS])) > 1
+
+
+def _with_neighbours(values) -> list[float]:
+    values = np.asarray(values, dtype=float)
+    return [*np.nextafter(values, 0.0), *values, *np.nextafter(values, np.inf)]
+
+
+def _cell_corpus() -> np.ndarray:
+    """Named edge cases of "%.12g", each with its negation: the special and
+    extreme values, every power of ten with both neighbours, the switches
+    between fixed and exponent notation, integer parts that end in zeros,
+    and 13th-digit decimal ties with both neighbours."""
+    named = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             9.99999999999e-5, 0.0001, 99999999999.95, 999999999999.5, 1e12,
+             10.0, 120.0, 1e11, 123456789010.0]
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    rng = np.random.default_rng(37)
+    ties = [
+        float(f"{rng.integers(10**11, 10**12)}5e{k}") for k in range(-20, 25) for _ in range(100)
+    ]
+    values = np.array(named + _with_neighbours(powers) + _with_neighbours(ties))
+    return np.concatenate([values, -values])
+
+
+def _assert_cells_match_percent(values, cols, chunk_cells=8960):
+    """Render ``values`` as a ``cols``-column table, chunk by chunk, and
+    compare with b"%.12g" % v row by row."""
+    table = np.resize(values, -(-len(values) // cols) * cols).reshape(-1, cols)
+    renderer = _csvcells.CsvRenderer(chunk_cells)
+    row_format = b",".join([b"%.12g"] * cols) + b"\n"
+    for start in range(0, len(table), chunk_cells // cols):
+        chunk = table[start:start + chunk_cells // cols]
+        got = bytes(renderer.render(chunk))
+        want = (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
+        if got != want:
+            bad = next(
+                (g, w, row.tolist())
+                for g, w, row in zip(got.split(b"\n"), want.split(b"\n"), chunk)
+                if g != w
+            )
+            pytest.fail(f"rendered {bad[0]!r}, %.12g gives {bad[1]!r} for {bad[2]}")
+
+
+@pytest.mark.parametrize("cols", [1, 7, 35])
+def test_cells_match_percent_on_the_edge_corpus(cols):
+    _assert_cells_match_percent(_cell_corpus(), cols)
+
+
+@pytest.mark.parametrize("cols", [1, 7, 35])
+def test_cells_match_percent_on_log_uniform_values(cols):
+    rng = np.random.default_rng(2024)
+    n = 1_000_000
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323.3, 308.25, n)
+    _assert_cells_match_percent(values, cols)
 
 
 def test_write_csv_renders_every_value_as_fmt(tmp_path):
@@ -224,7 +302,7 @@ def test_write_csv_formats_constant_columns_by_bits(tmp_path):
 
 
 def test_write_csv_all_constant_table(tmp_path):
-    """Every column constant by bits: the row format holds no placeholder."""
+    """Every column holds one value (-0.0, a finite value, nan) in every row."""
     path = tmp_path / "table.csv"
     write_csv(path, ["x", "y", "z"], [{"x": -0.0, "y": 0.5, "z": np.nan}] * 3)
     assert path.read_text() == "x,y,z\n" + "-0,0.5,nan\n" * 3
@@ -752,6 +830,25 @@ class TestMainExitCodes:
         assert capfd.readouterr().err == ""
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "c0ad2bbab48368c9ea5cdcaa1dd0612c2c02479b86f57da5033d8369b96130ff"
+
+    @pytest.mark.parametrize(
+        "make, seed, expected",
+        [
+            (random_two_qubit_state, 11,
+             "77c9cddab3f730d67838af200bd2231f0b6a199063061f09fadf5aafe86a752a"),
+            (random_x_state, 12,
+             "db4282d902a33e185fa1c859105c21b114235b8ff22e8707807c9d12fb95dcae"),
+        ],
+        ids=["generic", "x_shaped"],
+    )
+    def test_simulate_trajectory_bytes(self, tmp_path, capfd, make, seed, expected):
+        # 401 rows: one full chunk of the CSV writer and one partial chunk
+        state = tmp_path / "rho0.json"
+        write_state(state, make(np.random.default_rng(seed)))
+        out = tmp_path / "traj.csv"
+        assert main(["--t-max", "2", "--out", str(out), "simulate", str(state)]) == 0
+        assert capfd.readouterr().err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
     @pytest.mark.parametrize(
         "ket, flags",
