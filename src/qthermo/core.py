@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -228,12 +229,18 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     return DensityMatrix(_partial_trace(rho.matrix, rho.dims, keep), spectrum=_ON_FIRST_READ)
 
 
-def entropy_of_eigenvalues(values) -> float:
+def entropy_of_eigenvalues(values, *, rows: bool = False) -> float | list[float]:
     """Shannon entropy (nats) of a spectrum; values below 1e-12 contribute zero.
 
     Values in [-1e-9, 0) are treated as integration round-off and clamped;
-    anything more negative is an error, and so is a NaN anywhere.
+    anything more negative is an error, and so is a NaN anywhere.  The
+    values are read flattened, unless ``rows``: then ``values`` is an
+    ``(n, d)`` stack of spectra, and the result is the list of the n row
+    entropies, each with the bits of the call on its row, from one
+    ``np.log`` call.  The first failing row raises its own error.
     """
+    if rows:
+        return _row_entropies(values)
     w = np.asarray(values, dtype=float).ravel().tolist()
     lowest = min(w) if w else 0.0
     if lowest < -POSITIVITY_TOL:
@@ -245,10 +252,24 @@ def entropy_of_eigenvalues(values) -> float:
     if not kept:
         return 0.0
     # np.log: its bits do not depend on the array's length; math.log's differ
-    entropy = -_add_reduce([p * log_p for p, log_p in zip(kept, np.log(kept).tolist())])
+    entropy = -_add_reduce(list(map(mul, kept, np.log(kept).tolist())))
     if entropy != entropy:
         raise ValueError(_NAN_SPECTRUM)
     return entropy
+
+
+def _row_entropies(values) -> list[float]:
+    """``entropy_of_eigenvalues`` of each row of an ``(n, d)`` stack: the
+    same cut and sum per row, with one ``np.log`` call over every kept value."""
+    w = np.asarray(values, dtype=float)
+    # a value below -1e-9 or a NaN fails the comparison
+    if not np.minimum.reduce(w, axis=None, initial=np.inf) >= -POSITIVITY_TOL:
+        first = np.argmin((w >= -POSITIVITY_TOL).all(axis=1))
+        entropy_of_eigenvalues(w[first])  # raises that row's error
+    kept = [[p for p in row if not p < ENTROPY_CUTOFF] for row in w.tolist()]
+    logs = iter(np.log([p for row in kept for p in row]).tolist())
+    # no NaN is left, so no sum is NaN
+    return [-_add_reduce([p * next(logs) for p in row]) if row else 0.0 for row in kept]
 
 
 def _add_reduce(terms: list) -> float:
@@ -280,10 +301,11 @@ def marginal_entropy(rho: DensityMatrix, side: str) -> float:
 
 def _marginal_entropies(matrices: np.ndarray, dims, side: str) -> list[float]:
     """``marginal_entropy`` of each matrix of an ``(n, d, d)`` stack of
-    states on the split ``dims``: one partial trace and one spectrum call."""
+    states on the split ``dims``: one partial trace, one spectrum call and
+    one entropy call."""
     if dims is None:
         raise ValueError(_NO_DIMS)
-    return [entropy_of_eigenvalues(w) for w in _spectrum(_partial_trace(matrices, dims, side))]
+    return entropy_of_eigenvalues(_spectrum(_partial_trace(matrices, dims, side)), rows=True)
 
 
 def mutual_information(rho: DensityMatrix) -> float:

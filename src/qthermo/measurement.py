@@ -20,7 +20,7 @@ from .core import (
     _read_only,
     _spectrum,
     as_matrix,
-    von_neumann_entropy,
+    entropy_of_eigenvalues,
 )
 from .thermo import Hamiltonian
 
@@ -101,11 +101,11 @@ class MeasurementRecord:
     ``probabilities`` is read-only, and ``post_states`` is a tuple that holds
     None for outcomes with probability below 1e-12; those outcomes are
     excluded from every entropy average.  The entropies derived from the
-    record (the marginal entropies per side, the average post-measurement
-    entropy and the information gain) are kept once worked out
-    (``_entropies``); every record that ``measure`` makes of one (state,
-    POVM) pair shares that one dict, so the record is frozen and its arrays
-    read-only: no record can change what the others read.
+    record (those of its states, the marginal entropies per side, the
+    average post-measurement entropy and the information gain) are kept
+    once worked out (``_entropies``); every record that ``measure`` makes of
+    one (state, POVM) pair shares that one dict, so the record is frozen and
+    its arrays read-only: no record can change what the others read.
     """
 
     probabilities: np.ndarray
@@ -123,13 +123,29 @@ class MeasurementRecord:
 
     def average_post_entropy(self) -> float:
         if "post" not in self._entropies:
-            self._entropies["post"] = self.average(von_neumann_entropy)
+            _, post, _ = self._state_entropies()
+            self._entropies["post"] = sum(
+                p * s for p, s in zip(self.probabilities, post) if s is not None
+            )
         return self._entropies["post"]
+
+    def _state_entropies(self) -> tuple[float, tuple, float]:
+        """S of the pre-state, of each outcome's post-state (None where
+        dropped) and of the channel output.  Worked out with one entropy call
+        over their spectra, and kept."""
+        if "states" not in self._entropies:
+            kept = [s._spectrum for s in self.post_states if s is not None]
+            spectra = np.array([self.pre_state._spectrum, *kept, self.channel_output._spectrum])
+            pre, *kept, channel = entropy_of_eigenvalues(spectra, rows=True)
+            kept = iter(kept)
+            post = tuple([None if s is None else next(kept) for s in self.post_states])
+            self._entropies["states"] = pre, post, channel
+        return self._entropies["states"]
 
     def _marginal_entropies(self, side: str) -> tuple[float, list]:
         """S(rho_side) of the pre-state, and of each outcome's post-state
         (None where dropped).  Worked out per side on first use, with one
-        partial trace and one spectrum call, and kept."""
+        partial trace, one spectrum call and one entropy call, and kept."""
         if side not in self._entropies:
             kept = [s.matrix for s in self.post_states if s is not None]
             matrices = np.array([self.pre_state.matrix, *kept])
@@ -150,9 +166,36 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
     the outcomes behind them are worked out once per (state, POVM) pair
     (``_outcomes``).
     """
-    probs, kept, rows, derived = _outcomes(rho, povm)
-    made = (DensityMatrix(m, rho.dims, spectrum=w) for m, w in rows)
-    posts = tuple(next(made) if keep else None for keep in kept)
+    return _record(rho, _outcomes(rho, povm))
+
+
+def _measure_pairs(states, povms) -> list[MeasurementRecord]:
+    """``measure`` of each (state, POVM) pair, in input order, with one
+    ``_outcome_stack`` call per group of pairs that share the state
+    dimension, the POVM dimension and the outcome count.  The first failing
+    pair in input order raises its error."""
+    groups = {}
+    for k, (rho, povm) in enumerate(zip(states, povms, strict=True)):
+        groups.setdefault((rho.dim, povm.dim, len(povm)), []).append(k)
+    outcomes = [None] * len(states)
+    try:
+        for members in groups.values():
+            stacked = _outcome_stack([states[k] for k in members], [povms[k] for k in members])
+            for k, outcome in zip(members, stacked):
+                outcomes[k] = outcome
+    except ValueError:  # some pair fails: the first one in input order raises
+        for rho, povm in zip(states, povms):
+            _outcome_stack((rho,), (povm,))
+        raise
+    return [_record(rho, outcome) for rho, outcome in zip(states, outcomes)]
+
+
+def _record(rho: DensityMatrix, outcome) -> MeasurementRecord:
+    """A new record of ``rho`` from its outcome, with new post-state and
+    channel-output objects."""
+    probs, kept, rows, derived = outcome
+    made = iter([DensityMatrix(m, rho.dims, spectrum=w) for m, w in rows])
+    posts = tuple([next(made) if keep else None for keep in kept])
     return MeasurementRecord(probs, posts, rho, next(made), derived)
 
 
@@ -162,46 +205,81 @@ def measure(rho: DensityMatrix, povm: Povm) -> MeasurementRecord:
 # and nothing is cached for it.
 @lru_cache(maxsize=1)
 def _outcomes(rho: DensityMatrix, povm: Povm):
-    """The checks and arithmetic of ``measure``: the read-only probabilities,
-    which outcomes keep a post-state, one (matrix, spectrum) pair per kept
-    post-state and then the channel output's, all read-only, and the dict of
-    derived entropies that the records of this pair share."""
+    """The outcome of one pair: ``_outcome_stack`` with n = 1."""
+    return _outcome_stack((rho,), (povm,))[0]
+
+
+def _outcome_stack(states, povms) -> list:
+    """The checks and arithmetic of ``measure`` for n (state, POVM) pairs of
+    one state dimension, POVM dimension and outcome count, in input order:
+    per pair, the read-only probabilities, which outcomes keep a post-state,
+    one (matrix, spectrum) pair per kept post-state and then the channel
+    output's, all read-only, and the dict of derived entropies that the
+    records of this pair share.  One matmul takes every product
+    M_k rho M_k^dag, and one spectrum call every kept post-state and
+    channel output.  Raises the error of the first pair that fails a check
+    (dimension mismatch, negative probability, sum)."""
+    rho, povm = states[0], povms[0]
     if povm.dim != rho.dim:
         raise ValueError(f"POVM dimension {povm.dim} != state dimension {rho.dim}")
-    products = povm._stack @ rho.matrix @ povm._dagger
+    n, d = len(states), rho.dim
+    # (n, 1, d, d) against the POVM stacks; one state needs no copy
+    matrices = np.array([state.matrix for state in states])[:, None] if n > 1 else rho.matrix
+    if povms.count(povm) == n:  # one POVM object for all
+        stack, dagger = povm._stack, povm._dagger
+    else:
+        stack, dagger = np.array([p._stack for p in povms]), np.array([p._dagger for p in povms])
+    products = stack @ matrices @ dagger
+    if n > 1:
+        products = products.reshape(-1, d, d)  # the n K products, pair by pair
     raw = products.trace(axis1=1, axis2=2).real
-    if min(raw.tolist()) < -PROB_CUTOFF:  # raw.min(): finite products have no NaN
-        raise ValueError(f"negative outcome probability {raw.min():.3e}")
-    probs = np.maximum(raw, 0.0)  # np.clip(raw, 0.0, None)
-    if abs(_add_reduce(probs.tolist()) - 1.0) > 1e-9:  # probs.sum(), on Python floats
-        raise ValueError(f"outcome probabilities sum to {probs.sum():.12g}")
+    probs = _read_only(np.maximum(raw, 0.0))  # np.clip(raw, 0.0, None)
     kept = probs >= PROB_CUTOFF
-    # the kept post-states, then the channel output: Python's sum(products) from 0.0
-    rows = np.empty((np.count_nonzero(kept) + 1, rho.dim, rho.dim), dtype=complex)
-    np.divide(products[kept], probs[kept][:, None, None], out=rows[:-1])
-    np.add.reduce(products, axis=0, initial=0.0, out=rows[-1])  # a -0.0 entry becomes 0.0
+    # the kept post-states of every pair, then the channel outputs: Python's
+    # sum(products) from 0.0 per pair
+    count = np.count_nonzero(kept)
+    rows = np.empty((count + n, d, d), dtype=complex)
+    selected = kept if count < kept.size else slice(None)  # no copy when all are kept
+    np.divide(products[selected], probs[selected][:, None, None], out=rows[:count])
+    np.add.reduce(products.reshape(n, -1, d, d), axis=1, initial=0.0, out=rows[count:])
     _read_only(rows)
-    spectra = _read_only(_spectrum(rows))
-    return _read_only(probs), tuple(kept.tolist()), tuple(zip(rows, spectra)), {}
+    row_pairs = list(zip(rows, _read_only(_spectrum(rows))))
+    raw, clipped, kept = raw.tolist(), probs.tolist(), kept.tolist()
+    size = len(kept) // n
+    outcomes, start = [], 0
+    for k in range(n):
+        first, last = k * size, (k + 1) * size
+        # min: finite products have no NaN; _add_reduce: the bits of probs.sum()
+        if min(raw[first:last]) < -PROB_CUTOFF:
+            raise ValueError(f"negative outcome probability {min(raw[first:last]):.3e}")
+        if abs(_add_reduce(clipped[first:last]) - 1.0) > 1e-9:
+            raise ValueError(f"outcome probabilities sum to {probs[first:last].sum():.12g}")
+        kept_k = tuple(kept[first:last])
+        stop = start + sum(kept_k)
+        posts = row_pairs[start:stop] + [row_pairs[count + k]]
+        outcomes.append((probs[first:last], kept_k, posts, {}))
+        start = stop
+    return outcomes
 
 
 def information_gain(record: MeasurementRecord) -> float:
     """Entropy reduction S(rho) - sum_n p_n S(rho_n) caused by the measurement
     (nats), worked out once per record (or per pair, for ``measure``'s records)."""
     if "gain" not in record._entropies:
-        pre = von_neumann_entropy(record.pre_state)
+        pre, _, _ = record._state_entropies()
         record._entropies["gain"] = pre - record.average_post_entropy()
     return record._entropies["gain"]
 
 
 def entropy_cost(record: MeasurementRecord) -> float:
     """S(M(rho)) - S(rho); nonnegative for projective POVMs, may be negative otherwise."""
-    return von_neumann_entropy(record.channel_output) - von_neumann_entropy(record.pre_state)
+    pre, _, channel = record._state_entropies()
+    return channel - pre
 
 
 def holevo_of_measurement(record: MeasurementRecord) -> float:
     """S(M(rho)) - sum_n p_n S(rho_n); equals information gain plus entropy cost."""
-    return von_neumann_entropy(record.channel_output) - record.average_post_entropy()
+    return record._state_entropies()[2] - record.average_post_entropy()
 
 
 def local_povm(povm_a: Povm, povm_b: Povm) -> Povm:
@@ -253,9 +331,10 @@ def correlations_lost(record: MeasurementRecord) -> float:
     """
     pre_a, post_a = record._marginal_entropies("A")
     pre_b, post_b = record._marginal_entropies("B")
+    pre, post, _ = record._state_entropies()
     lost = sum(
-        p * (s_a + s_b - von_neumann_entropy(s))
-        for p, s_a, s_b, s in zip(record.probabilities, post_a, post_b, record.post_states)
+        p * (s_a + s_b - s)
+        for p, s_a, s_b, s in zip(record.probabilities, post_a, post_b, post)
         if s is not None
     )
-    return pre_a + pre_b - von_neumann_entropy(record.pre_state) - lost
+    return pre_a + pre_b - pre - lost

@@ -9,7 +9,9 @@ two calls, and ``np.linalg.eigvalsh``, ``eigh``, ``svd`` and ``qr``, whose
 LAPACK gufuncs ``core._spectrum``, ``core._eigh``, ``core._singular_values``,
 ``core._real_svd`` and ``random_unitary`` call directly.  Further down: the
 earlier ``measure``, one product and one spectrum call per outcome, with its
-per-state marginal entropies; the entropy on numpy arrays and the ``measure``
+per-state marginal entropies; n pairs measured in one call against one
+``measure`` call each, and the entropies of a stack of spectra against one
+call per row; the entropy on numpy arrays and the ``measure``
 body that re-stacked its rows, which the Python-float entropy and the
 preallocated rows replaced; the product POVMs built from validated factor
 POVMs; the verify suites with a reference measurement loop of their own; and
@@ -65,7 +67,7 @@ from qthermo import (
     thermo_report,
     von_neumann_entropy,
 )
-from qthermo import core, verify
+from qthermo import core, measurement, verify
 from qthermo.cli import sweep_row
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
@@ -868,6 +870,106 @@ def test_stacked_marginals_without_dims_raise_the_per_state_error(states):
         local_information_gain(records[0], "C")
 
 
+# -- n pairs in one call --------------------------------------------------------
+
+
+def _derived_bits(record):
+    """Every entropy derived from a record, as float64 bits, or the error of
+    the ones that need dims."""
+    values = {
+        "states": record._state_entropies(),
+        "post": record.average_post_entropy(),
+        "gain": information_gain(record),
+        "cost": entropy_cost(record),
+        "holevo": holevo_of_measurement(record),
+    }
+    try:
+        values["A"] = record._marginal_entropies("A")
+        values["B"] = record._marginal_entropies("B")
+        values["local"] = (local_information_gain(record, "A"), local_information_gain(record, "B"))
+        values["lost"] = correlations_lost(record)
+    except ValueError as err:
+        values["marginals"] = str(err)
+
+    def bits(v):
+        if isinstance(v, (tuple, list)):
+            return [bits(x) for x in v]
+        return v if v is None or isinstance(v, str) else np.float64(v).tobytes()
+
+    return {name: bits(v) for name, v in values.items()}
+
+
+def test_pairs_in_one_call_match_one_measure_call_each(states):
+    """_measure_pairs on the whole mixed batch (every POVM family, outcome
+    counts 2 to 4 mixed, dims (2, 2), (4, 1) and None, dropped outcomes)
+    gives, record by record, the bits of one measure call per pair: the
+    probabilities, post-states, channel output, their spectra and every
+    derived entropy.  The entropies also equal the per-state expressions."""
+    batch_states, povms = _mixed_batch(states)
+    assert {len(povm) for povm in povms} == {2, 3, 4}
+    assert {rho.dims for rho in batch_states} == {None, (2, 2), (4, 1)}
+    records = measurement._measure_pairs(batch_states, povms)
+    assert len(records) == len(batch_states)
+    for record, rho, povm in zip(records, batch_states, povms):
+        expected = measure(rho, povm)
+        assert record.pre_state is rho
+        assert _same_bits(record.probabilities, expected.probabilities)
+        assert not record.probabilities.flags.writeable
+        assert [s is None for s in record.post_states] == [
+            s is None for s in expected.post_states
+        ]
+        derived = [s for s in record.post_states if s is not None] + [record.channel_output]
+        reference = [s for s in expected.post_states if s is not None] + [expected.channel_output]
+        for state, ref in zip(derived, reference):
+            assert _same_bits(state.matrix, ref.matrix) and _same_bits(state._spectrum, ref._spectrum)
+            assert state.dims == rho.dims
+            assert not state.matrix.flags.writeable and not state._spectrum.flags.writeable
+        _assert_matches_the_per_pair_measure(record, rho, povm)
+        assert _derived_bits(record) == _derived_bits(expected)
+        pre = von_neumann_entropy(rho)
+        post = record.average(von_neumann_entropy)
+        assert information_gain(record) == pre - post
+        assert entropy_cost(record) == von_neumann_entropy(record.channel_output) - pre
+        assert holevo_of_measurement(record) == von_neumann_entropy(record.channel_output) - post
+        if rho.dims is not None:
+            assert correlations_lost(record) == _correlations_lost(record)
+            for side in "AB":
+                assert local_information_gain(record, side) == _local_information_gain(record, side)
+
+
+def _dimension_mismatch_pair(states):
+    return states[0], Povm([np.eye(2)])
+
+
+def test_pairs_in_one_call_raise_the_first_failing_pair(states):
+    """A dimension mismatch, a negative probability or an over-complete sum
+    at any position of a batch raises that pair's own measure message; with
+    two failing pairs, the first in input order raises."""
+    batch_states, povms = _mixed_batch(states[::60])
+    base = list(zip(batch_states, povms))[:9]
+    failing = [_dimension_mismatch_pair(states), _negative_pair(), _over_complete_pair()]
+    messages = []
+    for rho, povm in failing:
+        with pytest.raises(ValueError) as expected:
+            measure(rho, povm)
+        messages.append(f"^{re.escape(str(expected.value))}$")
+
+    def call(pairs):
+        return measurement._measure_pairs([rho for rho, _ in pairs], [povm for _, povm in pairs])
+
+    assert len(call(base)) == len(base)
+    for pair, message in zip(failing, messages):
+        for k in range(len(base) + 1):
+            with pytest.raises(ValueError, match=message):
+                call(base[:k] + [pair] + base[k:])
+    for (first, message), (second, _) in itertools.permutations(zip(failing, messages), 2):
+        for j, k in [(0, 1), (0, len(base)), (3, 4), (len(base) - 1, len(base))]:
+            pairs = base[:j] + [first] + base[j:k] + [second] + base[k:]
+            with pytest.raises(ValueError, match=message):
+                call(pairs)
+    with pytest.raises(ValueError):
+        measurement._measure_pairs(batch_states, povms[:-1])
+
 
 # -- the leaves on Python floats and preallocated rows ------------------------
 
@@ -943,6 +1045,81 @@ def test_entropy_raises_on_a_nan_anywhere(values):
     does not report first."""
     with pytest.raises(ValueError, match="^NaN eigenvalue in the spectrum"):
         entropy_of_eigenvalues(values)
+
+
+def _entropy_stacks(states):
+    """(n, d) stacks for the stacked entropy: spectra of the corpus and of
+    its marginals, and rows built from values at the cutoff and one ulp
+    either side, signed zeros, round-off in [-1e-9, 0), pure rows, and rows
+    with 8 and 16 kept values (numpy's pairwise sum), each row shuffled."""
+    rng = np.random.default_rng(59)
+    at = ENTROPY_CUTOFF
+    edges = [
+        at, np.nextafter(at, 0.0), np.nextafter(at, 1.0), 0.0, -0.0,
+        -1e-9, -5e-10, -1e-12, -5e-324, 1e-300,
+    ]
+    stacks = [
+        np.array([rho.eigenvalues() for rho in states]),
+        np.array([partial_trace(rho, side).eigenvalues() for rho in states[::5] for side in "AB"]),
+    ]
+    for d in (1, 2, 3, 4, 8, 9, 16, 17):
+        rows = []
+        for _ in range(60):
+            row = rng.dirichlet(np.ones(d)) * 10.0 ** rng.integers(-13, 1, d)
+            edge = rng.random(d) < 0.4
+            row[edge] = rng.choice(edges, d)[edge]
+            rows.append(row)
+        rows.append(np.eye(d)[rng.integers(d)])  # pure
+        rows.append(-np.eye(d)[0] * 0.0)  # -0.0 everywhere
+        rows.append(np.full(d, at))
+        stacks.append(np.array(rows))
+    for kept in (8, 16):
+        rows = [np.concatenate([rng.dirichlet(np.ones(kept)), np.zeros(3)]) for _ in range(40)]
+        rows += [np.concatenate([np.full(kept, 1.0 / kept), [at, -0.0, -1e-9]])]
+        stacks.append(rng.permuted(np.array(rows), axis=1))
+    return stacks
+
+
+def test_stacked_entropy_matches_the_per_row_calls(states):
+    """entropy_of_eigenvalues(stack, rows=True) gives each row's bits, sign
+    included, and one np.log call over all rows."""
+    stacks = _entropy_stacks(states)
+    kept_counts = {int((row >= ENTROPY_CUTOFF).sum()) for stack in stacks for row in stack}
+    assert {0, 1, 8, 16} <= kept_counts
+    for stack in stacks:
+        expected = [_outcome(entropy_of_eigenvalues, row) for row in stack]
+        got = entropy_of_eigenvalues(stack, rows=True)
+        assert all(type(v) is float for v in got)
+        assert [_outcome(lambda v: v, v) for v in got] == expected
+    assert entropy_of_eigenvalues(np.zeros((0, 4)), rows=True) == []
+    pure = entropy_of_eigenvalues(np.array([[1.0, 0.0], [0.0, -0.0]]), rows=True)
+    assert [math.copysign(1.0, v) for v in pure] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([0.5, np.nan, 0.5], "^NaN eigenvalue in the spectrum"),
+        ([-2e-9, 0.5, 0.5 + 2e-9], "^eigenvalue -2.000e-09 too negative for an entropy$"),
+        ([-1.0, np.nan, 2.0], "^NaN eigenvalue in the spectrum"),
+        ([np.nan, -1.0, 2.0], "^NaN eigenvalue in the spectrum"),
+    ],
+)
+def test_stacked_entropy_raises_the_first_failing_row(bad, message):
+    """A failing row at any position raises its own error (a NaN before a
+    too-negative value in the same row); with two failing rows, the first
+    raises."""
+    rng = np.random.default_rng(61)
+    good = rng.dirichlet(np.ones(3), 5)
+    other = [-np.inf, 0.5, 0.5] if "NaN" in message else [np.nan, 0.5, 0.5]
+    with pytest.raises(ValueError, match=message):
+        entropy_of_eigenvalues(bad)
+    for k in range(len(good) + 1):
+        stack = np.insert(good, k, bad, axis=0)
+        with pytest.raises(ValueError, match=message):
+            entropy_of_eigenvalues(stack, rows=True)
+        with pytest.raises(ValueError, match=message):
+            entropy_of_eigenvalues(np.insert(stack, k + 1, other, axis=0), rows=True)
 
 
 def _measure_restacked(rho, povm):
@@ -1269,18 +1446,19 @@ REFERENCE_SUITES = {
 @pytest.mark.parametrize("seed", [5, 2027])
 @pytest.mark.parametrize("name", list(REFERENCE_SUITES))
 def test_stacked_suites_match_the_per_pair_loop(name, seed, monkeypatch):
-    """Each measuring suite, one measure call per draw, measures the
+    """Each measuring suite, measuring its draws as one stack, measures the
     reference loop's states and POVMs (coherence_gap's product bases
     included), in its order, gives its SuiteResult and leaves the generator
     where the loop does."""
     index, run = next((i, run) for i, (n, run, _) in enumerate(SUITES) if n == name)
     measured = []
+    measure_pairs = verify._measure_pairs
 
-    def spy(rho, povm):
-        measured.append((rho, povm))
-        return measure(rho, povm)
+    def spy(states, povms):
+        measured.extend(zip(states, povms))
+        return measure_pairs(states, povms)
 
-    monkeypatch.setattr(verify, "measure", spy)
+    monkeypatch.setattr(verify, "_measure_pairs", spy)
     rng, rng_ref = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
     result = run(rng, 20)
     seen = []
