@@ -50,9 +50,10 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two 2-D arrays as one broadcasted outer product: the same
-    elementwise products, without np.kron's shape bookkeeping."""
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    elementwise products, without np.kron's shape bookkeeping.  Two stacks
+    of n matrices give the stack of the n products."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*a.shape[:-2], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
@@ -66,16 +67,18 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     the caller's ``np.errstate`` handles (by default a warning) before LinAlgError.
     """
     w = _umath_linalg.eigvalsh_lo(m, signature="D->d")
-    lowest = w[0] if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
+    lowest = w.item(0) if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
     if math.isnan(lowest):
         raise LinAlgError("Eigenvalues did not converge")
     return w
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a finite Hermitian complex matrix (lower triangle)."""
+    """``np.linalg.eigh`` of a finite Hermitian complex matrix (lower
+    triangle), or of each matrix of an ``(n, d, d)`` stack."""
     w, v = _umath_linalg.eigh_lo(m, signature="D->dD")
-    if math.isnan(w[0]):
+    lowest = w.item(0) if w.ndim == 1 else w[:, 0].min()  # min propagates a NaN
+    if math.isnan(lowest):
         raise LinAlgError("Eigenvalues did not converge")
     return w, v
 
@@ -97,14 +100,17 @@ def _real_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and R's diagonal of ``np.linalg.qr`` of a finite square ``a``, overwriting ``a``."""
+    """Q and R's diagonal of ``np.linalg.qr`` of a finite square ``a``, or of
+    each matrix of an ``(n, d, d)`` stack, overwriting ``a``."""
     tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    return q, a.diagonal(0, -2, -1)
 
 
 def _require_hermitian(m: np.ndarray, symbol: str) -> None:
-    """Raise ValueError unless the finite square complex ``m`` is Hermitian
-    to HERMITICITY_TOL, naming it ``symbol`` in the message.
+    """Raise ValueError unless the finite square complex ``m``, or each
+    matrix of the stack ``m``, is Hermitian to HERMITICITY_TOL, naming it
+    ``symbol`` in the message (for a stack, with the largest deviation).
 
     max |m - m^dag| is taken as twice max |m/2 - (m/2)^dag|: the halves'
     difference cannot overflow, so no np.errstate is needed, and doubling the
@@ -113,7 +119,7 @@ def _require_hermitian(m: np.ndarray, symbol: str) -> None:
     is that of the plain difference wherever it can exceed the tolerance.
     """
     half = 0.5 * m
-    herm = 2.0 * float(np.abs(half - half.conj().T).max())
+    herm = 2.0 * float(np.maximum.reduce(np.abs(half - half.conj().mT), None))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: max |{symbol} - {symbol}^dag| = {herm:.3e}")
 
@@ -123,6 +129,55 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _first_failure(checks, m: np.ndarray, *args):
+    """``checks(m, 3, *args)``: a run of checks once over the ``(n, d, d)``
+    stack ``m``.  Where a check fails, the matrices are checked one by one
+    (``checks(m[k], 2, *args)``) in input order, so the first failing matrix
+    raises its own message."""
+    try:
+        return checks(m, 3, *args)
+    except ValueError:
+        if m.ndim == 3:
+            for one in m:
+                checks(one, 2, *args)
+        raise
+
+
+def _is_dim(d) -> bool:
+    """Whether ``d`` is a positive integer (a bool is not)."""
+    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+
+
+def _state_checks(m: np.ndarray, ndim: int, dims):
+    """DensityMatrix's checks of a complex array of ``ndim`` dimensions, one
+    matrix or an ``(n, d, d)`` stack, each check once over the array:
+    finite, square, Hermitian, unit trace, positive, ``dims``.  Returns the
+    ascending spectra and ``dims`` in normal form."""
+    if not np.logical_and.reduce(np.isfinite(m), None):
+        raise ValueError("density matrix has non-finite entries")
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    _require_hermitian(m, "rho")
+    diagonals = m.diagonal(0, -2, -1).tolist()
+    for tr in map(sum, diagonals) if ndim == 3 else (sum(diagonals),):
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")
+    spectra = _spectrum(m)
+    lowest = spectra.item(0) if ndim == 2 else min(spectra[:, 0].tolist())  # ascending
+    if lowest < -POSITIVITY_TOL:
+        raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
+    if dims is None:
+        return spectra, None
+    if not (
+        isinstance(dims, (tuple, list)) and len(dims) == 2 and _is_dim(dims[0]) and _is_dim(dims[1])
+    ):
+        raise ValueError(f"dims must be two positive integers, got {dims!r}")
+    d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a * d_b != m.shape[-1]:
+        raise ValueError(f"dims {dims!r} incompatible with dimension {m.shape[-1]}")
+    return spectra, (d_a, d_b)
+
+
 class DensityMatrix:
     """Positive semi-definite, unit-trace operator with an optional bipartite split.
 
@@ -130,14 +185,16 @@ class DensityMatrix:
     marginals and local measurements require it.  Construction rejects
     non-finite entries, then a non-square shape, then validates hermiticity
     (1e-10), unit trace (1e-10), positivity (smallest eigenvalue >= -1e-9)
-    and ``dims``, in that order.  ``matrix`` is a read-only copy of the
-    input, so the validated state and the spectrum kept from the positivity
-    check cannot change afterwards.
+    and ``dims``, in that order (``_state_checks``, which also checks whole
+    stacks).  ``matrix`` is a read-only copy of the input, so the validated
+    state and the spectrum kept from the positivity check cannot change
+    afterwards.
 
     ``spectrum`` is for states the library derives from validated inputs
     (marginals, post-measurement states, channel outputs, analytic steady
-    states): the caller hands over a freshly computed complex matrix it does
-    not keep, its ascending spectrum and ``dims`` in normal form.  Both
+    states) or has checked as part of a stack (``_checked_states``): the
+    caller hands over a freshly computed complex matrix it does not keep,
+    its ascending spectrum and ``dims`` in normal form.  Both
     arrays are then stored read-only as they are, and no check runs.  A
     marginal passes ``_ON_FIRST_READ``: its spectrum, seldom read, is taken
     on first read, once, and kept read-only.
@@ -151,32 +208,7 @@ class DensityMatrix:
                 self._spectrum = _read_only(spectrum)
             return
         m = np.array(matrix, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        _require_hermitian(m, "rho")
-        tr = sum(m.diagonal().tolist())
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr.real:.12g} differs from 1 beyond {TRACE_TOL}")
-        spectrum = _spectrum(m)
-        lowest = float(spectrum[0])  # ascending
-        if lowest < -POSITIVITY_TOL:
-            raise ValueError(f"negative eigenvalue {lowest:.3e} below -{POSITIVITY_TOL:g}")
-        if dims is not None:
-            if not (
-                isinstance(dims, (tuple, list))
-                and len(dims) == 2
-                and all(
-                    isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
-                    for d in dims
-                )
-            ):
-                raise ValueError(f"dims must be two positive integers, got {dims!r}")
-            d_a, d_b = int(dims[0]), int(dims[1])
-            if d_a * d_b != m.shape[0]:
-                raise ValueError(f"dims {dims!r} incompatible with dimension {m.shape[0]}")
-            dims = (d_a, d_b)
+        spectrum, dims = _state_checks(m, 2, dims)
         self.matrix = _read_only(m)
         self.dims = dims
         self._spectrum = _read_only(spectrum)
@@ -195,6 +227,14 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
+
+
+def _checked_states(m: np.ndarray, dims=None) -> list[DensityMatrix]:
+    """The states of a freshly computed complex ``(n, d, d)`` stack that the
+    caller does not keep, each of DensityMatrix's checks run once over the
+    stack; each state holds the bits of ``DensityMatrix(m[k], dims)``."""
+    spectra, dims = _first_failure(_state_checks, m, dims)
+    return [DensityMatrix(one, dims, spectrum=w) for one, w in zip(m, spectra)]
 
 
 def pure_state(vector, dims=None) -> DensityMatrix:
@@ -342,7 +382,8 @@ def trace_distance(a, b) -> float:
 
 def relative_entropy_of_coherence(rho, basis) -> float:
     """S(rho_diag) - S(rho) in nats, with the diagonal taken in the
-    orthonormal ``basis`` (basis vectors as columns)."""
+    orthonormal ``basis`` (basis vectors as columns).  S(rho) of a
+    ``DensityMatrix`` comes from its kept spectrum."""
     m = as_matrix(rho)
     b = np.asarray(basis, dtype=complex)
     if b.shape != m.shape:
@@ -351,4 +392,7 @@ def relative_entropy_of_coherence(rho, basis) -> float:
     if dev > BASIS_TOL:
         raise ValueError(f"basis not orthonormal: max |B^dag B - I| = {dev:.3e}")
     populations = np.diag(dagger(b) @ m @ b)
-    return von_neumann_entropy((b * populations) @ dagger(b)) - von_neumann_entropy(m)
+    dephased = (b * populations) @ dagger(b)
+    if not np.isfinite(dephased).all():  # _spectrum takes finite inputs only
+        raise LinAlgError("Eigenvalues did not converge")
+    return entropy_of_eigenvalues(_spectrum(dephased)) - von_neumann_entropy(rho)

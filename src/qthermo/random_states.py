@@ -9,6 +9,7 @@ from .core import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
+    _checked_states,
     _eigh,
     _psd_sqrt,
     _qr,
@@ -16,52 +17,87 @@ from .core import (
     dagger,
 )
 from .measurement import Povm, _product_povm
-from .thermo import Hamiltonian
+from .thermo import Hamiltonian, _checked_hamiltonians
 
 # the one operator of the trivial measurement on a qubit
 _QUBIT_IDENTITY = (_read_only(np.eye(2, dtype=complex)),)
 
 
-def _ginibre(rng, rows, cols) -> np.ndarray:
+def _ginibre(rng, rows, cols, count=None) -> np.ndarray:
     """A rows x cols complex Gaussian matrix: the real block is drawn first,
     then the imaginary one, and both are written into one complex array.
-    The bits are those of re + 1j * im, since 1j * im has real part +-0.0."""
-    g = np.empty((rows, cols), dtype=complex)
-    parts = g.view(float).reshape(rows, cols, 2)
-    parts[...] = rng.standard_normal((2, rows, cols)).transpose(1, 2, 0)
+    The bits are those of re + 1j * im, since 1j * im has real part +-0.0.
+    With a ``count``, a ``(count, rows, cols)`` stack of such matrices from
+    one standard_normal call, which draws the stream of ``count`` calls."""
+    if count is None:
+        shape, axes = (rows, cols), (1, 2, 0)
+    else:
+        shape, axes = (count, rows, cols), (0, 2, 3, 1)
+    g = np.empty(shape, dtype=complex)
+    parts = g.view(float).reshape(*shape, 2)
+    parts[...] = rng.standard_normal((*shape[:-2], 2, rows, cols)).transpose(axes)
     return g
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the QR of Ginibre draws, one ``(d, d)`` draw or an
+    ``(n, d, d)`` stack (Mezzadri, Notices AMS 54, 592 (2007)), with the
+    phases of R's diagonal divided out of Q's columns.  Overwrites ``g``."""
+    q, r_diagonal = _qr(g)
+    return q * (r_diagonal / np.abs(r_diagonal)).conj()[..., None, :]
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar unitary from the QR of a Ginibre draw (Mezzadri, Notices AMS 54, 592
-    (2007)), with the phases of R's diagonal divided out of Q's columns."""
-    q, r_diagonal = _qr(_ginibre(rng, dim, dim))
-    return q * (r_diagonal / np.abs(r_diagonal)).conj()
+    """Haar unitary of dimension ``dim`` from one Ginibre draw."""
+    return _haar(_ginibre(rng, dim, dim))
+
+
+def _states(g: np.ndarray, dims=None) -> list[DensityMatrix]:
+    """The states G G^dag / tr(G G^dag) of an ``(n, d, r)`` stack of
+    Ginibre draws G, built and checked as one stack."""
+    m = g @ g.conj().mT
+    m /= m.trace(0, 1, 2).real[:, None, None]
+    return _checked_states(m, dims)
 
 
 def random_density_matrix(dim: int, rng, rank: int | None = None, dims=None) -> DensityMatrix:
     """G G^dag / tr(G G^dag) with a Ginibre G of the requested rank."""
-    g = _ginibre(rng, dim, rank or dim)
-    m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m).real, dims=dims)
+    return _states(_ginibre(rng, dim, rank or dim, 1), dims)[0]
 
 
 def random_two_qubit_state(rng) -> DensityMatrix:
     return random_density_matrix(4, rng, dims=(2, 2))
 
 
+def _rank2_two_qubits(rng, n: int) -> list[DensityMatrix]:
+    """n draws of random_rank2_two_qubit, each a 4x4 Ginibre block and then
+    a weight w, built and checked as one stack."""
+    blocks, weights = np.empty((n, 4, 4), dtype=complex), np.empty(n)
+    for k in range(n):
+        blocks[k] = _ginibre(rng, 4, 4)
+        weights[k] = rng.uniform(0.1, 0.9)
+    u = _haar(blocks)
+    w = weights[:, None, None]
+    first = u[:, :, 0, None] * u[:, None, :, 0].conj()
+    second = u[:, :, 1, None] * u[:, None, :, 1].conj()
+    return _checked_states(w * first + (1.0 - w) * second, (2, 2))
+
+
 def random_rank2_two_qubit(rng) -> DensityMatrix:
-    """Mixture of two random orthonormal pure states with weights in
+    """w |u_0><u_0| + (1 - w) |u_1><u_1|, a mixture of two columns of a Haar
+    unitary (two random orthonormal pure states) with w uniform in
     [0.1, 0.9], so the rank stays numerically clean."""
-    u = random_unitary(4, rng)
-    w = rng.uniform(0.1, 0.9)
-    m = w * (u[:, 0, None] * u[:, 0].conj()) + (1.0 - w) * (u[:, 1, None] * u[:, 1].conj())
-    return DensityMatrix(m, dims=(2, 2))
+    return _rank2_two_qubits(rng, 1)[0]
+
+
+def _hamiltonians(g: np.ndarray) -> list[Hamiltonian]:
+    """The Hamiltonians (G + G^dag) / 2 of an ``(n, d, d)`` stack of Ginibre
+    draws G, built, checked and decomposed as one stack."""
+    return _checked_hamiltonians(0.5 * (g + g.conj().mT))
 
 
 def random_hamiltonian(dim: int, rng) -> Hamiltonian:
-    g = _ginibre(rng, dim, dim)
-    return Hamiltonian(0.5 * (g + dagger(g)))
+    return _hamiltonians(_ginibre(rng, dim, dim, 1))[0]
 
 
 def random_x_state(rng) -> DensityMatrix:

@@ -15,6 +15,7 @@ from .core import (
     DensityMatrix,
     ENTROPY_CUTOFF,
     _eigh,
+    _first_failure,
     _kron,
     _read_only,
     _require_hermitian,
@@ -43,17 +44,20 @@ class Hamiltonian:
     ``gaps`` (each level minus the ground level), ``log_dim`` = ln d,
     ``eigenvectors_dagger`` = V^dag, the centred, scaled levels and the
     round-off floor of ``local_inverse_temperature``, and the round-off
-    bound of the beta it fits (``beta_fit_roundoff``)."""
+    bound of the beta it fits (``beta_fit_roundoff``).
 
-    def __init__(self, matrix):
-        m = as_matrix(matrix).copy()
-        if not np.isfinite(m).all():
-            raise ValueError("Hamiltonian has non-finite entries")
-        _require_hermitian(m, "H")
-        self.matrix = _read_only(m)
-        eigenvalues, eigenvectors = _eigh(m)
-        self.eigenvalues = _read_only(eigenvalues)
-        self.eigenvectors = _read_only(eigenvectors)
+    ``eigh`` is for Hamiltonians checked as part of a stack
+    (``_checked_hamiltonians``): the caller hands over a freshly computed
+    complex matrix it does not keep and its ``(eigenvalues, eigenvectors)``,
+    which are then stored read-only as they are, and no check runs."""
+
+    def __init__(self, matrix, *, eigh=None):
+        if eigh is None:
+            matrix = as_matrix(matrix).copy()
+            eigh = _hamiltonian_checks(matrix, 2)
+        self.matrix = _read_only(matrix)
+        self.eigenvalues = _read_only(eigh[0])
+        self.eigenvectors = _read_only(eigh[1])
 
     @property
     def dim(self) -> int:
@@ -132,6 +136,24 @@ class Hamiltonian:
 
     def __repr__(self) -> str:
         return f"Hamiltonian(dim={self.dim})"
+
+
+def _hamiltonian_checks(m: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hamiltonian's checks of a square complex matrix or, each once, of an
+    ``(n, d, d)`` stack (``ndim`` 3): finite, then Hermitian.  Returns the
+    eigenvalues and eigenvectors."""
+    if not np.logical_and.reduce(np.isfinite(m), None):
+        raise ValueError("Hamiltonian has non-finite entries")
+    _require_hermitian(m, "H")
+    return _eigh(m)
+
+
+def _checked_hamiltonians(m: np.ndarray) -> list[Hamiltonian]:
+    """The Hamiltonians of a freshly computed complex ``(n, d, d)`` stack
+    that the caller does not keep, checked and decomposed once as a stack;
+    each holds the bits of ``Hamiltonian(m[k])``."""
+    eigenvalues, eigenvectors = _first_failure(_hamiltonian_checks, m)
+    return [Hamiltonian(one, eigh=(w, v)) for one, w, v in zip(m, eigenvalues, eigenvectors)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     POSITIVITY_TOL,
     DensityMatrix,
+    _checked_states,
     _kron,
     _spectrum,
     partial_trace,
@@ -54,18 +55,21 @@ from .measurement import (
     holevo_of_measurement,
     information_gain,
     local_information_gain,
-    measure,  # noqa: F401 - no suite calls it, but tests patch verify.measure
     projective_energy_povm,
 )
 from .random_states import (
+    _ginibre,
+    _hamiltonians,
+    _haar,
     _projectors,
+    _rank2_two_qubits,
+    _states,
     random_density_matrix,
     random_general_povm,
     random_hamiltonian,
     random_local_general_povm,
     random_local_projective_povm,
     random_projective_povm,
-    random_rank2_two_qubit,
     random_two_outcome_projective,
     random_two_qubit_state,
     random_unitary,
@@ -167,13 +171,27 @@ def _local_or_general(rng, k: int):
 
 
 def _measured(rng, n: int, draw_povm) -> list:
-    """Draw n (state, POVM) pairs, each state before its POVM ``draw_povm(rng,
-    k)``, and return their records, measured as one stack."""
-    states, povms = [], []
+    """Draw n (state, POVM) pairs, each state's Ginibre block before its POVM
+    ``draw_povm(rng, k)``, and return their records: the states built as one
+    stack, and measured as one."""
+    blocks, povms = [], []
     for k in range(n):
-        states.append(random_two_qubit_state(rng))
+        blocks.append(_ginibre(rng, 4, 4))
         povms.append(draw_povm(rng, k))
-    return _measure_pairs(states, povms)
+    return _measure_pairs(_states(np.array(blocks), (2, 2)), povms)
+
+
+def _two_qubit_states(rng, n: int) -> list[DensityMatrix]:
+    """n draws of random_two_qubit_state, built as one stack."""
+    return _states(_ginibre(rng, 4, 4, n), (2, 2))
+
+
+def _states_and_hamiltonians(rng, n: int):
+    """n draws of random_density_matrix(4) then random_hamiltonian(4), as
+    (state, Hamiltonian) pairs; the states and the Hamiltonians are each
+    built as one stack."""
+    blocks = _ginibre(rng, 4, 4, 2 * n).reshape(n, 2, 4, 4)
+    return zip(_states(blocks[:, 0]), _hamiltonians(blocks[:, 1]))
 
 
 _QUBIT_H = local_qubit_hamiltonian(1.0)
@@ -184,10 +202,10 @@ _PERMUTATIONS_4 = np.array(list(permutations(range(4))))
 
 @_suite("entropy_concavity", "slack", 1e-9, scale=2.0)
 def suite_entropy_concavity(rng, n):
-    for _ in range(n):
-        a = random_density_matrix(4, rng)
-        b = random_density_matrix(4, rng)
-        mix = DensityMatrix(0.5 * a.matrix + 0.5 * b.matrix)
+    states = _states(_ginibre(rng, 4, 4, 2 * n))
+    pairs = np.array([rho.matrix for rho in states]).reshape(n, 2, 4, 4)
+    mixes = _checked_states(0.5 * pairs[:, 0] + 0.5 * pairs[:, 1])
+    for a, b, mix in zip(states[0::2], states[1::2], mixes):
         yield (
             von_neumann_entropy(mix)
             - 0.5 * von_neumann_entropy(a)
@@ -197,17 +215,16 @@ def suite_entropy_concavity(rng, n):
 
 @_suite("entropy_subadditivity", "slack", 1e-9)
 def suite_entropy_subadditivity(rng, n):
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
+    for rho in _two_qubit_states(rng, n):
         yield mutual_information(rho)
 
 
 @_suite("ptrace_kron_roundtrip", "residual", 1e-9)
 def suite_ptrace_kron_roundtrip(rng, n):
-    for _ in range(n):
-        a = random_density_matrix(2, rng)
-        b = random_density_matrix(2, rng)
-        joint = DensityMatrix(_kron(a.matrix, b.matrix), dims=(2, 2))
+    states = _states(_ginibre(rng, 2, 2, 2 * n))
+    pairs = np.array([rho.matrix for rho in states]).reshape(n, 2, 2, 2)
+    joints = _checked_states(_kron(pairs[:, 0], pairs[:, 1]), (2, 2))
+    for a, b, joint in zip(states[0::2], states[1::2], joints):
         yield np.abs(partial_trace(joint, "A").matrix - a.matrix).max()
         yield np.abs(partial_trace(joint, "B").matrix - b.matrix).max()
 
@@ -280,15 +297,16 @@ def suite_entropy_cost_projective(rng, n):
 @_suite("coherence_gap", "residual", 1e-9)
 def suite_coherence_gap(rng, n):
     # known product bases, so the coherence basis matches the projectors
-    states, povms, bases = [], [], []
+    blocks, povms, bases = [], [], []
     for _ in range(n):
-        states.append(random_two_qubit_state(rng))
+        blocks.append(_ginibre(rng, 4, 4))
         u_a, u_b = random_unitary(2, rng), random_unitary(2, rng)
         povms.append(_product_povm(_projectors(u_a), _projectors(u_b)))
         bases.append(_kron(u_a, u_b))
+    states = _states(np.array(blocks), (2, 2))
     for rho, record, basis in zip(states, _measure_pairs(states, povms), bases):
         gap = holevo_of_measurement(record) - information_gain(record)
-        yield gap - relative_entropy_of_coherence(rho.matrix, basis)
+        yield gap - relative_entropy_of_coherence(rho, basis)
 
 
 @_suite("energy_measurement_structure", "residual", 1e-9)
@@ -322,16 +340,14 @@ def suite_gain_split(rng, n):
     cancels and this suite cannot see it; discord_nonneg and kw_vs_wootters
     test chi_A.  The tolerance allows the two 1e-6 clamps of discord and EoF.
     """
-    for _ in range(n):
-        rho = random_rank2_two_qubit(rng)
+    for rho in _rank2_two_qubits(rng, n):
         corr = breakdown(rho, _QUBIT_H)
         yield corr.information_gain - (corr.chi_B + corr.quantum_gain)
 
 
 @_suite("discord_nonneg", "slack", 1e-6)
 def suite_discord_nonnegative(rng, n):
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
+    for rho in _two_qubit_states(rng, n):
         yield discord_A(rho)
 
 
@@ -342,8 +358,7 @@ def suite_kw_vs_wootters(rng, n):
     # singular values of sqrt(rho)^T (sy(x)sy) sqrt(rho) (Uhlmann's form), so
     # the oracle is accurate to round-off and both sides agree to a few 1e-15
     # at count 500; the tolerance leaves room for that round-off only
-    for _ in range(n):
-        rho = random_rank2_two_qubit(rng)
+    for rho in _rank2_two_qubits(rng, n):
         via_kw = eof_via_koashi_winter(rho)
         psi = purify(rho).reshape(2, 2, -1)
         r = psi.shape[-1]
@@ -358,32 +373,30 @@ def suite_chi_grid_monotone(rng, n):
     # the Newton ascent against the reference grid search at its finer 128x128
     # grid: both are lower bounds, and the ascent converges to round-off, so
     # it may fall short only by round-off
-    for _ in range(n):
-        rho = random_two_qubit_state(rng)
+    for rho in _two_qubit_states(rng, n):
         yield chi_A_max(rho) - chi_A_max(rho, SearchGrid(coarse=128))
 
 
 @_suite("ergotropy_double_sum", "residual", 1e-9)
 def suite_ergotropy_double_sum(rng, n):
-    for _ in range(n):
-        rho = random_density_matrix(4, rng)
-        h = random_hamiltonian(4, rng)
+    for rho, h in _states_and_hamiltonians(rng, n):
         yield ergotropy(rho, h) - ergotropy_double_sum(rho, h)
 
 
 @_suite("ergotropy_nonneg", "slack", 1e-9)
 def suite_ergotropy_nonnegative(rng, n):
-    for _ in range(n):
-        yield ergotropy(random_density_matrix(4, rng), random_hamiltonian(4, rng))
+    for rho, h in _states_and_hamiltonians(rng, n):
+        yield ergotropy(rho, h)
 
 
 @_suite("ergotropy_unitary_invariance", "residual", 1e-9)
 def suite_ergotropy_unitary_invariance(rng, n):
-    for _ in range(n):
-        rho = random_density_matrix(4, rng)
-        h = random_hamiltonian(4, rng)
-        u = random_unitary(4, rng)
-        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
+    # per draw: random_density_matrix, random_hamiltonian, random_unitary
+    blocks = _ginibre(rng, 4, 4, 3 * n).reshape(n, 3, 4, 4)
+    states, u = _states(blocks[:, 0]), _haar(blocks[:, 2])
+    matrices = np.array([rho.matrix for rho in states])
+    rotations = _checked_states(u @ matrices @ u.conj().mT)
+    for rho, h, rotated in zip(states, _hamiltonians(blocks[:, 1]), rotations):
         passive_e = np.sort(rho.eigenvalues())[::-1] @ h.eigenvalues
         expected = float(np.trace(h.matrix @ rotated.matrix).real - passive_e)
         yield ergotropy(rotated, h) - expected
@@ -391,9 +404,7 @@ def suite_ergotropy_unitary_invariance(rng, n):
 
 @_suite("passive_minimality", "slack", 1e-9)
 def suite_passive_minimality(rng, n):
-    for _ in range(n):
-        rho = random_density_matrix(4, rng)
-        h = random_hamiltonian(4, rng)
+    for rho, h in _states_and_hamiltonians(rng, n):
         r_desc = np.sort(rho.eigenvalues())[::-1]
         e_asc = h.eigenvalues
         passive_e = float(r_desc @ e_asc)
@@ -423,9 +434,7 @@ def suite_thermal_roundtrip(rng, n):
 
 @_suite("passive_commutes_zero_work", "residual", 1e-8)
 def suite_passive_is_stationary(rng, n):
-    for _ in range(n):
-        rho = random_density_matrix(4, rng)
-        h = random_hamiltonian(4, rng)
+    for rho, h in _states_and_hamiltonians(rng, n):
         p = passive_state(rho, h)
         yield np.abs(h.matrix @ p.matrix - p.matrix @ h.matrix).max()
         yield ergotropy(p, h)

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with -s to see them)."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ from qthermo import (
 )
 from qthermo.cli import RunConfig, sweep_rows
 from qthermo.dissipation import KET_EE, KET_GG, local_qubit_hamiltonian
+from qthermo.io import write_json
 from qthermo.verify import run_suites
 
 GRID_RUNTIME_BUDGET = 60.0  # seconds for the full c grid
@@ -141,7 +143,11 @@ def test_criterion_5_energy_balance_and_tradeoff(sweep):
     )
 
 
-def test_criterion_6_randomized_property_suites():
+# sha256 of the verify report of `qthermo --seed 7 verify` at the default count 500
+VERIFY_500_SHA256 = "98d88f7455369855c854d123a25e8309970e8c9fad6f63dae724fb9977f463bd"
+
+
+def test_criterion_6_randomized_property_suites(tmp_path):
     results = run_suites()  # default seed and n = 500
     # true per-suite counts at n = 500 (scales in verify.SUITES); 500 otherwise
     counts = {
@@ -179,6 +185,10 @@ def test_criterion_6_randomized_property_suites():
         + (f" (below their stated count: {short})" if short else ""),
         ok,
     )
+    # the report the CLI writes, byte for byte
+    report = tmp_path / "verify_report.json"
+    write_json(report, [r.to_dict() for r in results])
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_500_SHA256
 
 
 def test_criterion_7_ergotropy_kink_over_beta_e():

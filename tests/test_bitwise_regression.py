@@ -27,6 +27,7 @@ re-validation (marginals, post-measurement states, channel outputs, analytic
 steady states): each equals the validated construction of its matrix.
 """
 
+import inspect
 import itertools
 import math
 import re
@@ -67,7 +68,7 @@ from qthermo import (
     thermo_report,
     von_neumann_entropy,
 )
-from qthermo import core, measurement, verify
+from qthermo import core, measurement, random_states, verify
 from qthermo.cli import sweep_row
 from qthermo.core import ENTROPY_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron, entropy_of_eigenvalues
 from qthermo.correlations import (
@@ -85,6 +86,9 @@ from qthermo.measurement import PROB_CUTOFF
 from qthermo.random_states import (
     _ginibre,
     _projectors,
+    _rank2_two_qubits,
+    _states,
+    random_density_matrix,
     random_general_povm,
     random_hamiltonian,
     random_local_general_povm,
@@ -674,6 +678,112 @@ def test_ginibre_fills_the_bits_of_the_complex_sum(rows, cols):
         expected.append(re + 1.0j * im)
     assert _same_bits(drawn, np.array(expected))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# -- the generators' stacks ---------------------------------------------------
+
+STACK_DRAWS = 37
+
+
+def _earlier_ginibre(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1.0j * rng.standard_normal((rows, cols))
+
+
+def _same_states(a, b) -> bool:
+    return (
+        _same_bits(a.matrix, b.matrix)
+        and _same_bits(a._spectrum, b._spectrum)
+        and a.dims == b.dims
+    )
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (4, 1), (4, 2), (2, 2)])
+def test_counted_ginibre_draws_the_stream_of_one_call_per_draw(rows, cols):
+    ours, theirs = np.random.default_rng([rows, cols]), np.random.default_rng([rows, cols])
+    stack = _ginibre(ours, rows, cols, STACK_DRAWS)
+    expected = np.array([_ginibre(theirs, rows, cols) for _ in range(STACK_DRAWS)])
+    assert _same_bits(stack, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [(2, 2), None])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_state_stack_matches_the_per_draw_generators(rank, dims):
+    """n states built and checked as one stack equal n random_density_matrix
+    calls and the earlier per-draw form (the validated G G^dag / tr with
+    np.linalg.eigvalsh's spectrum): matrix, spectrum and dims, bit for bit,
+    with the generator left in the same state."""
+    rngs = [np.random.default_rng([rank, 11]) for _ in range(3)]
+    stacked = _states(_ginibre(rngs[0], 4, rank, STACK_DRAWS), dims)
+    per_draw = [random_density_matrix(4, rngs[1], rank, dims) for _ in range(STACK_DRAWS)]
+    for rho, one in zip(stacked, per_draw, strict=True):
+        g = _earlier_ginibre(rngs[2], 4, rank)
+        m = g @ core.dagger(g)
+        earlier = DensityMatrix(m / np.trace(m).real, dims=dims)
+        assert _same_states(rho, one) and _same_states(rho, earlier)
+        assert _same_bits(rho._spectrum, np.linalg.eigvalsh(earlier.matrix))
+        assert not rho.matrix.flags.writeable and not rho._spectrum.flags.writeable
+    assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+def test_rank2_stack_matches_the_per_draw_generators():
+    """The same for random_rank2_two_qubit, against the earlier form on
+    np.linalg.qr: a Ginibre block, then the weight, per draw."""
+    rngs = [np.random.default_rng(13) for _ in range(3)]
+    stacked = _rank2_two_qubits(rngs[0], STACK_DRAWS)
+    per_draw = [random_rank2_two_qubit(rngs[1]) for _ in range(STACK_DRAWS)]
+    for rho, one in zip(stacked, per_draw, strict=True):
+        q, r = np.linalg.qr(_earlier_ginibre(rngs[2], 4, 4))
+        u = q * (np.diag(r) / np.abs(np.diag(r))).conj()
+        w = rngs[2].uniform(0.1, 0.9)
+        m = w * np.outer(u[:, 0], u[:, 0].conj()) + (1.0 - w) * np.outer(u[:, 1], u[:, 1].conj())
+        assert _same_states(rho, one) and _same_bits(rho.matrix, m)
+        assert _same_bits(rho._spectrum, np.linalg.eigvalsh(m)) and rho.dims == (2, 2)
+    assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_hamiltonian_stack_matches_the_per_draw_generators(dim):
+    """n Hamiltonians built, checked and decomposed as one stack equal n
+    random_hamiltonian calls and the earlier (G + G^dag) / 2 with
+    np.linalg.eigh: matrix, eigenvalues and eigenvectors."""
+    rngs = [np.random.default_rng([dim, 17]) for _ in range(3)]
+    stacked = random_states._hamiltonians(_ginibre(rngs[0], dim, dim, STACK_DRAWS))
+    per_draw = [random_hamiltonian(dim, rngs[1]) for _ in range(STACK_DRAWS)]
+    for h, one in zip(stacked, per_draw, strict=True):
+        g = _earlier_ginibre(rngs[2], dim, dim)
+        m = 0.5 * (g + core.dagger(g))
+        for expected in ((one.matrix, one.eigenvalues, one.eigenvectors), (m, *np.linalg.eigh(m))):
+            for ours, theirs in zip((h.matrix, h.eigenvalues, h.eigenvectors), expected):
+                assert _same_bits(ours, theirs)
+        assert not any(a.flags.writeable for a in (h.matrix, h.eigenvalues, h.eigenvectors))
+    assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
+
+
+def test_coherence_reads_the_kept_spectrum(states):
+    """relative_entropy_of_coherence takes S(rho) of a DensityMatrix from
+    its kept spectrum and the dephased spectrum from core._spectrum: the
+    bits of the earlier form, two np.linalg.eigvalsh calls, for the state
+    and for its plain matrix."""
+    rng = np.random.default_rng(31)
+    for rho in states[::10]:
+        basis = random_unitary(4, rng)
+        populations = np.diag(core.dagger(basis) @ rho.matrix @ basis)
+        dephased = (basis * populations) @ core.dagger(basis)
+        expected = entropy_of_eigenvalues(np.linalg.eigvalsh(dephased)) - entropy_of_eigenvalues(
+            np.linalg.eigvalsh(rho.matrix)
+        )
+        assert relative_entropy_of_coherence(rho, basis) == expected
+        assert relative_entropy_of_coherence(rho.matrix, basis) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coherence_of_a_non_finite_matrix_raises(bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            relative_entropy_of_coherence(m, np.eye(2))
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -1476,6 +1586,131 @@ def test_stacked_suites_match_the_per_pair_loop(name, seed, monkeypatch):
         name, values.size, int(failures), float(worst), result.tolerance, result.kind
     )
     assert result == expected
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+# -- the suites that draw their states and Hamiltonians as stacks -------------
+
+
+def _ref_entropy_concavity(rng, n):
+    for _ in range(n):
+        a = random_density_matrix(4, rng)
+        b = random_density_matrix(4, rng)
+        mix = DensityMatrix(0.5 * a.matrix + 0.5 * b.matrix)
+        yield von_neumann_entropy(mix) - 0.5 * von_neumann_entropy(a) - 0.5 * von_neumann_entropy(b)
+
+
+def _ref_entropy_subadditivity(rng, n):
+    for _ in range(n):
+        yield core.mutual_information(random_two_qubit_state(rng))
+
+
+def _ref_ptrace_kron_roundtrip(rng, n):
+    for _ in range(n):
+        a = random_density_matrix(2, rng)
+        b = random_density_matrix(2, rng)
+        joint = DensityMatrix(_kron(a.matrix, b.matrix), dims=(2, 2))
+        yield np.abs(partial_trace(joint, "A").matrix - a.matrix).max()
+        yield np.abs(partial_trace(joint, "B").matrix - b.matrix).max()
+
+
+def _ref_gain_split(rng, n):
+    for _ in range(n):
+        corr = verify.breakdown(random_rank2_two_qubit(rng), verify._QUBIT_H)
+        yield corr.information_gain - (corr.chi_B + corr.quantum_gain)
+
+
+def _ref_discord_nonneg(rng, n):
+    for _ in range(n):
+        yield verify.discord_A(random_two_qubit_state(rng))
+
+
+def _ref_kw_vs_wootters(rng, n):
+    for _ in range(n):
+        rho = random_rank2_two_qubit(rng)
+        psi = core.purify(rho).reshape(2, 2, -1)
+        r = psi.shape[-1]
+        rho_bc = np.einsum("abk,acl->bkcl", psi, psi.conj()).reshape(2 * r, 2 * r)
+        if r == 1:
+            rho_bc = _kron(rho_bc, np.diag([1.0, 0.0]))
+        yield verify.eof_via_koashi_winter(rho) - wootters_eof(rho_bc)
+
+
+def _ref_chi_grid_monotone(rng, n):
+    for _ in range(n):
+        rho = random_two_qubit_state(rng)
+        yield chi_A_max(rho) - chi_A_max(rho, SearchGrid(coarse=128))
+
+
+def _ref_ergotropy_double_sum(rng, n):
+    for _ in range(n):
+        rho = random_density_matrix(4, rng)
+        h = random_hamiltonian(4, rng)
+        yield ergotropy(rho, h) - verify.ergotropy_double_sum(rho, h)
+
+
+def _ref_ergotropy_nonneg(rng, n):
+    for _ in range(n):
+        yield ergotropy(random_density_matrix(4, rng), random_hamiltonian(4, rng))
+
+
+def _ref_ergotropy_unitary_invariance(rng, n):
+    for _ in range(n):
+        rho = random_density_matrix(4, rng)
+        h = random_hamiltonian(4, rng)
+        u = random_unitary(4, rng)
+        rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
+        passive_e = np.sort(rho.eigenvalues())[::-1] @ h.eigenvalues
+        expected = float(np.trace(h.matrix @ rotated.matrix).real - passive_e)
+        yield ergotropy(rotated, h) - expected
+
+
+def _ref_passive_minimality(rng, n):
+    for _ in range(n):
+        rho = random_density_matrix(4, rng)
+        h = random_hamiltonian(4, rng)
+        r_desc = np.sort(rho.eigenvalues())[::-1]
+        passive_e = float(r_desc @ h.eigenvalues)
+        yield float((h.eigenvalues[verify._PERMUTATIONS_4] @ r_desc).min()) - passive_e
+
+
+def _ref_passive_commutes_zero_work(rng, n):
+    for _ in range(n):
+        rho = random_density_matrix(4, rng)
+        h = random_hamiltonian(4, rng)
+        p = passive_state(rho, h)
+        yield np.abs(h.matrix @ p.matrix - p.matrix @ h.matrix).max()
+        yield ergotropy(p, h)
+
+
+STACKED_DRAW_SUITES = {
+    "entropy_concavity": _ref_entropy_concavity,
+    "entropy_subadditivity": _ref_entropy_subadditivity,
+    "ptrace_kron_roundtrip": _ref_ptrace_kron_roundtrip,
+    "gain_split": _ref_gain_split,
+    "discord_nonneg": _ref_discord_nonneg,
+    "kw_vs_wootters": _ref_kw_vs_wootters,
+    "chi_grid_monotone": _ref_chi_grid_monotone,
+    "ergotropy_double_sum": _ref_ergotropy_double_sum,
+    "ergotropy_nonneg": _ref_ergotropy_nonneg,
+    "ergotropy_unitary_invariance": _ref_ergotropy_unitary_invariance,
+    "passive_minimality": _ref_passive_minimality,
+    "passive_commutes_zero_work": _ref_passive_commutes_zero_work,
+}
+
+
+@pytest.mark.parametrize("seed", [5, 2027])
+@pytest.mark.parametrize("name", list(STACKED_DRAW_SUITES))
+def test_stacked_draw_suites_match_the_per_draw_loop(name, seed):
+    """Each suite that builds its draws as stacks yields, value for value and
+    bit for bit, what its earlier body yielded with one generator call per
+    draw, and leaves the generator where that loop does."""
+    index, run = next((i, run) for i, (n, run, _) in enumerate(SUITES) if n == name)
+    body = inspect.getclosurevars(run).nonlocals["body"]
+    rng, rng_ref = np.random.default_rng([seed, index]), np.random.default_rng([seed, index])
+    values = np.asarray(list(body(rng, 8)), dtype=float)
+    expected = np.asarray(list(STACKED_DRAW_SUITES[name](rng_ref, 8)), dtype=float)
+    assert _same_bits(values, expected)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

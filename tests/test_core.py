@@ -19,13 +19,20 @@ from qthermo import (
     von_neumann_entropy,
 )
 
-from qthermo.core import HERMITICITY_TOL, _psd_sqrt, _require_hermitian
+from qthermo.core import (
+    HERMITICITY_TOL,
+    SIGMA_X,
+    _checked_states,
+    _psd_sqrt,
+    _require_hermitian,
+)
 from qthermo.io import read_state, write_json
 from qthermo.random_states import (
     random_density_matrix,
     random_rank2_two_qubit,
     random_x_state,
 )
+from qthermo.thermo import _checked_hamiltonians
 
 from conftest import LN2
 
@@ -220,6 +227,72 @@ class TestTrustBoundary:
         write_json(path, {"dims": dims, "re": m.real.tolist(), "im": m.imag.tolist()})
         with pytest.raises(ValueError, match=message):
             read_state(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[0.5, np.nan], [np.nan, 0.5]], "non-finite"),
+            ([[0.5, complex(0.0, np.inf)], [0.0, 0.5]], "non-finite"),
+            ([[0.5, 0.5], [0.0, 0.5]], "Hermitian"),
+            ([[0.5, 1e308], [-1e308, 0.5]], "Hermitian"),
+            (np.eye(2), "trace"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        ],
+    )
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_stack_raises_the_message_of_its_bad_matrix(self, bad, message, position):
+        """The generators check their draws once per stack; a stack with one
+        bad matrix raises, at any position, what DensityMatrix raises on it."""
+        bad = np.asarray(bad, dtype=complex)
+        with pytest.raises(ValueError, match=message) as single:
+            DensityMatrix(bad)
+        stack = [np.diag([0.25, 0.75]), np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.6, 0.4])]
+        stack[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as stacked:
+                _checked_states(np.array(stack, dtype=complex))
+        assert str(stacked.value) == str(single.value)
+
+    def test_a_stack_raises_for_its_first_failing_matrix(self):
+        """Each matrix is checked in full before the next: a trace error at
+        position 1 wins over a non-finite entry at position 2."""
+        stack = np.array([np.eye(2) / 2, np.eye(2), np.full((2, 2), np.nan)], dtype=complex)
+        with pytest.raises(ValueError, match="trace 2 differs"):
+            _checked_states(stack)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((3, 2), "incompatible"), ((2, 2.0), "two positive integers"), ((2, True), "two positive")],
+    )
+    def test_a_stack_rejects_bad_dims(self, dims, message):
+        stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        with pytest.raises(ValueError, match=message) as stacked:
+            _checked_states(stack, dims)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(stack[0], dims)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[0.0, np.inf], [0.0, 0.0]], "non-finite"),
+            ([[0.0, 1.0], [0.0, 0.0]], "Hermitian"),
+            ([[0.5, 1e308], [-1e308, 0.5]], "Hermitian"),
+        ],
+    )
+    @pytest.mark.parametrize("position", range(3))
+    def test_a_hamiltonian_stack_raises_the_message_of_its_bad_matrix(self, bad, message, position):
+        bad = np.asarray(bad, dtype=complex)
+        with pytest.raises(ValueError, match=message) as single:
+            Hamiltonian(bad)
+        stack = [np.diag([1.0, 0.0]), SIGMA_X, np.zeros((2, 2))]
+        stack[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as stacked:
+                _checked_hamiltonians(np.array(stack, dtype=complex))
+        assert str(stacked.value) == str(single.value)
 
     def test_random_generators_reject_bad_draws(self):
         with pytest.raises(ValueError, match="incompatible"):

@@ -306,7 +306,7 @@ class TestStandardReports:
             calls.append(rho)
             return measurement.measure(rho, povm)
 
-        for module in (correlations, relations, verify):
+        for module in (correlations, relations):
             monkeypatch.setattr(module, "measure", counting)
         standard_reports(analytic_steady_state(0.5, ModelParams()), qubit_h)
         assert len(calls) == 2
